@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .compositions import Composition, is_partition, partitions
+from .compositions import Composition, format_comp, is_partition, partitions
 from .crystal import build_crystal, graph_json, quasi_crystals, to_dot
 from .poly import deep_skeleton, skeleton_poly, skeleton_poly_i
 from .rsk import is_permutation, perm_stats, rsk
@@ -41,12 +41,6 @@ def parse_parts(text: str) -> Composition:
         return (int(text),)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse parts from {text!r}")
-
-
-def format_comp(alpha: Composition) -> str:
-    if alpha and all(part <= 9 for part in alpha):
-        return "".join(str(part) for part in alpha)
-    return ",".join(str(part) for part in alpha)
 
 
 def _require_partition(shape: Composition) -> Composition:
@@ -261,18 +255,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if max_n is None:
         env = os.environ.get("SKELETON_MAX_N")
         if env:
-            max_n = int(env)
+            try:
+                max_n = int(env)
+            except ValueError:
+                raise SystemExit(f"error: SKELETON_MAX_N is not an integer: {env!r}")
     if max_n is not None and max_n < 1:
         raise SystemExit("error: --max-n must be at least 1")
-    try:
-        results = run_checks(
-            names,
-            max_n=max_n,
-            threads=args.threads,
-            report_support=args.report_support,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    results = run_checks(names, max_n=max_n, report_support=args.report_support)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         _print_json(
@@ -348,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"any of: all, {', '.join(CHECK_NAMES)}")
     p_verify.add_argument("--max-n", type=int, default=None,
                           help="override the per-check bound (env: SKELETON_MAX_N)")
-    p_verify.add_argument("--threads", type=int, default=1,
-                          help="run up to this many checks concurrently")
     p_verify.add_argument("--report-support", action="store_true",
                           help="attach monomial-support data to skeleton-rs results")
     p_verify.add_argument("--timing", action="store_true",
@@ -362,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

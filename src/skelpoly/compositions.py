@@ -36,6 +36,21 @@ def flatten(weak: Iterable[int]) -> Composition:
     return tuple(part for part in weak if part != 0)
 
 
+def trim(weak: tuple[int, ...]) -> tuple[int, ...]:
+    """Drop trailing zero parts: (2,0,3,0) -> (2,0,3)."""
+    end = len(weak)
+    while end > 0 and weak[end - 1] == 0:
+        end -= 1
+    return weak[:end]
+
+
+def format_comp(alpha: Composition) -> str:
+    """Digits run together when every part is below ten, else comma-separated."""
+    if all(part <= 9 for part in alpha):
+        return "".join(str(part) for part in alpha)
+    return ",".join(str(part) for part in alpha)
+
+
 @cache
 def compositions(n: int) -> tuple[Composition, ...]:
     """All strong compositions of n, sorted by length then reverse-lex."""
@@ -48,17 +63,6 @@ def compositions(n: int) -> tuple[Composition, ...]:
         members = combinations(range(1, n), k)
         out.extend(set_to_comp(IndexSet(n, mem)) for mem in members)
     return tuple(sorted(out, key=lambda a: (len(a), tuple(-x for x in a))))
-
-
-def weak_compositions(n: int, length: int) -> Iterator[Composition]:
-    """All weak compositions of n with exactly `length` parts."""
-    if length == 0:
-        if n == 0:
-            yield ()
-        return
-    for first in range(n + 1):
-        for rest in weak_compositions(n - first, length - 1):
-            yield (first, *rest)
 
 
 @cache

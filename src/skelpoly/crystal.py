@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compositions import Composition, Partition
+from .compositions import Composition, Partition, format_comp
 from .rsk import rsk
 from .tableaux import (
     Tableau,
@@ -170,12 +170,6 @@ def _word_label(t: Tableau) -> str:
     return "-".join(str(x) for x in word)
 
 
-def _comp_label(alpha: Composition) -> str:
-    if all(part <= 9 for part in alpha):
-        return "".join(str(part) for part in alpha)
-    return ",".join(str(part) for part in alpha)
-
-
 def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
     """Graphviz source: quasi-crystal clusters with colored crystal edges.
 
@@ -196,7 +190,7 @@ def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
     lines = ["digraph crystal {", "  node [shape=box];"]
     for k, qc in enumerate(classes):
         lines.append(f"  subgraph cluster_{k} {{")
-        lines.append(f'    label="des {_comp_label(qc.descent)}";')
+        lines.append(f'    label="des {format_comp(qc.descent)}";')
         for t in sorted(qc.members, key=lambda u: vertex_index[u]):
             i = vertex_index[t]
             lines.append(f'    v{i} [label="{_word_label(t)}"];')

@@ -23,6 +23,7 @@ from .compositions import (
     max_descent_length,
     partitions,
     refinements,
+    trim,
 )
 from .tableaux import (
     descent_composition,
@@ -36,16 +37,9 @@ from .tableaux import (
 TermKey = tuple[tuple[int, ...], int, int]  # (x-exponents, p-exponent, q-exponent)
 
 
-def _trim(exponents: tuple[int, ...]) -> tuple[int, ...]:
-    end = len(exponents)
-    while end > 0 and exponents[end - 1] == 0:
-        end -= 1
-    return exponents[:end]
-
-
 def _term_sort_key(key: TermKey):
     exponents, p, q = key
-    trimmed = _trim(exponents)
+    trimmed = trim(exponents)
     return (len(trimmed), tuple(-e for e in trimmed), p, q)
 
 
@@ -99,13 +93,19 @@ class MultiPoly:
             return NotImplemented
         return self.arity == other.arity and self.terms == other.terms
 
+    @classmethod
+    def sum(cls, polys: Iterable["MultiPoly"], arity: int) -> "MultiPoly":
+        """Sum of `polys`, each in `arity` variables, merged into one dict in one pass."""
+        terms: dict[TermKey, int] = {}
+        for poly in polys:
+            if poly.arity != arity:
+                raise ValueError(f"arity mismatch: {arity} vs {poly.arity}")
+            for key, coeff in poly.terms.items():
+                terms[key] = terms.get(key, 0) + coeff
+        return cls(arity, terms)
+
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, 0) + coeff
-        return MultiPoly(self.arity, terms)
+        return MultiPoly.sum((self, other), self.arity)
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.arity, {key: -c for key, c in self.terms.items()})
@@ -138,7 +138,7 @@ class MultiPoly:
 
     def support(self) -> set[tuple[int, ...]]:
         """Trimmed x-exponent vectors of the nonzero terms."""
-        return {_trim(exponents) for exponents, _, _ in self.terms}
+        return {trim(exponents) for exponents, _, _ in self.terms}
 
     def embed(self, arity: int, offset: int = 0) -> "MultiPoly":
         """Reinterpret in `arity` variables, shifting x_i to x_(i+offset)."""
@@ -197,7 +197,7 @@ class MultiPoly:
             factors.append(f"p^{p}" if p > 1 else "p")
         if q:
             factors.append(f"q^{q}" if q > 1 else "q")
-        trimmed = _trim(exps)
+        trimmed = trim(exps)
         if trimmed:
             if all(e <= 9 for e in trimmed):
                 factors.append("x^" + "".join(str(e) for e in trimmed))
@@ -236,7 +236,7 @@ class MultiPoly:
                 factors.append("p" if p == 1 else f"p^{{{p}}}")
             if q:
                 factors.append("q" if q == 1 else f"q^{{{q}}}")
-            for i, e in enumerate(_trim(exps), start=1):
+            for i, e in enumerate(trim(exps), start=1):
                 if e:
                     factors.append(f"x_{{{i}}}" if e == 1 else f"x_{{{i}}}^{{{e}}}")
             body = "".join(factors) or "1"
@@ -400,7 +400,7 @@ def skeleton_poly_i(shape: Partition, length: int) -> MultiPoly:
         return MultiPoly.zero(arity)
     terms = {}
     for (exps, p, q), coeff in skeleton_poly(shape).terms.items():
-        if len(_trim(exps)) == length:
+        if len(trim(exps)) == length:
             terms[(exps[:length], p, q)] = coeff
     return MultiPoly(arity, terms)
 
@@ -456,10 +456,10 @@ def qsym_monomial(beta: Composition, num_vars: int) -> MultiPoly:
 
 def qsym_fundamental(alpha: Composition, num_vars: int) -> MultiPoly:
     """Sum of the monomial quasi-symmetric truncations over all refinements."""
-    out = MultiPoly.zero(num_vars)
-    for beta in sorted(refinements(tuple(alpha))):
-        out = out + qsym_monomial(beta, num_vars)
-    return out
+    return MultiPoly.sum(
+        (qsym_monomial(beta, num_vars) for beta in sorted(refinements(tuple(alpha)))),
+        num_vars,
+    )
 
 
 @cache

@@ -106,18 +106,16 @@ def left_descents(w: Word) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(w)) if position[i + 1] < position[i])
 
 
+def _charge(n: int, lefts: Iterable[int]) -> int:
+    # the label c_i counts the left descents d < i, so each d adds 1 to c_(d+1..n)
+    return sum(n - d for d in lefts)
+
+
 def charge(w: Word) -> int:
     """Sum of the inductive labels c_i, where c_i grows by 1 at each left descent."""
     if not is_permutation(w):
         raise ValueError(f"not a permutation: {w}")
-    lefts = set(left_descents(w))
-    total = 0
-    label = 0
-    for i in range(1, len(w) + 1):
-        if i - 1 in lefts:
-            label += 1
-        total += label
-    return total
+    return _charge(len(w), left_descents(w))
 
 
 def inversions(w: Word) -> int:
@@ -147,19 +145,13 @@ def perm_stats(w: Word) -> PermStats:
     dset = descents(w)
     des = set_to_comp(dset)
     lefts = left_descents(w)
-    lefts_set = set(lefts)
-    label = total = 0
-    for i in range(1, len(w) + 1):
-        if i - 1 in lefts_set:
-            label += 1
-        total += label
     return PermStats(
         descent_composition=des,
         left_descents=lefts,
         maj=sum(dset.members),
         depth=composition_depth(des),
         inversions=inversions(w),
-        charge=total,
+        charge=_charge(len(w), lefts),
         is_involution=inverse(w) == w,
     )
 

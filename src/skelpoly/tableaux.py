@@ -20,7 +20,7 @@ from .compositions import (
     depth as composition_depth,
     is_partition,
     lambda_bar,
-    max_descent_length,
+    trim,
 )
 
 
@@ -172,10 +172,7 @@ def descent_set(t: Tableau) -> tuple[int, ...]:
 
 def is_quasi_yamanouchi(t: Tableau) -> bool:
     """True when the weight, trailing zeros trimmed, equals the descent composition."""
-    w = weight(t)
-    while w and w[-1] == 0:
-        w = w[:-1]
-    return w == descent_composition(t)
+    return trim(weight(t)) == descent_composition(t)
 
 
 @dataclass(frozen=True)
@@ -193,16 +190,13 @@ def tableau_stats(t: Tableau) -> TableauStats:
     des = descent_composition(t)
     dset = descent_set(t)
     w = weight(t)
-    trimmed = w
-    while trimmed and trimmed[-1] == 0:
-        trimmed = trimmed[:-1]
     return TableauStats(
         weight=w,
         descent_composition=des,
         descent_set=dset,
         maj=sum(dset),
         depth=composition_depth(des),
-        is_quasi_yamanouchi=trimmed == des,
+        is_quasi_yamanouchi=trim(w) == des,
     )
 
 
@@ -265,16 +259,12 @@ def standard_tableaux(shape: Partition) -> tuple[Tableau, ...]:
 
 @cache
 def quasi_yamanouchi_tableaux(shape: Partition) -> tuple[Tableau, ...]:
-    """All SSYT whose descent composition equals their weight.
+    """All SSYT whose descent composition equals their weight, in row-reading lex order.
 
-    Entries of such a tableau are bounded by the maximal descent length, so
-    filtering the bounded SSYT list is exhaustive.
+    Destandardization is a bijection from the SYT of `shape` onto them.
     """
-    if not shape:
-        return (Tableau(()),)
-    bound = max_descent_length(shape)
     return tuple(
-        t for t in semistandard_tableaux(shape, bound) if is_quasi_yamanouchi(t)
+        sorted((destandardize(t) for t in standard_tableaux(shape)), key=lambda t: t.rows)
     )
 
 

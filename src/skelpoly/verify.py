@@ -2,16 +2,17 @@
 
 Every check returns a `CheckResult`: pass/fail, the first counterexample in
 canonical order when failing, and wall time.  Checks are deterministic and
-side-effect free, so they can run concurrently; `run_checks` is the single
-entry point used by the command line.
+side-effect free.  `run_checks` is the single entry point used by the
+command line; the `_CHECKS` table names every check with its default bound
+and its jobs.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 from typing import Callable, Iterable
 
@@ -30,6 +31,7 @@ from .compositions import (
 )
 from .poly import (
     MultiPoly,
+    _padded,
     bifactorial,
     bifactorial_q_slice,
     fake_degree,
@@ -107,27 +109,25 @@ def _poly_witness(lhs: MultiPoly, rhs: MultiPoly) -> dict | None:
     }
 
 
-def _pad(alpha: Composition, arity: int) -> tuple[int, ...]:
-    return tuple(alpha) + (0,) * (arity - len(alpha))
-
-
 def _involutions(n: int) -> list[tuple[int, ...]]:
     return [w for w in all_permutations(n) if inverse(w) == w]
+
+
+def _skeleton(shape: Partition, graded: bool, variable: str) -> MultiPoly:
+    return deep_skeleton(shape, variable) if graded else skeleton_poly(shape)
 
 
 def check_skeleton_r(n: int, graded: bool = False) -> CheckResult:
     """Sum of skeleton polynomials over shapes of n = descent sum over involutions."""
     started = time.perf_counter()
-    lhs = MultiPoly.zero(n)
-    for shape in partitions(n):
-        poly = deep_skeleton(shape, "p") if graded else skeleton_poly(shape)
-        lhs = lhs + poly.embed(n)
-    rhs = MultiPoly.zero(n)
-    for w in _involutions(n):
-        des = word_descent_composition(w)
-        rhs = rhs + MultiPoly.monomial(
-            _pad(des, n), p=depth(des) if graded else 0
-        )
+    lhs = MultiPoly.sum((_skeleton(s, graded, "p").embed(n) for s in partitions(n)), n)
+    rhs = MultiPoly.sum(
+        (
+            MultiPoly.monomial(des, p=depth(des) if graded else 0, arity=n)
+            for des in map(word_descent_composition, _involutions(n))
+        ),
+        n,
+    )
     return _finish(
         "skeleton-r", {"n": n, "graded": graded}, _poly_witness(lhs, rhs), started
     )
@@ -139,24 +139,29 @@ def check_skeleton_rs(
     """Paired skeleton sum = two-sided descent sum over all permutations."""
     started = time.perf_counter()
     arity = 2 * n
-    lhs = MultiPoly.zero(arity)
-    for shape in partitions(n):
-        x_side = deep_skeleton(shape, "p") if graded else skeleton_poly(shape)
-        y_side = deep_skeleton(shape, "q") if graded else skeleton_poly(shape)
-        lhs = lhs + x_side.embed(arity, 0) * y_side.embed(arity, n)
-    rhs = MultiPoly.zero(arity)
+    lhs = MultiPoly.sum(
+        (
+            _skeleton(s, graded, "p").embed(arity, 0) * _skeleton(s, graded, "q").embed(arity, n)
+            for s in partitions(n)
+        ),
+        arity,
+    )
     monomial_groups: dict[tuple[int, ...], list[list[int]]] = {}
-    for w in all_permutations(n):
-        des_w = word_descent_composition(w)
-        des_inv = word_descent_composition(inverse(w))
-        exps = _pad(des_inv, n) + _pad(des_w, n)
-        rhs = rhs + MultiPoly.monomial(
-            exps,
-            p=depth(des_inv) if graded else 0,
-            q=depth(des_w) if graded else 0,
-        )
-        if report_support:
-            monomial_groups.setdefault(exps, []).append(list(w))
+
+    def monomials():
+        for w in all_permutations(n):
+            des_w = word_descent_composition(w)
+            des_inv = word_descent_composition(inverse(w))
+            exps = _padded(des_inv, n) + _padded(des_w, n)
+            if report_support:
+                monomial_groups.setdefault(exps, []).append(list(w))
+            yield MultiPoly.monomial(
+                exps,
+                p=depth(des_inv) if graded else 0,
+                q=depth(des_w) if graded else 0,
+            )
+
+    rhs = MultiPoly.sum(monomials(), arity)
     data = None
     if report_support:
         collisions = sorted(group for group in monomial_groups.values() if len(group) > 1)
@@ -176,18 +181,24 @@ def check_skeleton_rsk(n: int, k: int | None = None, graded: bool = False) -> Ch
     if k is None:
         k = n
     arity = k + n
-    lhs = MultiPoly.zero(arity)
-    for shape in partitions(n):
-        y_side = deep_skeleton(shape, "q") if graded else skeleton_poly(shape)
-        lhs = lhs + schur_poly(shape, k).embed(arity, 0) * y_side.embed(arity, k)
-    rhs = MultiPoly.zero(arity)
-    for w in all_permutations(n):
-        des_w = word_descent_composition(w)
-        fundamental = qsym_fundamental(word_descent_composition(inverse(w)), k)
-        y_mono = MultiPoly.monomial(
-            (0,) * k + _pad(des_w, n), q=depth(des_w) if graded else 0
-        )
-        rhs = rhs + fundamental.embed(arity, 0) * y_mono
+    lhs = MultiPoly.sum(
+        (
+            schur_poly(s, k).embed(arity, 0) * _skeleton(s, graded, "q").embed(arity, k)
+            for s in partitions(n)
+        ),
+        arity,
+    )
+
+    def products():
+        for w in all_permutations(n):
+            des_w = word_descent_composition(w)
+            fundamental = qsym_fundamental(word_descent_composition(inverse(w)), k)
+            y_mono = MultiPoly.monomial(
+                (0,) * k + des_w, q=depth(des_w) if graded else 0, arity=arity
+            )
+            yield fundamental.embed(arity, 0) * y_mono
+
+    rhs = MultiPoly.sum(products(), arity)
     return _finish(
         "skeleton-rsk", {"n": n, "k": k, "graded": graded}, _poly_witness(lhs, rhs), started
     )
@@ -243,23 +254,16 @@ def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckR
 def check_hook_sum(n: int) -> CheckResult:
     """The skeleton polynomials of hooks sum to all monomials x^alpha, alpha of n."""
     started = time.perf_counter()
-    witness = None
-    lhs = MultiPoly.zero(n)
-    for shape in partitions(n):
-        if is_hook(shape):
-            lhs = lhs + skeleton_poly(shape).embed(n)
-    rhs = MultiPoly.zero(n)
-    for alpha in compositions(n):
-        rhs = rhs + MultiPoly.monomial(_pad(alpha, n))
+    lhs = MultiPoly.sum((skeleton_poly(s).embed(n) for s in partitions(n) if is_hook(s)), n)
+    rhs = MultiPoly.sum((MultiPoly.monomial(a, arity=n) for a in compositions(n)), n)
     witness = _poly_witness(lhs, rhs)
     if witness is None:
         # refinement: the hook with k rows carries each length-k composition once
         for k in range(1, n + 1):
             hook = (n - k + 1,) + (1,) * (k - 1)
-            expected = MultiPoly.zero(k)
-            for alpha in compositions(n):
-                if len(alpha) == k:
-                    expected = expected + MultiPoly.monomial(tuple(alpha))
+            expected = MultiPoly.sum(
+                (MultiPoly.monomial(a) for a in compositions(n) if len(a) == k), k
+            )
             if skeleton_poly(hook) != expected:
                 witness = {"hook": list(hook), "detail": "length-restricted sum differs"}
                 break
@@ -350,9 +354,9 @@ def check_schur_family(shape: Partition) -> CheckResult:
             witness = {"alpha": list(alpha), "detail": "outside interval"}
             break
     if witness is None:
-        if poly.coefficient(_pad(shape, poly.arity)) != 1:
+        if poly.coefficient(shape) != 1:
             witness = {"detail": "top endpoint coefficient", "alpha": list(shape)}
-        elif poly.coefficient(_pad(lbar, poly.arity)) != 1:
+        elif poly.coefficient(lbar) != 1:
             witness = {"detail": "bottom endpoint coefficient", "alpha": list(lbar)}
     support_set = set(support)
     neighbors: dict[Composition, set[Composition]] = {a: set() for a in support_set}
@@ -500,94 +504,62 @@ def _is_prime(n: int) -> bool:
     return all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-DEFAULT_BOUNDS: dict[str, int | None] = {
-    "skeleton-r": 6,
-    "skeleton-rs": 6,
-    "skeleton-rsk": 6,
-    "counting": 7,
-    "hook-sum": 7,
-    "mahonian": 8,
-    "bks": 8,
-    "schur-family": 7,
-    "charge-depth": 7,
-    "s6-inversions": None,
-    "linear-independence": 6,
-    "bifactorial": 7,
+_Job = Callable[[], CheckResult]
+
+
+def _each_n(check: Callable[[int], CheckResult], bound: int) -> list[_Job]:
+    return [partial(check, n) for n in range(1, bound + 1)]
+
+
+def _each_n_graded(check: Callable[[int, bool], CheckResult], bound: int) -> list[_Job]:
+    return [partial(check, n, g) for n in range(1, bound + 1) for g in (False, True)]
+
+
+def _each_shape(check: Callable[[Partition], CheckResult], bound: int) -> list[_Job]:
+    return [partial(check, s) for n in range(1, bound + 1) for s in partitions(n)]
+
+
+# name -> (default bound, jobs(bound, report_support)); None marks a check
+# that takes no bound.  `all` runs the checks in this order.
+_CHECKS: dict[str, tuple[int | None, Callable[[int, bool], list[_Job]]]] = {
+    "skeleton-r": (6, lambda b, _: _each_n_graded(check_skeleton_r, b)),
+    "skeleton-rs": (
+        6,
+        lambda b, support: _each_n_graded(
+            lambda n, g: check_skeleton_rs(n, g, support), b
+        ),
+    ),
+    "skeleton-rsk": (
+        6,
+        lambda b, _: _each_n_graded(lambda n, g: check_skeleton_rsk(n, graded=g), b),
+    ),
+    "counting": (7, lambda b, _: _each_n(check_counting, b)),
+    "hook-sum": (7, lambda b, _: _each_n(check_hook_sum, b)),
+    "mahonian": (8, lambda b, _: _each_n(check_mahonian, b)),
+    "bks": (8, lambda b, _: _each_shape(check_bks, b)),
+    "schur-family": (7, lambda b, _: _each_shape(check_schur_family, b)),
+    "charge-depth": (7, lambda b, _: _each_n(check_charge_depth, b)),
+    "s6-inversions": (None, lambda b, _: [check_s6_inversion_count]),
+    "linear-independence": (6, lambda b, _: _each_n(check_linear_independence, b)),
+    "bifactorial": (7, lambda b, _: _each_n(check_bifactorial, b)),
 }
 
-CHECK_NAMES = tuple(DEFAULT_BOUNDS)
-
-
-def _jobs_for(
-    name: str, bound: int, report_support: bool
-) -> list[Callable[[], CheckResult]]:
-    if name == "skeleton-r":
-        return [
-            (lambda n=n, g=g: check_skeleton_r(n, g))
-            for n in range(1, bound + 1)
-            for g in (False, True)
-        ]
-    if name == "skeleton-rs":
-        return [
-            (lambda n=n, g=g: check_skeleton_rs(n, g, report_support))
-            for n in range(1, bound + 1)
-            for g in (False, True)
-        ]
-    if name == "skeleton-rsk":
-        return [
-            (lambda n=n, g=g: check_skeleton_rsk(n, graded=g))
-            for n in range(1, bound + 1)
-            for g in (False, True)
-        ]
-    if name == "counting":
-        return [(lambda n=n: check_counting(n)) for n in range(1, bound + 1)]
-    if name == "hook-sum":
-        return [(lambda n=n: check_hook_sum(n)) for n in range(1, bound + 1)]
-    if name == "mahonian":
-        return [(lambda n=n: check_mahonian(n)) for n in range(1, bound + 1)]
-    if name == "bks":
-        return [
-            (lambda s=s: check_bks(s))
-            for n in range(1, bound + 1)
-            for s in partitions(n)
-        ]
-    if name == "schur-family":
-        return [
-            (lambda s=s: check_schur_family(s))
-            for n in range(1, bound + 1)
-            for s in partitions(n)
-        ]
-    if name == "charge-depth":
-        return [(lambda n=n: check_charge_depth(n)) for n in range(1, bound + 1)]
-    if name == "s6-inversions":
-        return [check_s6_inversion_count]
-    if name == "linear-independence":
-        return [(lambda n=n: check_linear_independence(n)) for n in range(1, bound + 1)]
-    if name == "bifactorial":
-        return [(lambda n=n: check_bifactorial(n)) for n in range(1, bound + 1)]
-    raise ValueError(f"unknown check: {name}")
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_checks(
     names: Iterable[str],
     max_n: int | None = None,
-    threads: int = 1,
     report_support: bool = False,
 ) -> list[CheckResult]:
     """Run the selected checks (or all of them) and return results in order."""
     selected = list(names)
     if "all" in selected or not selected:
         selected = list(CHECK_NAMES)
-    jobs: list[Callable[[], CheckResult]] = []
+    jobs: list[_Job] = []
     for name in selected:
-        if name not in DEFAULT_BOUNDS:
+        if name not in _CHECKS:
             raise ValueError(f"unknown check: {name}")
-        bound = DEFAULT_BOUNDS[name]
-        if bound is not None and max_n is not None:
-            bound = max_n
-        jobs.extend(_jobs_for(name, bound if bound is not None else 0, report_support))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(job) for job in jobs]
-            return [future.result() for future in futures]
+        default, build = _CHECKS[name]
+        jobs.extend(build(default if max_n is None else max_n, report_support))
     return [job() for job in jobs]

@@ -253,10 +253,17 @@ def test_verify_unknown_check(capsys):
         main(["verify", "nonsense"])
 
 
-def test_verify_threads(capsys):
-    code, out = run_cli(capsys, "verify", "counting", "--max-n", "4", "--threads", "4")
-    assert code == 0
-    assert "4/4 checks passed" in out
+def test_verify_rejects_non_integer_env_bound(capsys, monkeypatch):
+    monkeypatch.setenv("SKELETON_MAX_N", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "mahonian"])
+    assert str(exc.value.code).startswith("error: SKELETON_MAX_N")
+
+
+def test_rsk_rejects_zero_letter(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rsk", "0"])
+    assert str(exc.value.code).startswith("error: letters must be positive")
 
 
 def test_verify_rejects_nonpositive_bound(capsys):

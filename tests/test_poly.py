@@ -53,6 +53,37 @@ class TestMultiPoly:
         with pytest.raises(ValueError):
             mono((1,)) * mono((1, 0))
 
+    def test_sum_of_nothing_is_zero(self):
+        assert MultiPoly.sum([], 3) == MultiPoly.zero(3)
+        assert MultiPoly.sum(iter(()), 0).arity == 0
+
+    def test_sum_rejects_arity_mismatch(self):
+        with pytest.raises(ValueError):
+            MultiPoly.sum([mono((1, 0)), mono((1,))], 2)
+        with pytest.raises(ValueError):
+            MultiPoly.sum([mono((1,))], 2)
+
+    def test_sum_equals_left_fold(self):
+        summands = [
+            mono((2, 0), p=1),
+            mono((0, 2), coeff=-3),
+            mono((1, 1), q=2),
+            mono((2, 0), coeff=5, p=1),
+            mono((0, 0), coeff=7),
+        ]
+        folded = MultiPoly.zero(2)
+        for f in summands:
+            folded = folded + f
+        total = MultiPoly.sum(summands, 2)
+        assert total == folded
+        assert total.terms == folded.terms
+
+    def test_sum_drops_cancelled_terms(self):
+        total = MultiPoly.sum([mono((1, 2), coeff=2), mono((3, 0)), mono((1, 2), coeff=-2)], 2)
+        assert total == mono((3, 0))
+        assert list(total.terms) == [((3, 0), 0, 0)]
+        assert not MultiPoly.sum([mono((1,)), -mono((1,))], 1).terms
+
     def test_embed_and_reverse(self):
         f = mono((2, 1))
         assert f.embed(4, 1) == mono((0, 2, 1, 0))

@@ -11,6 +11,7 @@ from skelpoly import (
     is_quasi_yamanouchi,
     kostka,
     lambda_bar,
+    max_descent_length,
     minimal_parsing,
     partitions,
     quasi_kostka,
@@ -185,6 +186,18 @@ def test_quasi_kostka_two_routes_agree():
                 by_weight[weight(t)] = by_weight.get(weight(t), 0) + 1
             for alpha in compositions(n):
                 assert quasi_kostka(lam, alpha) == by_weight.get(alpha, 0)
+
+
+def test_quasi_yamanouchi_matches_filtered_ssyt():
+    # destandardized SYT against the definition: bounded SSYT whose weight is their descent
+    for n in range(1, 8):
+        for lam in partitions(n):
+            filtered = [
+                t
+                for t in semistandard_tableaux(lam, max_descent_length(lam))
+                if is_quasi_yamanouchi(t)
+            ]
+            assert list(quasi_yamanouchi_tableaux(lam)) == filtered
 
 
 def test_triangularity():

@@ -158,12 +158,26 @@ def test_run_checks_all_small():
     assert {r.name for r in results} == set(CHECK_NAMES)
 
 
-def test_run_checks_threaded_matches_serial():
-    serial = run_checks(["mahonian", "charge-depth"], max_n=4)
-    threaded = run_checks(["mahonian", "charge-depth"], max_n=4, threads=4)
-    assert [(r.name, r.params, r.passed) for r in serial] == [
-        (r.name, r.params, r.passed) for r in threaded
-    ]
+def test_run_checks_job_list_is_pinned():
+    graded = [{"n": n, "graded": g} for n in (1, 2, 3) for g in (False, True)]
+    shapes = [[1], [2], [1, 1], [3], [2, 1], [1, 1, 1]]
+    expected = (
+        [("skeleton-r", p) for p in graded]
+        + [("skeleton-rs", p) for p in graded]
+        + [("skeleton-rsk", {"n": p["n"], "k": p["n"], "graded": p["graded"]}) for p in graded]
+        + [("counting", {"n": n, "i": None, "j": None}) for n in (1, 2, 3)]
+        + [("hook-sum", {"n": n}) for n in (1, 2, 3)]
+        + [("mahonian", {"n": n}) for n in (1, 2, 3)]
+        + [("bks", {"shape": s}) for s in shapes]
+        + [("schur-family", {"shape": s}) for s in shapes]
+        + [("charge-depth", {"n": n}) for n in (1, 2, 3)]
+        + [("s6-inversions", {})]
+        + [("linear-independence", {"n": n}) for n in (1, 2, 3)]
+        + [("bifactorial", {"n": n}) for n in (1, 2, 3)]
+    )
+    results = run_checks(["all"], max_n=3)
+    assert len(expected) == 49
+    assert [(r.name, r.params) for r in results] == expected
 
 
 def test_run_checks_unknown_name():
