@@ -60,6 +60,8 @@ def _cmd_skeleton(args: argparse.Namespace) -> int:
         raise SystemExit("error: a shape is required unless --table is given")
     shape = _require_partition(args.shape)
     if args.i is not None:
+        if args.i < 1:
+            raise SystemExit(f"error: --i must be at least 1, got {args.i}")
         poly = skeleton_poly_i(shape, args.i)
     elif args.deep:
         poly = deep_skeleton(shape)

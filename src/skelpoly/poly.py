@@ -454,6 +454,7 @@ def qsym_monomial(beta: Composition, num_vars: int) -> MultiPoly:
     return MultiPoly(num_vars, terms)
 
 
+@cache
 def qsym_fundamental(alpha: Composition, num_vars: int) -> MultiPoly:
     """Sum of the monomial quasi-symmetric truncations over all refinements."""
     return MultiPoly.sum(

@@ -2,19 +2,21 @@
 
 Permutations are tuples in one-line notation over {1, ..., n}; words are
 tuples of positive integers.  `rsk` returns the insertion and recording
-tableaux; the statistics in `perm_stats` (descent composition, major index,
-depth, inversions, charge) all live on the recording side or directly on
-the one-line word.
+tableaux; the statistics in `perm_stats` (descent compositions of w and of
+its inverse, major index, depth, inversions, charge) all live on the
+recording side or directly on the one-line word.  `perm_table(n)` streams
+every permutation of S_n with those statistics, each row computed once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from itertools import permutations as _permutations
-from typing import Iterable, Iterator
+from itertools import combinations, compress, permutations as _permutations, starmap
+from operator import gt
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .compositions import Composition, IndexSet, depth as composition_depth, set_to_comp
+from .compositions import Composition, IndexSet, comp_to_set, compositions, set_to_comp
+from .compositions import depth as composition_depth
 from .tableaux import Tableau
 
 Word = tuple[int, ...]
@@ -119,19 +121,41 @@ def charge(w: Word) -> int:
 
 
 def inversions(w: Word) -> int:
-    n = len(w)
-    return sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n))
+    return sum(starmap(gt, combinations(w, 2)))
 
 
-@dataclass(frozen=True)
-class PermStats:
+class PermStats(NamedTuple):
     descent_composition: Composition
+    inverse_descent_composition: Composition
     left_descents: tuple[int, ...]
     maj: int
     depth: int
     inversions: int
     charge: int
     is_involution: bool
+
+
+def _row(w: Word, composition_of: Callable[[tuple[int, ...]], Composition]) -> PermStats:
+    n = len(w)
+    # not inverse(w): that validates again, and the tests use it as the reference
+    inv = [0] * n
+    for position, value in enumerate(w, start=1):
+        inv[value - 1] = position
+    inv = tuple(inv)
+    des = tuple(compress(range(1, n), map(gt, w, w[1:])))
+    # the left descents of w are the descents of its inverse
+    lefts = tuple(compress(range(1, n), map(gt, inv, inv[1:])))
+    alpha = composition_of(des)
+    return PermStats(
+        descent_composition=alpha,
+        inverse_descent_composition=composition_of(lefts),
+        left_descents=lefts,
+        maj=sum(des),
+        depth=composition_depth(alpha),
+        inversions=inversions(w),
+        charge=_charge(n, lefts),
+        is_involution=inv == w,
+    )
 
 
 def perm_stats(w: Word) -> PermStats:
@@ -142,18 +166,18 @@ def perm_stats(w: Word) -> PermStats:
     """
     if not is_permutation(w):
         raise ValueError(f"not a permutation: {w}")
-    dset = descents(w)
-    des = set_to_comp(dset)
-    lefts = left_descents(w)
-    return PermStats(
-        descent_composition=des,
-        left_descents=lefts,
-        maj=sum(dset.members),
-        depth=composition_depth(des),
-        inversions=inversions(w),
-        charge=_charge(len(w), lefts),
-        is_involution=inverse(w) == w,
-    )
+    # convert the two sets directly; only perm_table amortizes a table of all 2^(n-1)
+    return _row(tuple(w), lambda members: set_to_comp(IndexSet(len(w), members)))
+
+
+def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
+    """Each w of S_n with `perm_stats(w)`, in `all_permutations(n)` order.
+
+    Streamed rather than stored: the rows of S_8 alone take about 14 MiB.
+    """
+    composition_of = {comp_to_set(alpha).members: alpha for alpha in compositions(n)}
+    for w in all_permutations(n):
+        yield w, _row(w, composition_of.__getitem__)
 
 
 def symmetry_check(n: int) -> bool:

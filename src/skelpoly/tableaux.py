@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 from .compositions import (
     Composition,
     Partition,
+    comp_to_set,
     flatten,
     depth as composition_depth,
     is_partition,
@@ -186,9 +187,8 @@ class TableauStats:
 
 
 def tableau_stats(t: Tableau) -> TableauStats:
-    _require_ssyt(t)
-    des = descent_composition(t)
-    dset = descent_set(t)
+    des = descent_composition(t)  # checks that t is semistandard
+    dset = comp_to_set(des).members
     w = weight(t)
     return TableauStats(
         weight=w,

@@ -10,10 +10,12 @@ and its jobs.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .compositions import (
@@ -43,14 +45,7 @@ from .poly import (
     skeleton_poly,
     deep_skeleton,
 )
-from .rsk import (
-    all_permutations,
-    charge,
-    inverse,
-    inversions,
-    perm_stats,
-    word_descent_composition,
-)
+from .rsk import perm_table
 from .tableaux import descent_composition, standard_tableaux
 
 
@@ -109,10 +104,6 @@ def _poly_witness(lhs: MultiPoly, rhs: MultiPoly) -> dict | None:
     }
 
 
-def _involutions(n: int) -> list[tuple[int, ...]]:
-    return [w for w in all_permutations(n) if inverse(w) == w]
-
-
 def _skeleton(shape: Partition, graded: bool, variable: str) -> MultiPoly:
     return deep_skeleton(shape, variable) if graded else skeleton_poly(shape)
 
@@ -123,8 +114,8 @@ def check_skeleton_r(n: int, graded: bool = False) -> CheckResult:
     lhs = MultiPoly.sum((_skeleton(s, graded, "p").embed(n) for s in partitions(n)), n)
     rhs = MultiPoly.sum(
         (
-            MultiPoly.monomial(des, p=depth(des) if graded else 0, arity=n)
-            for des in map(word_descent_composition, _involutions(n))
+            MultiPoly.monomial(row.descent_composition, p=row.depth if graded else 0, arity=n)
+            for _, row in perm_table(n) if row.is_involution
         ),
         n,
     )
@@ -149,16 +140,15 @@ def check_skeleton_rs(
     monomial_groups: dict[tuple[int, ...], list[list[int]]] = {}
 
     def monomials():
-        for w in all_permutations(n):
-            des_w = word_descent_composition(w)
-            des_inv = word_descent_composition(inverse(w))
-            exps = _padded(des_inv, n) + _padded(des_w, n)
+        for w, row in perm_table(n):
+            des_inv = row.inverse_descent_composition
+            exps = _padded(des_inv, n) + _padded(row.descent_composition, n)
             if report_support:
                 monomial_groups.setdefault(exps, []).append(list(w))
             yield MultiPoly.monomial(
                 exps,
                 p=depth(des_inv) if graded else 0,
-                q=depth(des_w) if graded else 0,
+                q=row.depth if graded else 0,
             )
 
     rhs = MultiPoly.sum(monomials(), arity)
@@ -190,11 +180,10 @@ def check_skeleton_rsk(n: int, k: int | None = None, graded: bool = False) -> Ch
     )
 
     def products():
-        for w in all_permutations(n):
-            des_w = word_descent_composition(w)
-            fundamental = qsym_fundamental(word_descent_composition(inverse(w)), k)
+        for _, row in perm_table(n):
+            fundamental = qsym_fundamental(row.inverse_descent_composition, k)
             y_mono = MultiPoly.monomial(
-                (0,) * k + des_w, q=depth(des_w) if graded else 0, arity=arity
+                (0,) * k + row.descent_composition, q=row.depth if graded else 0, arity=arity
             )
             yield fundamental.embed(arity, 0) * y_mono
 
@@ -208,14 +197,13 @@ def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckR
     """Prefix-of-ones skeleton evaluations count descent-length-bounded permutations."""
     started = time.perf_counter()
     skeletons = [skeleton_poly(shape) for shape in partitions(n)]
-    inv_lengths = [len(word_descent_composition(w)) for w in _involutions(n)]
-    pair_lengths = [
-        (
-            len(word_descent_composition(inverse(w))),
-            len(word_descent_composition(w)),
-        )
-        for w in all_permutations(n)
-    ]
+    inv_lengths = []
+    pair_lengths = []
+    for _, row in perm_table(n):
+        lengths = (len(row.inverse_descent_composition), len(row.descent_composition))
+        pair_lengths.append(lengths)
+        if row.is_involution:
+            inv_lengths.append(lengths[1])
     single_range = [i] if i is not None else list(range(1, n + 1))
     if i is not None and j is not None:
         pair_range = [(i, j)]
@@ -274,34 +262,21 @@ def check_mahonian(n: int) -> CheckResult:
     """maj, depth, charge, and inversions all distribute as the q-factorial."""
     started = time.perf_counter()
     target = q_factorial(n)
-    dists: dict[str, dict[int, int]] = {
-        "maj": {},
-        "depth": {},
-        "charge": {},
-        "inversions": {},
-    }
-    for w in all_permutations(n):
-        stats = perm_stats(w)
-        for key, value in (
-            ("maj", stats.maj),
-            ("depth", stats.depth),
-            ("charge", stats.charge),
-            ("inversions", stats.inversions),
-        ):
-            dists[key][value] = dists[key].get(value, 0) + 1
-    witness = None
-    for key, dist in dists.items():
-        for degree in range(target.degree() + 1):
-            if dist.get(degree, 0) != target.coefficient(degree):
-                witness = {
-                    "statistic": key,
-                    "degree": degree,
-                    "count": dist.get(degree, 0),
-                    "expected": target.coefficient(degree),
-                }
-                break
-        if witness:
-            break
+    statistics = ("maj", "depth", "charge", "inversions")
+    dists = [Counter() for _ in statistics]
+    values_of = attrgetter(*statistics)
+    for _, row in perm_table(n):
+        for dist, value in zip(dists, values_of(row)):
+            dist[value] += 1
+    witness = next(
+        (
+            {"statistic": key, "degree": d, "count": dist[d], "expected": target.coefficient(d)}
+            for key, dist in zip(statistics, dists)
+            for d in range(target.degree() + 1)
+            if dist[d] != target.coefficient(d)
+        ),
+        None,
+    )
     return _finish("mahonian", {"n": n}, witness, started)
 
 
@@ -388,9 +363,9 @@ def check_charge_depth(n: int) -> CheckResult:
     """charge(w) equals the depth of the inverse for every permutation."""
     started = time.perf_counter()
     witness = None
-    for w in all_permutations(n):
-        lhs = charge(w)
-        rhs = depth(word_descent_composition(inverse(w)))
+    for w, row in perm_table(n):
+        lhs = row.charge
+        rhs = depth(row.inverse_descent_composition)
         if lhs != rhs:
             witness = {"w": list(w), "charge": lhs, "depth_of_inverse": rhs}
             break
@@ -401,7 +376,7 @@ def check_s6_inversion_count() -> CheckResult:
     """The 49 permutations of S_6 with four inversions, reproduced three ways."""
     started = time.perf_counter()
     witness = None
-    direct = sum(1 for w in all_permutations(6) if inversions(w) == 4)
+    direct = sum(1 for _, row in perm_table(6) if row.inversions == 4)
     from_q_factorial = q_factorial(6).coefficient(4)
     deep_targets = {(2, 4), (3, 2, 1)}
     admitting: dict[tuple[int, ...], int] = {}
@@ -465,10 +440,7 @@ def check_bifactorial(n: int) -> CheckResult:
     """The two-variable factorial matches the (charge, depth) distribution."""
     started = time.perf_counter()
     bi = bifactorial(n)
-    observed: dict[tuple[int, int], int] = {}
-    for w in all_permutations(n):
-        key = (charge(w), depth(word_descent_composition(w)))
-        observed[key] = observed.get(key, 0) + 1
+    observed = Counter((row.charge, row.depth) for _, row in perm_table(n))
     expected = {(p, q): c for ((_, p, q), c) in bi.terms.items()}
     witness = None
     if observed != expected:

@@ -48,6 +48,19 @@ def test_skeleton_i(capsys):
     assert out.strip() == "x^221 + x^131 + x^122"
 
 
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_skeleton_i_rejects_nonpositive_length(capsys, length):
+    with pytest.raises(SystemExit) as exc:
+        main(["skeleton", "3,2", "--i", length])
+    assert str(exc.value.code).startswith("error: --i must be at least 1")
+
+
+def test_skeleton_i_above_maximal_length_is_zero(capsys):
+    code, out = run_cli(capsys, "skeleton", "3,2", "--i", "4")
+    assert code == 0
+    assert out.strip() == "0"
+
+
 def test_skeleton_json(capsys):
     code, out = run_cli(capsys, "skeleton", "2,2", "--format", "json")
     assert code == 0

@@ -1,3 +1,4 @@
+import inspect
 from bisect import bisect_right
 from itertools import product
 
@@ -10,12 +11,14 @@ from skelpoly import (
     charge,
     depth,
     descent_composition,
+    descents,
     descent_set,
     inverse,
     inversions,
     left_descents,
     partitions,
     perm_stats,
+    perm_table,
     rsk,
     rsk_inverse,
     standard_tableaux,
@@ -215,3 +218,48 @@ def test_inversions_small():
     assert inversions((2, 1)) == 1
     assert inversions((3, 1, 2)) == 2
     assert inversions((5, 7, 8, 4, 1, 3, 6, 2)) == 19
+
+
+def inductive_charge(w):
+    """c_1 = 0, and c_(i+1) = c_i + 1 exactly when i+1 stands left of i."""
+    position = {value: idx for idx, value in enumerate(w)}
+    label = total = 0
+    for i in range(1, len(w)):
+        if position[i + 1] < position[i]:
+            label += 1
+        total += label
+    return total
+
+
+def lehmer_inversions(w):
+    """Sum of the Lehmer code: the rank of each letter among those not yet read."""
+    remaining = sorted(w)
+    total = 0
+    for value in w:
+        rank = remaining.index(value)
+        total += rank
+        del remaining[rank]
+    return total
+
+
+def test_perm_table_against_single_permutation_oracles():
+    assert inspect.isgeneratorfunction(perm_table)
+    for n in range(0, 7):
+        rows = list(perm_table(n))
+        assert [w for w, _ in rows] == list(all_permutations(n))
+        for w, row in rows:
+            assert row.descent_composition == word_descent_composition(w)
+            assert row.inverse_descent_composition == word_descent_composition(inverse(w))
+            assert row.left_descents == left_descents(w)
+            assert row.maj == sum(descents(w).members)
+            assert row.depth == depth(row.descent_composition)
+            assert row.is_involution == (inverse(w) == w)
+            assert row.charge == inductive_charge(w) == charge(w)
+            assert row.inversions == lehmer_inversions(w)
+            assert perm_stats(w) == perm_stats(list(w)) == row
+
+
+def test_perm_stats_rejects_non_permutations():
+    for word in ((1, 1, 2), (0, 1), (2, 3), (1, 3)):
+        with pytest.raises(ValueError):
+            perm_stats(word)

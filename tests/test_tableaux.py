@@ -131,6 +131,18 @@ def test_descent_set_is_prefix_sums_of_descent_composition():
                 assert tuple(prefix) == physical
 
 
+def test_tableau_stats_descent_set_matches_standardization():
+    # tableau_stats reads the descent set off the band parsing; descent_set
+    # standardizes and compares the rows of i and i+1
+    checked = 0
+    for n in range(1, 7):
+        for lam in partitions(n):
+            for t in semistandard_tableaux(lam, 4):
+                assert tableau_stats(t).descent_set == descent_set(t), t
+                checked += 1
+    assert checked == 1000
+
+
 def test_superstandard_is_quasi_yamanouchi():
     for n in range(1, 7):
         for lam in partitions(n):
