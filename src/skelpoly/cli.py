@@ -14,7 +14,7 @@ import os
 import sys
 
 from .compositions import Composition, format_comp, is_partition, partitions
-from .crystal import build_crystal, graph_json, quasi_crystals, to_dot
+from .crystal import build_crystal, graph_json, quasi_crystals, to_dot, vertex_count
 from .poly import deep_skeleton, skeleton_poly, skeleton_poly_i
 from .rsk import is_permutation, perm_stats, rsk
 from .tableaux import (
@@ -26,6 +26,13 @@ from .tableaux import (
     tableau_stats,
 )
 from .verify import CHECK_NAMES, run_checks
+
+# The largest crystal `skelpoly crystal` builds, counted before any work by the
+# hook-content formula.  `crystal 3,2 100` has 424,957,500 vertices, over a
+# thousand times the 365,904 of `crystal 4,4,2 9`, whose text output peaks at
+# 0.37 GB in 6 s and whose JSON export peaks at 2.0 GB in 27 s (CPython 3.11).
+# Library calls to `build_crystal` are not limited.
+MAX_CRYSTAL_VERTICES = 1_000_000
 
 
 def parse_parts(text: str) -> Composition:
@@ -228,6 +235,12 @@ def _cmd_crystal(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"error: bound {args.bound} is below the number of rows {len(shape)}"
         )
+    size = vertex_count(shape, args.bound)
+    if size > MAX_CRYSTAL_VERTICES:
+        raise SystemExit(
+            f"error: crystal {format_comp(shape)} {args.bound} has {size} vertices,"
+            f" above the limit of {MAX_CRYSTAL_VERTICES}"
+        )
     graph = build_crystal(shape, args.bound)
     if args.format == "dot":
         sys.stdout.write(to_dot(graph, inner_only=args.inner))
@@ -355,6 +368,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`).  Point stdout at devnull so
+        # the interpreter's flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,19 +6,27 @@ and occurrences of i close one.  The lowering operator f_i turns the
 rightmost unmatched i into i+1; the raising operator e_i turns the leftmost
 unmatched i+1 into i.  Vertices standardizing to the same SYT form a
 quasi-crystal; the common standardizations make up the crystal skeleton.
+
+`build_crystal` finds every f-edge of a vertex in one left-to-right scan of
+its row word, all colors at once: a letter x first closes an open bracket of
+color x, or else becomes the rightmost unmatched x so far; it then opens a
+bracket of color x-1.  The same pass groups the vertices into quasi-crystals
+by their standardized row word, so the classes are computed once, at build
+time, and stored on the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import prod
 
-from .compositions import Composition, Partition, format_comp
+from .compositions import Composition, Partition, conjugate, format_comp
 from .rsk import rsk
 from .tableaux import (
     Tableau,
     descent_composition,
     semistandard_tableaux,
-    standardize,
     weight,
 )
 
@@ -27,7 +35,7 @@ def row_word(t: Tableau) -> tuple[int, ...]:
     """Rows concatenated from the bottom row up."""
     if not t.rows:
         raise ValueError("empty tableau has no row word")
-    return tuple(value for row in reversed(t.rows) for value in row)
+    return tuple(chain.from_iterable(reversed(t.rows)))
 
 
 def _word_cells(t: Tableau) -> list[tuple[int, int]]:
@@ -80,6 +88,16 @@ def raising_operator(t: Tableau, color: int) -> Tableau | None:
 
 
 @dataclass(frozen=True)
+class QuasiCrystal:
+    """A class of vertices sharing one standardization."""
+
+    representative: Tableau
+    members: tuple[Tableau, ...]
+    descent: Composition
+    indices: tuple[int, ...]  # positions of the members among the graph's vertices
+
+
+@dataclass(frozen=True)
 class CrystalGraph:
     """All SSYT of one shape with bounded entries, with colored f-edges."""
 
@@ -87,50 +105,91 @@ class CrystalGraph:
     bound: int
     vertices: tuple[Tableau, ...]
     edges: tuple[tuple[int, int, int], ...]  # (from, color, to)
+    classes: tuple[QuasiCrystal, ...]  # sorted by representative row word
+
+
+def vertex_count(shape: Partition, bound: int) -> int:
+    """s_shape(1^bound), the number of SSYT of `shape` with entries <= `bound`.
+
+    The hook-content formula: the product over the cells (r, c) of
+    (bound + c - r) / hook(r, c).  It needs no enumeration, so a caller can
+    size a crystal before building it.
+    """
+    columns = conjugate(shape)
+    contents = prod(bound + c - r for r, length in enumerate(shape) for c in range(length))
+    hooks = prod(
+        length - c + columns[c] - r - 1 for r, length in enumerate(shape) for c in range(length)
+    )
+    return contents // hooks
+
+
+def _lowering_positions(word: tuple[int, ...], bound: int) -> list[tuple[int, int]]:
+    """(color i, position of the rightmost unmatched i) for every f_i acting on `word`.
+
+    Colors run over 1..bound-1 in order; the letters must be at most `bound`.
+    """
+    opened = [0] * (bound + 1)  # unmatched letters x+1 seen so far, by color x
+    rightmost = [-1] * (bound + 1)
+    for p, x in enumerate(word):
+        if opened[x]:
+            opened[x] -= 1
+        else:
+            rightmost[x] = p
+        opened[x - 1] += 1
+    return [(color, rightmost[color]) for color in range(1, bound) if rightmost[color] >= 0]
+
+
+def _from_row_word(word: tuple[int, ...], shape: Partition) -> Tableau:
+    """The tableau of `shape` whose row word is `word`."""
+    rows = []
+    end = len(word)
+    for length in shape:  # the top row closes the word
+        rows.append(word[end - length : end])
+        end -= length
+    return Tableau(tuple(rows))
 
 
 def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
-    """The crystal on SSYT of `shape` with entries <= `bound`.
+    """The crystal on SSYT of `shape` with entries <= `bound`, with its quasi-crystals.
 
     Empty when the bound is below the number of rows.
     """
     vertices = tuple(semistandard_tableaux(shape, bound))
-    index = {t: i for i, t in enumerate(vertices)}
+    words = [row_word(t) for t in vertices]
+    index = {word: i for i, word in enumerate(words)}
     edges = []
-    for i, t in enumerate(vertices):
-        for color in range(1, bound):
-            image = lowering_operator(t, color)
-            if image is not None:
-                edges.append((i, color, index[image]))
-    return CrystalGraph(tuple(shape), bound, vertices, tuple(sorted(edges)))
-
-
-@dataclass(frozen=True)
-class QuasiCrystal:
-    """A class of vertices sharing one standardization."""
-
-    representative: Tableau
-    members: tuple[Tableau, ...]
-    descent: Composition
+    # Equal entries of an SSYT form a horizontal strip, which the row word
+    # reads left to right, so the stable argsort of the row word orders the
+    # cells as standardization numbers them.
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for u, word in enumerate(words):
+        for color, p in _lowering_positions(word, bound):
+            edges.append((u, color, index[word[:p] + (color + 1,) + word[p + 1 :]]))
+        groups.setdefault(tuple(sorted(range(len(word)), key=word.__getitem__)), []).append(u)
+    classes = []
+    for order, members in groups.items():
+        standard = [0] * len(order)
+        for label, p in enumerate(order, start=1):
+            standard[p] = label
+        rep = _from_row_word(tuple(standard), shape)
+        classes.append(
+            QuasiCrystal(
+                rep, tuple(vertices[i] for i in members), descent_composition(rep), tuple(members)
+            )
+        )
+    classes.sort(key=lambda qc: row_word(qc.representative))
+    return CrystalGraph(tuple(shape), bound, vertices, tuple(edges), tuple(classes))
 
 
 def quasi_crystals(graph: CrystalGraph) -> tuple[QuasiCrystal, ...]:
     """Partition of the vertices by standardization, sorted by representative row word."""
-    groups: dict[Tableau, list[Tableau]] = {}
-    for t in graph.vertices:
-        groups.setdefault(standardize(t), []).append(t)
-    classes = [
-        QuasiCrystal(rep, tuple(members), descent_composition(rep))
-        for rep, members in groups.items()
-    ]
-    classes.sort(key=lambda qc: row_word(qc.representative))
-    return tuple(classes)
+    return graph.classes
 
 
 def fundamental_system(graph: CrystalGraph, alpha: Composition) -> tuple[QuasiCrystal, ...]:
     """All quasi-crystals with the given descent composition."""
     alpha = tuple(alpha)
-    return tuple(qc for qc in quasi_crystals(graph) if qc.descent == alpha)
+    return tuple(qc for qc in graph.classes if qc.descent == alpha)
 
 
 def inner_crystal(graph: CrystalGraph) -> tuple[Tableau, ...]:
@@ -140,9 +199,7 @@ def inner_crystal(graph: CrystalGraph) -> tuple[Tableau, ...]:
     many of these as SSYT with entries bounded by the number of rows.
     """
     ell = len(graph.shape)
-    return tuple(
-        qc.representative for qc in quasi_crystals(graph) if len(qc.descent) == ell
-    )
+    return tuple(qc.representative for qc in graph.classes if len(qc.descent) == ell)
 
 
 def evacuation(t: Tableau) -> Tableau:
@@ -165,9 +222,7 @@ def evacuation(t: Tableau) -> Tableau:
 
 def _word_label(t: Tableau) -> str:
     word = row_word(t)
-    if all(x <= 9 for x in word):
-        return "".join(str(x) for x in word)
-    return "-".join(str(x) for x in word)
+    return ("" if max(word) <= 9 else "-").join(map(str, word))
 
 
 def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
@@ -177,23 +232,18 @@ def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
     dotted.  With `inner_only`, only the minimal-descent-length clusters and
     the edges between their members are rendered.
     """
-    classes = quasi_crystals(graph)
+    classes = graph.classes
     if inner_only:
         ell = len(graph.shape)
         classes = tuple(qc for qc in classes if len(qc.descent) == ell)
-    vertex_index = {t: i for i, t in enumerate(graph.vertices)}
-    cluster_of = {}
-    for k, qc in enumerate(classes):
-        for t in qc.members:
-            cluster_of[vertex_index[t]] = k
+    cluster_of = {i: k for k, qc in enumerate(classes) for i in qc.indices}
 
     lines = ["digraph crystal {", "  node [shape=box];"]
     for k, qc in enumerate(classes):
         lines.append(f"  subgraph cluster_{k} {{")
         lines.append(f'    label="des {format_comp(qc.descent)}";')
-        for t in sorted(qc.members, key=lambda u: vertex_index[u]):
-            i = vertex_index[t]
-            lines.append(f'    v{i} [label="{_word_label(t)}"];')
+        for i in qc.indices:
+            lines.append(f'    v{i} [label="{_word_label(graph.vertices[i])}"];')
         lines.append("  }")
     for u, color, v in graph.edges:
         if u not in cluster_of or v not in cluster_of:
@@ -206,11 +256,10 @@ def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
 
 def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
     """JSON-ready dict mirroring the graph fields plus the class partition."""
-    classes = quasi_crystals(graph)
+    classes = graph.classes
     if inner_only:
         ell = len(graph.shape)
         classes = tuple(qc for qc in classes if len(qc.descent) == ell)
-    vertex_index = {t: i for i, t in enumerate(graph.vertices)}
     return {
         "shape": list(graph.shape),
         "bound": graph.bound,
@@ -221,7 +270,7 @@ def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
             {
                 "representative": qc.representative.to_json(),
                 "descent": list(qc.descent),
-                "members": [vertex_index[t] for t in qc.members],
+                "members": list(qc.indices),
             }
             for qc in classes
         ],

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import skelpoly
+from skelpoly import cli
 from skelpoly.cli import format_comp, main, parse_parts
 
 
@@ -226,6 +231,40 @@ def test_crystal_text_and_json(capsys):
 def test_crystal_bound_too_small(capsys):
     with pytest.raises(SystemExit):
         main(["crystal", "2,2", "1"])
+
+
+def test_crystal_refuses_runaway_size_before_building(capsys, monkeypatch):
+    def must_not_build(shape, bound):
+        raise AssertionError("build_crystal called for a refused size")
+
+    monkeypatch.setattr(cli, "build_crystal", must_not_build)
+    with pytest.raises(SystemExit) as exc:
+        main(["crystal", "3,2", "100"])
+    assert exc.value.code == (
+        f"error: crystal 32 100 has 424957500 vertices,"
+        f" above the limit of {cli.MAX_CRYSTAL_VERTICES}"
+    )
+
+
+def test_crystal_pool_sized_pair_runs(capsys):
+    code, out = run_cli(capsys, "crystal", "4,2,2", "7")
+    assert code == 0
+    assert out.startswith("shape 422 bound 7: 8820 vertices,")
+
+
+def test_closed_pipe_exits_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(skelpoly.__file__))
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "skelpoly.cli", "crystal", "4,2,2", "7", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()  # the JSON is megabytes, far more than a pipe buffers
+        assert proc.wait(timeout=60) == 1
+    assert (tmp_path / "stderr").read_bytes() == b""
 
 
 def test_verify_command(capsys):

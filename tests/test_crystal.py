@@ -1,9 +1,12 @@
+from math import comb
+
 import pytest
 
 from skelpoly import (
     Tableau,
     build_crystal,
     descent_composition,
+    descent_set,
     evacuation,
     fundamental_system,
     graph_json,
@@ -20,6 +23,7 @@ from skelpoly import (
     standardize,
     tableau_stats,
     to_dot,
+    vertex_count,
     weight,
 )
 from skelpoly.poly import MultiPoly
@@ -119,6 +123,56 @@ def test_figure_crystal_golden():
     for qc in classes:
         assert qc.representative.is_standard()
         assert all(tableau_stats(t).descent_composition == qc.descent for t in qc.members)
+
+
+@pytest.mark.parametrize(
+    "lam, bound",
+    [(lam, b) for n in range(7) for lam in partitions(n) if lam for b in range(len(lam), 6)]
+    + [((3, 2, 1), 7)],
+)
+def test_build_crystal_against_per_tableau_operators(lam, bound):
+    graph = build_crystal(lam, bound)
+    vertices = graph.vertices
+    assert vertices == tuple(semistandard_tableaux(lam, bound))
+    index = {t: i for i, t in enumerate(vertices)}
+    expected_edges = []
+    for u, t in enumerate(vertices):
+        for color in range(1, bound):
+            image = lowering_operator(t, color)
+            if image is not None:
+                expected_edges.append((u, color, index[image]))
+    assert graph.edges == tuple(sorted(expected_edges))
+    for u, color, v in graph.edges:
+        assert raising_operator(vertices[v], color) == vertices[u]
+
+    groups = {}
+    for i, t in enumerate(vertices):
+        groups.setdefault(standardize(t), []).append(i)
+    expected_classes = sorted(groups.items(), key=lambda item: row_word(item[0]))
+    assert len(quasi_crystals(graph)) == len(expected_classes)
+    for qc, (rep, members) in zip(quasi_crystals(graph), expected_classes):
+        assert qc.representative == rep
+        assert qc.descent == descent_composition(rep)
+        assert qc.indices == tuple(members)
+        assert qc.members == tuple(vertices[i] for i in members)
+
+
+@pytest.mark.parametrize("lam, bound", [((3, 2), 4), ((2, 2, 1), 5), ((4, 2, 1), 4), ((3, 1, 1), 6)])
+def test_crystal_counts_match_closed_forms(lam, bound):
+    graph = build_crystal(lam, bound)
+    contents = hooks = 1
+    for r, length in enumerate(lam):
+        for c in range(length):
+            contents *= bound + c - r
+            hooks *= (length - c - 1) + sum(1 for part in lam[r + 1 :] if part > c) + 1
+    assert len(graph.vertices) == vertex_count(lam, bound) == contents // hooks
+    n = sum(lam)
+    for qc in quasi_crystals(graph):
+        # F_alpha(1^b) = C(b - d + n - 1, n) with d = len(alpha) - 1 descents
+        d = len(qc.descent) - 1
+        assert len(qc.members) == comb(bound - d + n - 1, n)
+    few_descents = [t for t in standard_tableaux(lam) if len(descent_set(t)) <= bound - 1]
+    assert len(quasi_crystals(graph)) == len(few_descents)
 
 
 def test_quasi_crystal_classes_are_connected():
