@@ -14,13 +14,14 @@ import os
 import sys
 
 from .compositions import Composition, format_comp, is_partition, partitions
-from .crystal import build_crystal, graph_json, quasi_crystals, to_dot, vertex_count
+from .crystal import build_crystal, graph_json, inner_crystal, to_dot, vertex_count
 from .poly import deep_skeleton, skeleton_poly, skeleton_poly_i
 from .rsk import is_permutation, perm_stats, rsk
 from .tableaux import (
     quasi_yamanouchi_tableaux,
     semistandard_tableaux,
     semistandard_with_weight,
+    standard_count,
     standard_tableaux,
     standard_with_descent,
     tableau_stats,
@@ -33,6 +34,13 @@ from .verify import CHECK_NAMES, run_checks
 # 0.37 GB in 6 s and whose JSON export peaks at 2.0 GB in 27 s (CPython 3.11).
 # Library calls to `build_crystal` are not limited.
 MAX_CRYSTAL_VERTICES = 1_000_000
+
+# The most tableaux `skeleton` and `tableaux` list, counted before any work: f^lambda,
+# summed over the shapes for `--table`, and s_lambda(1^N) for `--ssyt N`.  `--weight`
+# is not limited.  `skeleton --table 12` (189,080 SYT) peaks at 207 MB; the JSON listing
+# of 48,048 SYT (`tableaux 5,4,3,2 --syt`) at 307 MB, so about 1.3 GB at the limit
+# (CPython 3.11).
+MAX_TABLEAUX = 200_000
 
 
 def parse_parts(text: str) -> Composition:
@@ -56,6 +64,20 @@ def _require_partition(shape: Composition) -> Composition:
     return shape
 
 
+def _refuse_over(count: int, subject: str, noun: str, limit: int = MAX_TABLEAUX) -> None:
+    if count > limit:
+        raise SystemExit(f"error: {subject} has {count} {noun}, above the limit of {limit}")
+
+
+def _table_count(max_size: int) -> int:
+    """SYT with at most `max_size` cells, by RSK the involutions: I(n+1) = I(n) + n I(n-1)."""
+    total, count, previous = 0, 1, 0
+    for n in range(max_size + 1):
+        total += count
+        count, previous = count + n * previous, count
+    return total
+
+
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -66,6 +88,7 @@ def _cmd_skeleton(args: argparse.Namespace) -> int:
     if args.shape is None:
         raise SystemExit("error: a shape is required unless --table is given")
     shape = _require_partition(args.shape)
+    _refuse_over(standard_count(shape), f"shape {format_comp(shape)}", "SYT")
     if args.i is not None:
         if args.i < 1:
             raise SystemExit(f"error: --i must be at least 1, got {args.i}")
@@ -82,18 +105,18 @@ def _cmd_skeleton(args: argparse.Namespace) -> int:
     elif args.format == "latex":
         print(poly.latex())
     elif args.format == "csv":
-        _skeleton_csv([shape])
+        _skeleton_csv([(shape, poly)])
     else:
         print(poly)
     return 0
 
 
-def _skeleton_csv(shapes) -> None:
+def _skeleton_csv(polys) -> None:
+    """One line per term of each (shape, polynomial) pair; the empty shape has none."""
     print("lambda,alpha,f_lambda_alpha")
-    for shape in shapes:
+    for shape, poly in polys:
         if not shape:
             continue
-        poly = skeleton_poly(shape)
         for (exps, _, _), coeff in poly.sorted_terms():
             alpha = tuple(e for e in exps if e)  # skeleton exponents have no gaps
             print(f"{format_comp(shape)},{format_comp(alpha)},{coeff}")
@@ -104,9 +127,10 @@ def _compact_tableau(t) -> str:
 
 
 def _skeleton_table(max_size: int, fmt: str) -> int:
+    _refuse_over(_table_count(max_size), f"skeleton --table {max_size}", "SYT")
     shapes = [shape for n in range(max_size + 1) for shape in partitions(n)]
     if fmt == "csv":
-        _skeleton_csv(shapes)
+        _skeleton_csv((shape, skeleton_poly(shape)) for shape in shapes)
         return 0
     if fmt == "json":
         _print_json(
@@ -144,6 +168,8 @@ def _skeleton_table(max_size: int, fmt: str) -> int:
 
 def _cmd_tableaux(args: argparse.Namespace) -> int:
     shape = _require_partition(args.shape)
+    if args.qy or args.syt:
+        _refuse_over(standard_count(shape), f"shape {format_comp(shape)}", "SYT")
     if args.qy:
         listing = list(quasi_yamanouchi_tableaux(shape))
     elif args.syt and args.des is not None:
@@ -151,6 +177,8 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
     elif args.syt:
         listing = list(standard_tableaux(shape))
     elif args.ssyt is not None:
+        size = vertex_count(shape, args.ssyt)
+        _refuse_over(size, f"tableaux {format_comp(shape)} --ssyt {args.ssyt}", "SSYT")
         listing = semistandard_tableaux(shape, args.ssyt)
     elif args.weight is not None:
         listing = semistandard_with_weight(shape, args.weight)
@@ -235,12 +263,8 @@ def _cmd_crystal(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"error: bound {args.bound} is below the number of rows {len(shape)}"
         )
-    size = vertex_count(shape, args.bound)
-    if size > MAX_CRYSTAL_VERTICES:
-        raise SystemExit(
-            f"error: crystal {format_comp(shape)} {args.bound} has {size} vertices,"
-            f" above the limit of {MAX_CRYSTAL_VERTICES}"
-        )
+    subject = f"crystal {format_comp(shape)} {args.bound}"
+    _refuse_over(vertex_count(shape, args.bound), subject, "vertices", MAX_CRYSTAL_VERTICES)
     graph = build_crystal(shape, args.bound)
     if args.format == "dot":
         sys.stdout.write(to_dot(graph, inner_only=args.inner))
@@ -248,9 +272,7 @@ def _cmd_crystal(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json(graph_json(graph, inner_only=args.inner))
         return 0
-    classes = quasi_crystals(graph)
-    if args.inner:
-        classes = tuple(qc for qc in classes if len(qc.descent) == len(shape))
+    classes = inner_crystal(graph) if args.inner else graph.classes
     print(
         f"shape {format_comp(shape)} bound {args.bound}:"
         f" {len(graph.vertices)} vertices, {len(graph.edges)} edges,"

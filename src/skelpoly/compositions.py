@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from math import prod
 from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
@@ -225,6 +226,12 @@ def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()
     return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
+
+
+def hook_product(lam: Partition) -> int:
+    """Product over the cells of `lam` of their hook lengths."""
+    columns = conjugate(lam)
+    return prod(row - c + columns[c] - r - 1 for r, row in enumerate(lam) for c in range(row))
 
 
 def max_descent_length(lam: Partition) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import prod
 
-from .compositions import Composition, Partition, conjugate, format_comp
+from .compositions import Composition, Partition, format_comp, hook_product
 from .rsk import rsk
 from .tableaux import (
     Tableau,
@@ -115,12 +115,8 @@ def vertex_count(shape: Partition, bound: int) -> int:
     (bound + c - r) / hook(r, c).  It needs no enumeration, so a caller can
     size a crystal before building it.
     """
-    columns = conjugate(shape)
     contents = prod(bound + c - r for r, length in enumerate(shape) for c in range(length))
-    hooks = prod(
-        length - c + columns[c] - r - 1 for r, length in enumerate(shape) for c in range(length)
-    )
-    return contents // hooks
+    return contents // hook_product(shape)
 
 
 def _lowering_positions(word: tuple[int, ...], bound: int) -> list[tuple[int, int]]:
@@ -192,14 +188,13 @@ def fundamental_system(graph: CrystalGraph, alpha: Composition) -> tuple[QuasiCr
     return tuple(qc for qc in graph.classes if qc.descent == alpha)
 
 
-def inner_crystal(graph: CrystalGraph) -> tuple[Tableau, ...]:
-    """Skeleton representatives whose descent composition is as short as possible.
+def inner_crystal(graph: CrystalGraph) -> tuple[QuasiCrystal, ...]:
+    """The quasi-crystals whose descent composition is as short as possible.
 
     With the entry bound at least the maximal descent length, there are as
     many of these as SSYT with entries bounded by the number of rows.
     """
-    ell = len(graph.shape)
-    return tuple(qc.representative for qc in graph.classes if len(qc.descent) == ell)
+    return tuple(qc for qc in graph.classes if len(qc.descent) == len(graph.shape))
 
 
 def evacuation(t: Tableau) -> Tableau:
@@ -232,10 +227,7 @@ def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
     dotted.  With `inner_only`, only the minimal-descent-length clusters and
     the edges between their members are rendered.
     """
-    classes = graph.classes
-    if inner_only:
-        ell = len(graph.shape)
-        classes = tuple(qc for qc in classes if len(qc.descent) == ell)
+    classes = inner_crystal(graph) if inner_only else graph.classes
     cluster_of = {i: k for k, qc in enumerate(classes) for i in qc.indices}
 
     lines = ["digraph crystal {", "  node [shape=box];"]
@@ -256,10 +248,7 @@ def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
 
 def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
     """JSON-ready dict mirroring the graph fields plus the class partition."""
-    classes = graph.classes
-    if inner_only:
-        ell = len(graph.shape)
-        classes = tuple(qc for qc in classes if len(qc.descent) == ell)
+    classes = inner_crystal(graph) if inner_only else graph.classes
     return {
         "shape": list(graph.shape),
         "bound": graph.bound,

@@ -17,9 +17,9 @@ from typing import Iterable, NamedTuple
 from .compositions import (
     Composition,
     Partition,
+    _require_partition,
     compositions,
     depth as composition_depth,
-    is_partition,
     max_descent_length,
     partitions,
     refinements,
@@ -378,10 +378,9 @@ def skeleton_poly(shape: Partition) -> MultiPoly:
     maximal descent length; the coefficient of x^alpha counts the SYT of the
     shape with descent composition alpha.
     """
+    _require_partition(shape)
     if not shape:
         return MultiPoly.one(0)
-    if not is_partition(shape):
-        raise ValueError(f"not a partition: {shape}")
     arity = max_descent_length(shape)
     terms: dict[TermKey, int] = {}
     for t in quasi_yamanouchi_tableaux(shape):
@@ -405,11 +404,6 @@ def skeleton_poly_i(shape: Partition, length: int) -> MultiPoly:
     return MultiPoly(arity, terms)
 
 
-def reverse_vars(g: MultiPoly) -> MultiPoly:
-    """Reversal x_i -> x_(arity+1-i)."""
-    return g.reverse()
-
-
 def deep_skeleton(shape: Partition, variable: str = "q") -> MultiPoly:
     """Skeleton polynomial with each term graded by the depth of its exponent."""
     if variable not in ("p", "q"):
@@ -431,8 +425,7 @@ def schur_poly(shape: Partition, num_vars: int, graded: bool = False) -> MultiPo
     """
     if num_vars < 0:
         raise ValueError("number of variables must be nonnegative")
-    if not is_partition(shape):
-        raise ValueError(f"not a partition: {shape}")
+    _require_partition(shape)
     terms: dict[TermKey, int] = {}
     for t in semistandard_tableaux(shape, num_vars):
         d = composition_depth(descent_composition(t)) if graded else 0

@@ -178,13 +178,3 @@ def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
     composition_of = {comp_to_set(alpha).members: alpha for alpha in compositions(n)}
     for w in all_permutations(n):
         yield w, _row(w, composition_of.__getitem__)
-
-
-def symmetry_check(n: int) -> bool:
-    """True iff P(w^-1) = Q(w) and Q(w^-1) = P(w) across all of S_n."""
-    for w in all_permutations(n):
-        p, q = rsk(w)
-        p_inv, q_inv = rsk(inverse(w))
-        if p_inv != q or q_inv != p:
-            return False
-    return True

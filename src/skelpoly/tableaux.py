@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import factorial
 from typing import Iterable, Iterator
 
 from .compositions import (
     Composition,
     Partition,
+    _require_partition,
     comp_to_set,
-    flatten,
     depth as composition_depth,
+    hook_product,
     is_partition,
     lambda_bar,
     trim,
@@ -84,44 +86,33 @@ class Tableau:
         return [list(row) for row in self.rows]
 
 
-def _require_ssyt(t: Tableau) -> None:
-    if not t.is_semistandard():
-        raise ValueError(f"not a semistandard tableau: {t.rows}")
-
-
 @dataclass(frozen=True)
 class Band:
-    """A run of cells going strictly northeast, with weakly increasing labels."""
+    """A run of cells going strictly northeast, with weakly increasing entries."""
 
     cells: tuple[tuple[int, int], ...]
-    labels: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.cells)
 
 
-def _parsing_order(t: Tableau) -> list[tuple[int, int, int]]:
-    # (value, column, row); column breaks ties so equal values chain northeast
-    return sorted((t.entry(r, c), c, r) for r, c in t.cells())
-
-
 def minimal_parsing(t: Tableau) -> list[Band]:
     """Split an SSYT into its maximal horizontal bands, smallest values first."""
-    _require_ssyt(t)
+    if not t.is_semistandard():
+        raise ValueError(f"not a semistandard tableau: {t.rows}")
     bands: list[Band] = []
     cells: list[tuple[int, int]] = []
-    labels: list[int] = []
-    for value, c, r in _parsing_order(t):
+    # (value, column, row); column breaks ties so equal values chain northeast
+    for _, c, r in sorted((t.entry(r, c), c, r) for r, c in t.cells()):
         if cells:
             prev_r, prev_c = cells[-1]
             if not (prev_r >= r and prev_c < c):
-                bands.append(Band(tuple(cells), tuple(labels)))
-                cells, labels = [], []
+                bands.append(Band(tuple(cells)))
+                cells = []
         cells.append((r, c))
-        labels.append(value)
     if cells:
-        bands.append(Band(tuple(cells), tuple(labels)))
+        bands.append(Band(tuple(cells)))
     return bands
 
 
@@ -236,18 +227,23 @@ def _fill(shape: Partition, max_entry: int, counts: list[int] | None) -> list[Ta
 
 def semistandard_tableaux(shape: Partition, max_entry: int) -> list[Tableau]:
     """All SSYT of `shape` with entries at most `max_entry`, in row-reading lex order."""
-    if not is_partition(shape):
-        raise ValueError(f"not a partition: {shape}")
+    _require_partition(shape)
     return _fill(shape, max_entry, None)
 
 
 def semistandard_with_weight(shape: Partition, weight_vec: Composition) -> list[Tableau]:
     """All SSYT of `shape` whose value multiplicities equal `weight_vec`."""
-    if not is_partition(shape):
-        raise ValueError(f"not a partition: {shape}")
+    _require_partition(shape)
+    if any(part < 0 for part in weight_vec):
+        raise ValueError(f"weight parts must be nonnegative: {tuple(weight_vec)}")
     if sum(weight_vec) != sum(shape):
         return []
     return _fill(shape, len(weight_vec), list(weight_vec))
+
+
+def standard_count(shape: Partition) -> int:
+    """f^shape, the number of SYT of `shape`, by the hook-length formula (no enumeration)."""
+    return factorial(sum(shape)) // hook_product(shape)
 
 
 @cache
@@ -277,15 +273,9 @@ def kostka(shape: Partition, weight_vec: Composition) -> int:
     return len(semistandard_with_weight(shape, weight_vec))
 
 
-def quasi_kostka(shape: Partition, alpha: Composition) -> int:
-    """Number of SYT of `shape` with descent composition `alpha`."""
-    return len(standard_with_descent(shape, flatten(alpha)))
-
-
 @dataclass(frozen=True)
 class SpecialTableaux:
     superstandard: Tableau
-    supersemistandard: Tableau
     anti_supersemistandard: Tableau
 
 
@@ -303,8 +293,4 @@ def special_tableaux(shape: Partition) -> SpecialTableaux:
     anti = [t for t in quasi_yamanouchi_tableaux(shape) if descent_composition(t) == target]
     if len(anti) != 1:
         raise ValueError(f"expected a unique deepest filling for {shape}, got {len(anti)}")
-    return SpecialTableaux(
-        superstandard=superstandard,
-        supersemistandard=superstandard,
-        anti_supersemistandard=anti[0],
-    )
+    return SpecialTableaux(superstandard=superstandard, anti_supersemistandard=anti[0])

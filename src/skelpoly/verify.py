@@ -40,13 +40,13 @@ from .poly import (
     internal_zeros,
     q_factorial,
     qsym_fundamental,
+    quasi_kostka_coefficient,
     quasi_kostka_matrix,
     schur_poly,
     skeleton_poly,
     deep_skeleton,
 )
 from .rsk import perm_table
-from .tableaux import descent_composition, standard_tableaux
 
 
 @dataclass
@@ -382,14 +382,12 @@ def check_s6_inversion_count() -> CheckResult:
     admitting: dict[tuple[int, ...], int] = {}
     weighted = 0
     for shape in partitions(6):
-        count = sum(
-            1 for t in standard_tableaux(shape) if descent_composition(t) in deep_targets
-        )
+        count = sum(quasi_kostka_coefficient(shape, alpha) for alpha in deep_targets)
         if count:
             admitting[shape] = count
-            weighted += count * len(standard_tableaux(shape))
+            weighted += count * skeleton_poly(shape).evaluate()
     f_values = {
-        shape: len(standard_tableaux(shape))
+        shape: skeleton_poly(shape).evaluate()
         for shape in ((5, 1), (4, 2), (4, 1, 1), (3, 2, 1))
     }
     if direct != 49:

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 
 import pytest
 
 import skelpoly
-from skelpoly import cli
+from skelpoly import cli, partitions
 from skelpoly.cli import format_comp, main, parse_parts
 
 
@@ -143,6 +144,76 @@ def test_tableaux_weight(capsys):
     code, out = run_cli(capsys, "tableaux", "2,1", "--weight", "1,1,1")
     assert code == 0
     assert "total: 2" in out
+
+
+def test_tableaux_negative_weight_is_an_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tableaux", "2,1", "--weight", "2,-1,2"])
+    assert exc.value.code == "error: weight parts must be nonnegative: (2, -1, 2)"
+    assert capsys.readouterr().out == ""
+
+
+def test_skeleton_csv_keeps_the_descent_length_selection(capsys):
+    code, out = run_cli(capsys, "skeleton", "3,2", "--i", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["lambda,alpha,f_lambda_alpha", "32,32,1", "32,23,1"]
+    code, ones = run_cli(capsys, "skeleton", "3,2", "--i", "2", "--eval-ones")
+    assert int(ones) == len(out.splitlines()) - 1 == 2
+
+
+def _hook_count(shape):
+    """f^shape from hook lengths computed here, not through the library."""
+    hooks = 1
+    for r, length in enumerate(shape):
+        for c in range(length):
+            below = sum(1 for other in shape[r + 1 :] if other > c)
+            hooks *= length - c + below
+    return factorial(sum(shape)) // hooks
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tableaux", "7,6,5,4,3", "--syt"], "shape 76543 has 87027466240 SYT"),
+        (["tableaux", "7,6,5,4,3", "--syt", "--des", "5,20"], "shape 76543 has 87027466240 SYT"),
+        (["tableaux", "7,6,5,4,3", "--qy", "--format", "json"], "shape 76543 has 87027466240 SYT"),
+        (["skeleton", "7,6,5,4,3"], "shape 76543 has 87027466240 SYT"),
+        (["skeleton", "7,6,5,4,3", "--i", "9", "--format", "csv"], "shape 76543 has 87027466240 SYT"),
+        (["skeleton", "7,6,5,4,3", "--deep", "--eval-ones"], "shape 76543 has 87027466240 SYT"),
+        (["tableaux", "6,5,4", "--ssyt", "12"], "tableaux 654 --ssyt 12 has 1265384120 SSYT"),
+        (["skeleton", "--table", "15", "--format", "csv"], "skeleton --table 15 has 13497600 SYT"),
+    ],
+)
+def test_runaway_enumeration_refused_before_any_work(argv, message, monkeypatch):
+    def must_not_enumerate(*args):
+        raise AssertionError("enumeration reached for a refused size")
+
+    for name in (
+        "partitions",
+        "quasi_yamanouchi_tableaux",
+        "semistandard_tableaux",
+        "skeleton_poly",
+        "skeleton_poly_i",
+        "deep_skeleton",
+        "standard_tableaux",
+        "standard_with_descent",
+    ):
+        monkeypatch.setattr(cli, name, must_not_enumerate)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == f"error: {message}, above the limit of {cli.MAX_TABLEAUX}"
+
+
+def test_enumeration_limits_match_hook_lengths():
+    assert _hook_count((7, 6, 5, 4, 3)) == 87027466240
+    table = sum(_hook_count(shape) for n in range(16) for shape in partitions(n))
+    assert table == 13497600
+    # the largest table under the limit still runs, the next one is refused
+    assert cli._table_count(12) == 189080 <= cli.MAX_TABLEAUX < cli._table_count(13)
+    for size in range(13):
+        assert cli._table_count(size) == sum(
+            _hook_count(shape) for n in range(size + 1) for shape in partitions(n)
+        )
 
 
 def test_malformed_parts_exit(capsys):
@@ -321,3 +392,29 @@ def test_rsk_rejects_zero_letter(capsys):
 def test_verify_rejects_nonpositive_bound(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "mahonian", "--max-n", "0"])
+
+
+def test_benchmark_trace_mode_runs():
+    # The benchmark's trace mode rebinds public names of every layer (see
+    # perfbench/child.py); a renamed or removed one fails here, not in a bench run.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    read_fd, write_fd = os.pipe()
+    try:
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                os.path.join(root, "perfbench", "child.py"),
+                str(write_fd),
+                "trace",
+                os.path.join(root, "src"),
+                *("verify", "s6-inversions", "--max-n", "2"),
+            ],
+            pass_fds=(write_fd,),
+            stdout=subprocess.DEVNULL,
+        )
+    finally:
+        os.close(write_fd)
+    with os.fdopen(read_fd) as info:
+        record = json.load(info)
+    assert proc.wait(timeout=120) == 0
+    assert record["error"] is None

@@ -287,6 +287,10 @@ def test_inner_crystal():
     assert len(inner_crystal(build_crystal((1, 1, 1), 3))) == 1
     inner = inner_crystal(build_crystal((3, 2), 3))
     assert len(inner) == len(semistandard_tableaux((3, 2), 2)) == 2
+    # the classes themselves, in the graph's order, with their members
+    assert [qc.descent for qc in inner] == [(2, 3), (3, 2)]
+    assert [qc.representative.rows for qc in inner] == [((1, 2, 5), (3, 4)), ((1, 2, 3), (4, 5))]
+    assert [len(qc.members) for qc in inner] == [6, 6]
 
 
 def test_evacuation_worked_example():

@@ -19,10 +19,10 @@ from skelpoly import (
     qsym_fundamental,
     qsym_monomial,
     quasi_kostka_coefficient,
-    reverse_vars,
     schur_poly,
     skeleton_poly,
     skeleton_poly_i,
+    standard_count,
     standard_tableaux,
 )
 
@@ -197,14 +197,14 @@ def test_skeleton_i_reversal_fixed():
         for lam in partitions(n):
             for i in range(len(lam), n - lam[0] + 2):
                 part = skeleton_poly_i(lam, i)
-                assert reverse_vars(part) == part
-    assert reverse_vars(skeleton_poly_i((2, 2), 3)) == skeleton_poly_i((2, 2), 3)
+                assert part.reverse() == part
+    assert skeleton_poly_i((2, 2), 3).reverse() == skeleton_poly_i((2, 2), 3)
 
 
 def test_reverse_vars_basics():
-    assert reverse_vars(mono((2, 1))) == mono((1, 2))
+    assert mono((2, 1)).reverse() == mono((1, 2))
     sym = mono((1, 1)) + mono((2, 0)) + mono((0, 2))
-    assert reverse_vars(sym) == sym
+    assert sym.reverse() == sym
 
 
 def test_deep_skeleton_32():
@@ -402,3 +402,34 @@ def test_hook_characterization():
                 skeleton_poly(lam).arity
             ) == skeleton_poly(lam)
             assert is_hook(lam) == (len(lam) == max_descent_length(lam)) == collapses
+
+
+def _hook_lengths(shape):
+    """Hook lengths computed here, not through the library."""
+    return [
+        length - c + sum(1 for other in shape[r + 1 :] if other > c)
+        for r, length in enumerate(shape)
+        for c in range(length)
+    ]
+
+
+def test_hook_length_formula():
+    for n in range(10):
+        for lam in partitions(n):
+            hooks = 1
+            for h in _hook_lengths(lam):
+                hooks *= h
+            assert factorial(n) % hooks == 0
+            expected = factorial(n) // hooks
+            assert len(standard_tableaux(lam)) == skeleton_poly(lam).evaluate() == expected
+            assert standard_count(lam) == expected
+
+
+def test_q_hook_formula():
+    # Stanley, EC2 Cor. 7.21.5, without division: f^lam(q) prod [h]_q = q^b(lam) [n]_q!
+    for n in range(1, 10):
+        for lam in partitions(n):
+            lhs = fake_degree(lam)
+            for h in _hook_lengths(lam):
+                lhs = lhs * UniPoly((1,) * h)
+            assert lhs == UniPoly((0,) * depth(lam) + (1,)) * q_factorial(n), lam

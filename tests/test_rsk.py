@@ -22,7 +22,6 @@ from skelpoly import (
     rsk,
     rsk_inverse,
     standard_tableaux,
-    symmetry_check,
     word_descent_composition,
 )
 
@@ -155,6 +154,16 @@ def test_rsk_inverse_errors():
         rsk_inverse(Tableau.of([[1, 2]]), Tableau.of([[1], [2]]))
     with pytest.raises(ValueError):
         rsk_inverse(Tableau.of([[1, 2]]), Tableau.of([[1, 3]]))
+
+
+def symmetry_check(n: int) -> bool:
+    """True iff P(w^-1) = Q(w) and Q(w^-1) = P(w) across all of S_n."""
+    for w in all_permutations(n):
+        p, q = rsk(w)
+        p_inv, q_inv = rsk(inverse(w))
+        if p_inv != q or q_inv != p:
+            return False
+    return True
 
 
 def test_symmetry():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,9 +16,11 @@ from skelpoly import (
     max_descent_length,
     minimal_parsing,
     partitions,
-    quasi_kostka,
+    quasi_kostka_coefficient,
     quasi_yamanouchi_tableaux,
     semistandard_tableaux,
+    semistandard_with_weight,
+    skeleton_poly,
     special_tableaux,
     standard_tableaux,
     standard_with_descent,
@@ -24,6 +28,7 @@ from skelpoly import (
     tableau_stats,
     weight,
 )
+from skelpoly.compositions import trim
 
 WORKED = Tableau.of([[1, 1, 2, 5], [3, 8], [8]])
 
@@ -40,7 +45,7 @@ def test_tableau_predicates():
 def test_minimal_parsing_worked_example():
     bands = minimal_parsing(WORKED)
     assert [band.size for band in bands] == [3, 2, 2]
-    assert bands[0].labels == (1, 1, 2)
+    assert [WORKED.entry(r, c) for r, c in bands[0].cells] == [1, 1, 2]
     assert bands[1].cells == ((1, 0), (0, 3))
     assert bands[2].cells == ((2, 0), (1, 1))
 
@@ -171,14 +176,20 @@ def test_quasi_yamanouchi_of_32():
     assert [t.to_json() for t in quasi_yamanouchi_tableaux((3, 2))] == expected
 
 
+def syt_by_descent(shape):
+    """The oracle for f_{shape,alpha}: SYT of `shape` counted by descent composition."""
+    return Counter(descent_composition(t) for t in standard_tableaux(shape))
+
+
 def test_quasi_kostka_of_332():
-    assert quasi_kostka((3, 3, 2), (1, 2, 2, 2, 1)) == 3
+    alpha = (1, 2, 2, 2, 1)
+    assert quasi_kostka_coefficient((3, 3, 2), alpha) == syt_by_descent((3, 3, 2))[alpha] == 3
 
 
 def test_unit_diagonal():
     for n in range(1, 9):
         for lam in partitions(n):
-            assert quasi_kostka(lam, lam) == 1
+            assert quasi_kostka_coefficient(lam, lam) == syt_by_descent(lam)[lam] == 1
             assert kostka(lam, lam) == 1
 
 
@@ -186,18 +197,21 @@ def test_quasi_kostka_at_most_kostka():
     for n in range(1, 8):
         for lam in partitions(n):
             for alpha in compositions(n):
-                assert quasi_kostka(lam, alpha) <= kostka(lam, alpha)
+                assert quasi_kostka_coefficient(lam, alpha) <= kostka(lam, alpha)
 
 
 def test_quasi_kostka_two_routes_agree():
-    # counting SYT by descent must match counting QY tableaux by weight
+    # counting SYT by descent must match counting QY tableaux by weight,
+    # the skeleton polynomial's terms and the coefficient read from it
     for n in range(1, 7):
         for lam in partitions(n):
-            by_weight = {}
-            for t in quasi_yamanouchi_tableaux(lam):
-                by_weight[weight(t)] = by_weight.get(weight(t), 0) + 1
+            by_descent = syt_by_descent(lam)
+            by_weight = Counter(weight(t) for t in quasi_yamanouchi_tableaux(lam))
+            assert by_weight == by_descent
+            terms = {trim(exps): c for (exps, _, _), c in skeleton_poly(lam).terms.items()}
+            assert terms == by_descent
             for alpha in compositions(n):
-                assert quasi_kostka(lam, alpha) == by_weight.get(alpha, 0)
+                assert quasi_kostka_coefficient(lam, alpha) == by_descent[alpha]
 
 
 def test_quasi_yamanouchi_matches_filtered_ssyt():
@@ -225,7 +239,9 @@ def test_descent_reversal_counts():
     for n in range(1, 8):
         for lam in partitions(n):
             for alpha in compositions(n):
-                assert quasi_kostka(lam, alpha) == quasi_kostka(lam, alpha[::-1])
+                assert quasi_kostka_coefficient(lam, alpha) == quasi_kostka_coefficient(
+                    lam, alpha[::-1]
+                )
 
 
 def test_special_tableaux_examples():
@@ -253,6 +269,15 @@ def test_enumeration_counts():
     assert len(standard_with_descent((3, 3, 2), (1, 2, 2, 2, 1))) == 3
 
 
+def test_negative_weight_part_is_rejected():
+    # (2, -1, 2) sums to |(2, 1)|, so only the sign check stands between it and the fill
+    with pytest.raises(ValueError, match="nonnegative"):
+        semistandard_with_weight((2, 1), (2, -1, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        kostka((2, 1), (2, -1, 2))
+    assert kostka((2, 1), (2, 0, 1)) == 1
+
+
 def test_enumeration_is_deterministic_and_sorted():
     listing = semistandard_tableaux((2, 1), 3)
     assert listing == sorted(listing, key=lambda t: t.rows)
@@ -270,9 +295,10 @@ def ssyt(draw):
 def test_parsing_properties_random(t):
     bands = minimal_parsing(t)
     assert sum(band.size for band in bands) == t.size
-    for band in bands:
-        assert list(band.labels) == sorted(band.labels)
+    labels = [[t.entry(r, c) for r, c in band.cells] for band in bands]
+    for band, entries in zip(bands, labels):
+        assert entries == sorted(entries)
         for (r1, c1), (r2, c2) in zip(band.cells, band.cells[1:]):
             assert r1 >= r2 and c1 < c2
-    for first, second in zip(bands, bands[1:]):
-        assert max(first.labels) < min(second.labels)
+    for first, second in zip(labels, labels[1:]):
+        assert max(first) < min(second)
