@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from math import factorial
 
 from .compositions import Composition, format_comp, is_partition, partitions
 from .crystal import build_crystal, graph_json, inner_crystal, to_dot, vertex_count
@@ -26,7 +27,7 @@ from .tableaux import (
     standard_with_descent,
     tableau_stats,
 )
-from .verify import CHECK_NAMES, run_checks
+from .verify import CHECK_NAMES, PERMUTATION_CHECKS, run_checks
 
 # The largest crystal `skelpoly crystal` builds, counted before any work by the
 # hook-content formula.  `crystal 3,2 100` has 424,957,500 vertices, over a
@@ -41,6 +42,12 @@ MAX_CRYSTAL_VERTICES = 1_000_000
 # of 48,048 SYT (`tableaux 5,4,3,2 --syt`) at 307 MB, so about 1.3 GB at the limit
 # (CPython 3.11).
 MAX_TABLEAUX = 200_000
+
+# The largest S_n a `verify` check may sweep, as n! before any work.  `counting` keeps
+# a pair of lengths per permutation: `verify counting --max-n 10` (10! = 3,628,800)
+# peaks at 283 MB in 34 s, and --max-n 9 at 46 MB, so n = 11 would need about 3 GB
+# (CPython 3.11).  SKELETON_MAX_N passes the same guard.
+MAX_PERMUTATIONS = factorial(10)
 
 
 def parse_parts(text: str) -> Composition:
@@ -84,6 +91,10 @@ def _print_json(obj) -> None:
 
 def _cmd_skeleton(args: argparse.Namespace) -> int:
     if args.table is not None:
+        for flag, given in (("--i", args.i is not None), ("--deep", args.deep),
+                            ("--eval-ones", args.eval_ones)):
+            if given:
+                raise SystemExit(f"error: {flag} applies to one shape, not to --table")
         return _skeleton_table(args.table, args.format)
     if args.shape is None:
         raise SystemExit("error: a shape is required unless --table is given")
@@ -168,6 +179,8 @@ def _skeleton_table(max_size: int, fmt: str) -> int:
 
 def _cmd_tableaux(args: argparse.Namespace) -> int:
     shape = _require_partition(args.shape)
+    if args.des is not None and (args.qy or not args.syt):
+        raise SystemExit("error: --des applies only to --syt")
     if args.qy or args.syt:
         _refuse_over(standard_count(shape), f"shape {format_comp(shape)}", "SYT")
     if args.qy:
@@ -298,6 +311,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 raise SystemExit(f"error: SKELETON_MAX_N is not an integer: {env!r}")
     if max_n is not None and max_n < 1:
         raise SystemExit("error: --max-n must be at least 1")
+    if max_n is not None:
+        selected = CHECK_NAMES if "all" in names else names
+        sweeping = [name for name in selected if name in PERMUTATION_CHECKS]
+        if sweeping:
+            subject = f"verify {sweeping[0]} at n={max_n}"
+            _refuse_over(factorial(max_n), subject, "permutations", MAX_PERMUTATIONS)
     results = run_checks(names, max_n=max_n, report_support=args.report_support)
     failed = [r for r in results if not r.passed]
     if args.format == "json":

@@ -4,8 +4,10 @@ Permutations are tuples in one-line notation over {1, ..., n}; words are
 tuples of positive integers.  `rsk` returns the insertion and recording
 tableaux; the statistics in `perm_stats` (descent compositions of w and of
 its inverse, major index, depth, inversions, charge) all live on the
-recording side or directly on the one-line word.  `perm_table(n)` streams
-every permutation of S_n with those statistics, each row computed once.
+recording side or directly on the one-line word.  `perm_stats(w)` reads
+them off one word; `perm_table(n)` streams every permutation of S_n with the
+same statistics, carried along a depth-first search over positions rather
+than recomputed per row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import combinations, compress, permutations as _permutations, starmap
 from operator import gt
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .compositions import Composition, IndexSet, comp_to_set, compositions, set_to_comp
 from .compositions import depth as composition_depth
@@ -135,7 +137,7 @@ class PermStats(NamedTuple):
     is_involution: bool
 
 
-def _row(w: Word, composition_of: Callable[[tuple[int, ...]], Composition]) -> PermStats:
+def _row(w: Word) -> PermStats:
     n = len(w)
     # not inverse(w): that validates again, and the tests use it as the reference
     inv = [0] * n
@@ -145,10 +147,10 @@ def _row(w: Word, composition_of: Callable[[tuple[int, ...]], Composition]) -> P
     des = tuple(compress(range(1, n), map(gt, w, w[1:])))
     # the left descents of w are the descents of its inverse
     lefts = tuple(compress(range(1, n), map(gt, inv, inv[1:])))
-    alpha = composition_of(des)
+    alpha = set_to_comp(IndexSet(n, des))
     return PermStats(
         descent_composition=alpha,
-        inverse_descent_composition=composition_of(lefts),
+        inverse_descent_composition=set_to_comp(IndexSet(n, lefts)),
         left_descents=lefts,
         maj=sum(des),
         depth=composition_depth(alpha),
@@ -166,15 +168,77 @@ def perm_stats(w: Word) -> PermStats:
     """
     if not is_permutation(w):
         raise ValueError(f"not a permutation: {w}")
-    # convert the two sets directly; only perm_table amortizes a table of all 2^(n-1)
-    return _row(tuple(w), lambda members: set_to_comp(IndexSet(len(w), members)))
+    return _row(tuple(w))
 
 
 def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
     """Each w of S_n with `perm_stats(w)`, in `all_permutations(n)` order.
 
-    Streamed rather than stored: the rows of S_8 alone take about 14 MiB.
+    A depth-first search over positions 1..n that tries the unplaced values
+    in increasing order, so the rows come out lexicographically.  Placing v
+    at position i updates every statistic of the prefix in O(1):
+    inversions by the placed values greater than v; a descent at i-1 when
+    the previous value exceeds v (maj += i-1, depth = n*des - maj); a left
+    descent at v when v+1 is already placed (charge += n-v).  An involution
+    needs w(v) = i whenever v < i; the case v > i is tested when position v
+    is filled.  Descent sets are bitmasks (bit d for descent d), mapped to
+    compositions through one dict per n.  Streamed rather than stored: the
+    rows of S_8 alone take about 14 MiB.
     """
-    composition_of = {comp_to_set(alpha).members: alpha for alpha in compositions(n)}
-    for w in all_permutations(n):
-        yield w, _row(w, composition_of.__getitem__)
+    composition_of: dict[int, Composition] = {}
+    members_of: dict[int, tuple[int, ...]] = {}
+    for alpha in compositions(n):
+        members = comp_to_set(alpha).members
+        mask = sum(1 << d for d in members)
+        composition_of[mask] = alpha
+        members_of[mask] = members
+    values = ((1 << (n + 1)) - 1) ^ 1  # bit v for each value v of [n]
+    make = tuple.__new__
+
+    def extend(i, prefix, used, des_mask, maj, des, left_mask, charge, inv, involution):
+        # place each free value at position i; `prefix` holds positions 1..i-1
+        prev = prefix[-1] if prefix else 0
+        free = values & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            v = bit.bit_length() - 1
+            w = prefix + (v,)
+            d_mask, d_maj, d_des = des_mask, maj, des
+            if prev > v:
+                d_mask |= 1 << (i - 1)
+                d_maj += i - 1
+                d_des += 1
+            placed = used | bit
+            l_mask, l_charge = left_mask, charge
+            if placed >> (v + 1) & 1:
+                l_mask |= 1 << v
+                l_charge += n - v
+            w_inv = inv + (used >> (v + 1)).bit_count()
+            w_involution = involution and (v >= i or prefix[v - 1] == i)
+            if i + 1 < n:
+                yield from extend(
+                    i + 1, w, placed, d_mask, d_maj, d_des, l_mask, l_charge, w_inv, w_involution
+                )
+                continue
+            # unrolled last position: x is the one value left, every other value
+            # is placed, so x is a left descent unless x = n
+            x = (values & ~placed).bit_length() - 1
+            w += (x,)
+            if v > x:
+                d_mask |= 1 << i
+                d_maj += i
+                d_des += 1
+            if x < n:
+                l_mask |= 1 << x
+                l_charge += n - x
+                w_involution = w_involution and w[x - 1] == n
+            row = (composition_of[d_mask], composition_of[l_mask], members_of[l_mask],
+                   d_maj, n * d_des - d_maj, w_inv + n - x, l_charge, w_involution)
+            yield w, make(PermStats, row)
+
+    if n < 2:  # no last position to unroll after the first
+        alpha = composition_of[0]
+        yield tuple(range(1, n + 1)), make(PermStats, (alpha, alpha, (), 0, 0, 0, 0, True))
+        return
+    yield from extend(1, (), 0, 0, 0, 0, 0, 0, 0, True)

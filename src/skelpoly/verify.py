@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
-from operator import attrgetter
 from typing import Callable, Iterable
 
 from .compositions import (
@@ -262,16 +261,18 @@ def check_mahonian(n: int) -> CheckResult:
     """maj, depth, charge, and inversions all distribute as the q-factorial."""
     started = time.perf_counter()
     target = q_factorial(n)
-    statistics = ("maj", "depth", "charge", "inversions")
-    dists = [Counter() for _ in statistics]
-    values_of = attrgetter(*statistics)
-    for _, row in perm_table(n):
-        for dist, value in zip(dists, values_of(row)):
-            dist[value] += 1
+    # each statistic lies in 0..comb(n, 2): count by degree in one list per statistic
+    majs, depths, charges, inversions = ([0] * (comb(n, 2) + 1) for _ in range(4))
+    for _, (_, _, _, maj, dep, inv, ch, _) in perm_table(n):
+        majs[maj] += 1
+        depths[dep] += 1
+        charges[ch] += 1
+        inversions[inv] += 1
+    dists = {"maj": majs, "depth": depths, "charge": charges, "inversions": inversions}
     witness = next(
         (
             {"statistic": key, "degree": d, "count": dist[d], "expected": target.coefficient(d)}
-            for key, dist in zip(statistics, dists)
+            for key, dist in dists.items()
             for d in range(target.degree() + 1)
             if dist[d] != target.coefficient(d)
         ),
@@ -515,6 +516,12 @@ _CHECKS: dict[str, tuple[int | None, Callable[[int, bool], list[_Job]]]] = {
 }
 
 CHECK_NAMES = tuple(_CHECKS)
+
+# The checks whose jobs sweep S_n through `perm_table` for every n up to their bound.
+PERMUTATION_CHECKS = frozenset(
+    ("skeleton-r", "skeleton-rs", "skeleton-rsk", "counting", "mahonian", "charge-depth",
+     "bifactorial")
+)
 
 
 def run_checks(

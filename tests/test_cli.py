@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 import skelpoly
-from skelpoly import cli, partitions
+from skelpoly import cli, partitions, verify
 from skelpoly.cli import format_comp, main, parse_parts
 
 
@@ -132,6 +132,24 @@ def test_tableaux_descent_filter(capsys):
     code, out = run_cli(capsys, "tableaux", "3,3,2", "--syt", "--des", "1,2,2,2,1")
     assert code == 0
     assert "total: 3" in out
+
+
+@pytest.mark.parametrize("flag", [["--eval-ones"], ["--i", "2"], ["--deep"]])
+def test_skeleton_table_rejects_single_shape_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["skeleton", "--table", "3", *flag])
+    assert exc.value.code == f"error: {flag[0]} applies to one shape, not to --table"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "mode", [["--qy"], ["--ssyt", "3"], ["--weight", "2,2,1"], ["--qy", "--syt"]]
+)
+def test_tableaux_des_needs_syt(capsys, mode):
+    with pytest.raises(SystemExit) as exc:
+        main(["tableaux", "3,2", *mode, "--des", "2,3"])
+    assert exc.value.code == "error: --des applies only to --syt"
+    assert capsys.readouterr().out == ""
 
 
 def test_tableaux_ssyt_bound(capsys):
@@ -369,6 +387,42 @@ def test_verify_env_bound(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "charge-depth")
     assert code == 0
     assert out.strip().splitlines()[-1] == "3/3 checks passed"
+
+
+@pytest.mark.parametrize(
+    "checks, first",
+    [([name], name) for name in sorted(verify.PERMUTATION_CHECKS)]
+    + [(["hook-sum", "mahonian"], "mahonian"), (["all"], "skeleton-r"), ([], "skeleton-r")],
+)
+def test_verify_refuses_runaway_permutation_sweep(checks, first, monkeypatch):
+    def must_not_enumerate(n):
+        raise AssertionError("S_n enumeration reached for a refused size")
+
+    monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
+    expected = (
+        f"error: verify {first} at n=11 has 39916800 permutations,"
+        f" above the limit of {cli.MAX_PERMUTATIONS}"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *checks, "--max-n", "11"])
+    assert exc.value.code == expected
+    monkeypatch.setenv("SKELETON_MAX_N", "11")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *checks])
+    assert exc.value.code == expected
+
+
+def test_permutation_limit_admits_n10_only():
+    assert factorial(10) == cli.MAX_PERMUTATIONS < factorial(11)
+
+
+def test_verify_sweep_limit_leaves_other_checks(capsys):
+    code, out = run_cli(capsys, "verify", "s6-inversions", "linear-independence", "--max-n", "2")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "3/3 checks passed"
+    code, out = run_cli(capsys, "verify", "hook-sum", "--max-n", "11")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "11/11 checks passed"
 
 
 def test_verify_unknown_check(capsys):

@@ -1,13 +1,16 @@
 import inspect
 from bisect import bisect_right
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from skelpoly import (
+    PermStats,
     Tableau,
     all_permutations,
+    bifactorial,
     charge,
     depth,
     descent_composition,
@@ -19,6 +22,7 @@ from skelpoly import (
     partitions,
     perm_stats,
     perm_table,
+    q_factorial,
     rsk,
     rsk_inverse,
     standard_tableaux,
@@ -253,7 +257,7 @@ def lehmer_inversions(w):
 
 def test_perm_table_against_single_permutation_oracles():
     assert inspect.isgeneratorfunction(perm_table)
-    for n in range(0, 7):
+    for n in range(0, 8):
         rows = list(perm_table(n))
         assert [w for w, _ in rows] == list(all_permutations(n))
         for w, row in rows:
@@ -272,3 +276,25 @@ def test_perm_stats_rejects_non_permutations():
     for word in ((1, 1, 2), (0, 1), (2, 3), (1, 3)):
         with pytest.raises(ValueError):
             perm_stats(word)
+
+
+def test_perm_table_degenerate_sizes():
+    # the search unrolls its last position; S_0 and S_1 never reach that step
+    assert list(perm_table(0)) == [((), PermStats((), (), (), 0, 0, 0, 0, True))]
+    assert list(perm_table(1)) == [((1,), PermStats((1,), (1,), (), 0, 0, 0, 0, True))]
+
+
+def test_perm_table_distributions_at_n8():
+    pairs = Counter()
+    maj, inv, ch, dep = Counter(), Counter(), Counter(), Counter()
+    for _, row in perm_table(8):
+        maj[row.maj] += 1
+        inv[row.inversions] += 1
+        ch[row.charge] += 1
+        dep[row.depth] += 1
+        pairs[row.charge, row.depth] += 1
+    target = dict(enumerate(q_factorial(8).coeffs))
+    assert sum(target.values()) == 40320
+    for dist in (maj, inv, ch, dep):
+        assert dict(dist) == target
+    assert pairs == {(p, q): c for (_, p, q), c in bifactorial(8).terms.items()}
