@@ -23,9 +23,8 @@ from .tableaux import (
     semistandard_tableaux,
     semistandard_with_weight,
     standard_count,
-    standard_tableaux,
-    standard_with_descent,
     tableau_stats,
+    tableaux_from_table,
 )
 from .verify import CHECK_NAMES, PERMUTATION_CHECKS, run_checks
 
@@ -38,9 +37,10 @@ MAX_CRYSTAL_VERTICES = 1_000_000
 
 # The most tableaux `skeleton` and `tableaux` list, counted before any work: f^lambda,
 # summed over the shapes for `--table`, and s_lambda(1^N) for `--ssyt N`.  `--weight`
-# is not limited.  `skeleton --table 12` (189,080 SYT) peaks at 207 MB; the JSON listing
-# of 48,048 SYT (`tableaux 5,4,3,2 --syt`) at 307 MB, so about 1.3 GB at the limit
-# (CPython 3.11).
+# is not limited.  `skeleton --table 12` (189,080 SYT) takes 3.0-4.6 s and peaks at
+# 79 MB; the limit is held at 200,000 by the JSON listing, which builds the whole
+# document: 48,048 SYT (`tableaux 5,4,3,2 --syt --format json`) peak at 322 MB, so
+# about 1.3 GB at the limit (CPython 3.11, 2 cores).
 MAX_TABLEAUX = 200_000
 
 # The largest S_n a `verify` check may sweep, as n! before any work.  `counting` keeps
@@ -134,7 +134,7 @@ def _skeleton_csv(polys) -> None:
 
 
 def _compact_tableau(t) -> str:
-    return "/".join("".join(str(v) for v in row) for row in t.rows)
+    return "/".join(["".join(map(str, row)) for row in t.rows])
 
 
 def _skeleton_table(max_size: int, fmt: str) -> int:
@@ -181,26 +181,29 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
     shape = _require_partition(args.shape)
     if args.des is not None and (args.qy or not args.syt):
         raise SystemExit("error: --des applies only to --syt")
+    modes = [flag for flag, given in (("--qy", args.qy), ("--syt", args.syt),
+                                      ("--ssyt", args.ssyt is not None),
+                                      ("--weight", args.weight is not None)) if given]
+    if len(modes) > 1:
+        raise SystemExit(f"error: {' and '.join(modes)} cannot be combined; pick one mode")
     if args.qy or args.syt:
         _refuse_over(standard_count(shape), f"shape {format_comp(shape)}", "SYT")
-    if args.qy:
-        listing = list(quasi_yamanouchi_tableaux(shape))
-    elif args.syt and args.des is not None:
-        listing = standard_with_descent(shape, args.des)
-    elif args.syt:
-        listing = list(standard_tableaux(shape))
+        pairs = tableaux_from_table(shape, quasi_yamanouchi=args.qy, descent=args.des)
+        listing = [t for t, _ in pairs]
+        all_stats = (row.stats(args.qy) for _, row in pairs)  # read off the table, no parsing
     elif args.ssyt is not None:
         size = vertex_count(shape, args.ssyt)
         _refuse_over(size, f"tableaux {format_comp(shape)} --ssyt {args.ssyt}", "SSYT")
         listing = semistandard_tableaux(shape, args.ssyt)
+        all_stats = map(tableau_stats, listing)
     elif args.weight is not None:
         listing = semistandard_with_weight(shape, args.weight)
+        all_stats = map(tableau_stats, listing)
     else:
         raise SystemExit("error: pick one of --qy, --syt, --ssyt N, --weight W")
     if args.format == "json":
         payload = []
-        for t in listing:
-            stats = tableau_stats(t)
+        for t, stats in zip(listing, all_stats):
             payload.append(
                 {
                     "rows": t.to_json(),
@@ -213,8 +216,7 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
             )
         _print_json(payload)
         return 0
-    for t in listing:
-        stats = tableau_stats(t)
+    for t, stats in zip(listing, all_stats):
         print(t.render())
         print(
             f"  des={format_comp(stats.descent_composition)}"

@@ -35,6 +35,11 @@ def row_word(t: Tableau) -> tuple[int, ...]:
     """Rows concatenated from the bottom row up."""
     if not t.rows:
         raise ValueError("empty tableau has no row word")
+    return _word(t)
+
+
+def _word(t: Tableau) -> tuple[int, ...]:
+    """`row_word`, and () for the empty tableau, the one vertex of the empty crystal."""
     return tuple(chain.from_iterable(reversed(t.rows)))
 
 
@@ -148,10 +153,11 @@ def _from_row_word(word: tuple[int, ...], shape: Partition) -> Tableau:
 def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
     """The crystal on SSYT of `shape` with entries <= `bound`, with its quasi-crystals.
 
-    Empty when the bound is below the number of rows.
+    Empty when the bound is below the number of rows.  The empty shape has one
+    vertex, the empty tableau, and one quasi-crystal, with descent ().
     """
     vertices = tuple(semistandard_tableaux(shape, bound))
-    words = [row_word(t) for t in vertices]
+    words = [_word(t) for t in vertices]
     index = {word: i for i, word in enumerate(words)}
     edges = []
     # Equal entries of an SSYT form a horizontal strip, which the row word
@@ -173,7 +179,7 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
                 rep, tuple(vertices[i] for i in members), descent_composition(rep), tuple(members)
             )
         )
-    classes.sort(key=lambda qc: row_word(qc.representative))
+    classes.sort(key=lambda qc: _word(qc.representative))
     return CrystalGraph(tuple(shape), bound, vertices, tuple(edges), tuple(classes))
 
 
@@ -216,8 +222,8 @@ def evacuation(t: Tableau) -> Tableau:
 
 
 def _word_label(t: Tableau) -> str:
-    word = row_word(t)
-    return ("" if max(word) <= 9 else "-").join(map(str, word))
+    word = _word(t)
+    return ("" if max(word, default=0) <= 9 else "-").join(map(str, word))
 
 
 def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:

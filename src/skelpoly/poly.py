@@ -10,6 +10,7 @@ truncations, fake degree polynomials, and the (p,q)-bifactorial.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -27,11 +28,9 @@ from .compositions import (
 )
 from .tableaux import (
     descent_composition,
-    descent_set,
-    quasi_yamanouchi_tableaux,
     semistandard_tableaux,
-    standard_tableaux,
     weight,
+    yamanouchi_table,
 )
 
 TermKey = tuple[tuple[int, ...], int, int]  # (x-exponents, p-exponent, q-exponent)
@@ -382,11 +381,8 @@ def skeleton_poly(shape: Partition) -> MultiPoly:
     if not shape:
         return MultiPoly.one(0)
     arity = max_descent_length(shape)
-    terms: dict[TermKey, int] = {}
-    for t in quasi_yamanouchi_tableaux(shape):
-        key = (_padded(weight(t), arity), 0, 0)
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(arity, terms)
+    counts = Counter(row.descent_composition for row in yamanouchi_table(shape))
+    return MultiPoly(arity, {(_padded(alpha, arity), 0, 0): c for alpha, c in counts.items()})
 
 
 def skeleton_poly_i(shape: Partition, length: int) -> MultiPoly:
@@ -461,11 +457,7 @@ def fake_degree(shape: Partition) -> UniPoly:
     """Major-index generating function over the SYT of `shape`."""
     if not shape:
         raise ValueError("empty partition")
-    terms: dict[int, int] = {}
-    for t in standard_tableaux(shape):
-        m = sum(descent_set(t))
-        terms[m] = terms.get(m, 0) + 1
-    return UniPoly.from_terms(terms)
+    return UniPoly.from_terms(Counter(row.maj for row in yamanouchi_table(shape)))
 
 
 def q_factorial(n: int) -> UniPoly:

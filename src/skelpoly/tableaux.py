@@ -5,14 +5,24 @@ strictly increasing columns; an SYT additionally uses each of 1..n exactly
 once.  The *minimal parsing* cuts the cells of an SSYT, traversed by value
 (ties by column), into maximal runs in which each cell sits strictly
 northeast of the previous one; the run sizes form the descent composition.
+
+The SYT of a shape are enumerated once, by `yamanouchi_table`: a depth-first
+walk of the Young lattice over their Yamanouchi words (the row of each of
+1..n), which carries the descent composition and maj along the prefix.  The
+SYT, their destandardizations (the quasi-Yamanouchi tableaux), the descent
+filter and every count by descent or maj are read from that table, with no
+tableau parsed.  SSYT are filled cell by cell (`_fill`).  The minimal
+parsing, `destandardize`, `descent_set` and `tableau_stats` work on one
+tableau at a time and are the reference the table is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate, chain, repeat
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .compositions import (
     Composition,
@@ -246,26 +256,120 @@ def standard_count(shape: Partition) -> int:
     return factorial(sum(shape)) // hook_product(shape)
 
 
+class YamanouchiRow(NamedTuple):
+    """One SYT of a shape: its Yamanouchi word and the statistics read along it."""
+
+    word: tuple[int, ...]  # word[i - 1] is the row (counted from 0) that holds i
+    descent_composition: Composition
+    maj: int
+
+    def stats(self, quasi_yamanouchi: bool = False) -> TableauStats:
+        """`tableau_stats` of this SYT, or with `quasi_yamanouchi` of its destandardization."""
+        des = self.descent_composition
+        w = des if quasi_yamanouchi else (1,) * len(self.word)
+        return TableauStats(
+            weight=w,
+            descent_composition=des,
+            descent_set=tuple(accumulate(des[:-1])),
+            maj=self.maj,
+            depth=composition_depth(des),
+            is_quasi_yamanouchi=w == des,
+        )
+
+
 @cache
-def standard_tableaux(shape: Partition) -> tuple[Tableau, ...]:
-    """All SYT of `shape`."""
+def yamanouchi_table(shape: Partition) -> tuple[YamanouchiRow, ...]:
+    """Every SYT of `shape` as its row sequence r_1..r_n, from one walk of the Young lattice.
+
+    Step i adds a cell to a row r that is shorter than both shape[r] and row
+    r-1.  i-1 is a descent exactly when r_i > r_(i-1) (i sits in a lower row),
+    so the walk carries maj and the runs between descents along the prefix:
+    the run lengths are the descent composition, the descent set is their
+    proper prefix sums, and the number of runs so far is the label of step i
+    in the quasi-Yamanouchi tableau.  Rows come in walk order (words in
+    lexicographic order).
+    """
+    _require_partition(shape)
     n = sum(shape)
-    return tuple(semistandard_with_weight(shape, (1,) * n))
+    lengths = [0] * len(shape)
+    word = [0] * n
+    runs: list[int] = []
+    interned: dict[Composition, Composition] = {}
+    table: list[YamanouchiRow] = []
+
+    def walk(i: int, prev: int, maj: int) -> None:
+        if i == n:
+            des = tuple(runs)
+            table.append(YamanouchiRow(tuple(word), interned.setdefault(des, des), maj))
+            return
+        above = n  # no row above the first
+        for r, length in enumerate(lengths):
+            if length < shape[r] and length < above:
+                lengths[r] += 1
+                word[i] = r
+                if r > prev:  # i is a descent (i + 1 sits lower), or i = 0 opens the first run
+                    runs.append(1)
+                    walk(i + 1, r, maj + i)
+                    runs.pop()
+                else:
+                    runs[-1] += 1
+                    walk(i + 1, r, maj)
+                    runs[-1] -= 1
+                lengths[r] -= 1
+            above = length
+
+    walk(0, -1, 0)
+    return tuple(table)
 
 
-@cache
+def tableaux_from_table(
+    shape: Partition, quasi_yamanouchi: bool = False, descent: Composition | None = None
+) -> list[tuple[Tableau, YamanouchiRow]]:
+    """The SYT of `shape`, or their destandardizations, with their rows, sorted by rows.
+
+    With `descent`, only the tableaux of that descent composition.  The cell of
+    i holds i in the SYT and the label of step i in the quasi-Yamanouchi tableau.
+    """
+    table = yamanouchi_table(shape)
+    if descent is not None:
+        descent = tuple(descent)
+        table = [row for row in table if row.descent_composition == descent]
+    syt = range(1, sum(shape) + 1)
+    labels = {row.descent_composition: syt for row in table}  # the entry of each step
+    if quasi_yamanouchi:
+        # the steps of the k-th run between descents get the label k
+        labels = {des: tuple(chain.from_iterable(map(repeat, syt, des))) for des in labels}
+    steps = range(len(syt))
+    # read row by row, the cells hold the steps in stable order of their rows
+    flats = [
+        tuple(map(labels[row.descent_composition].__getitem__,
+                  sorted(steps, key=row.word.__getitem__)))
+        for row in table
+    ]
+    ends = tuple(accumulate(shape))
+    cuts = tuple(map(slice, (0,) + ends, ends))
+    return [
+        (Tableau(tuple(map(flats[k].__getitem__, cuts))), table[k])
+        for k in sorted(range(len(flats)), key=flats.__getitem__)
+    ]
+
+
+def standard_tableaux(shape: Partition) -> tuple[Tableau, ...]:
+    """All SYT of `shape`, sorted by rows."""
+    return tuple(t for t, _ in tableaux_from_table(shape))
+
+
 def quasi_yamanouchi_tableaux(shape: Partition) -> tuple[Tableau, ...]:
     """All SSYT whose descent composition equals their weight, in row-reading lex order.
 
     Destandardization is a bijection from the SYT of `shape` onto them.
     """
-    return tuple(
-        sorted((destandardize(t) for t in standard_tableaux(shape)), key=lambda t: t.rows)
-    )
+    return tuple(t for t, _ in tableaux_from_table(shape, quasi_yamanouchi=True))
 
 
 def standard_with_descent(shape: Partition, alpha: Composition) -> list[Tableau]:
-    return [t for t in standard_tableaux(shape) if descent_composition(t) == alpha]
+    """The SYT of `shape` with descent composition `alpha`, sorted by rows."""
+    return [t for t, _ in tableaux_from_table(shape, descent=alpha)]
 
 
 def kostka(shape: Partition, weight_vec: Composition) -> int:
@@ -290,7 +394,7 @@ def special_tableaux(shape: Partition) -> SpecialTableaux:
         raise ValueError("empty partition")
     superstandard = Tableau.of([i] * length for i, length in enumerate(shape, start=1))
     target = lambda_bar(shape)
-    anti = [t for t in quasi_yamanouchi_tableaux(shape) if descent_composition(t) == target]
+    anti = [t for t, _ in tableaux_from_table(shape, quasi_yamanouchi=True, descent=target)]
     if len(anti) != 1:
         raise ValueError(f"expected a unique deepest filling for {shape}, got {len(anti)}")
     return SpecialTableaux(superstandard=superstandard, anti_supersemistandard=anti[0])

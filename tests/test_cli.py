@@ -152,6 +152,33 @@ def test_tableaux_des_needs_syt(capsys, mode):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["--qy"], ["--syt"]),
+        (["--qy"], ["--ssyt", "3"]),
+        (["--qy"], ["--weight", "2,2,1"]),
+        (["--syt"], ["--ssyt", "3"]),
+        (["--syt"], ["--weight", "2,2,1"]),
+        (["--ssyt", "3"], ["--weight", "2,2,1"]),
+    ],
+)
+def test_tableaux_modes_are_exclusive(capsys, first, second):
+    for argv in ([*first, *second], [*second, *first]):
+        with pytest.raises(SystemExit) as exc:
+            main(["tableaux", "3,2", *argv])
+        assert exc.value.code == (
+            f"error: {first[0]} and {second[0]} cannot be combined; pick one mode"
+        )
+        assert capsys.readouterr().out == ""
+
+
+def test_tableaux_needs_a_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tableaux", "3,2"])
+    assert exc.value.code == "error: pick one of --qy, --syt, --ssyt N, --weight W"
+
+
 def test_tableaux_ssyt_bound(capsys):
     code, out = run_cli(capsys, "tableaux", "3,2", "--ssyt", "3")
     assert code == 0
@@ -203,7 +230,7 @@ def _hook_count(shape):
     ],
 )
 def test_runaway_enumeration_refused_before_any_work(argv, message, monkeypatch):
-    def must_not_enumerate(*args):
+    def must_not_enumerate(*args, **kwargs):
         raise AssertionError("enumeration reached for a refused size")
 
     for name in (
@@ -213,8 +240,7 @@ def test_runaway_enumeration_refused_before_any_work(argv, message, monkeypatch)
         "skeleton_poly",
         "skeleton_poly_i",
         "deep_skeleton",
-        "standard_tableaux",
-        "standard_with_descent",
+        "tableaux_from_table",
     ):
         monkeypatch.setattr(cli, name, must_not_enumerate)
     with pytest.raises(SystemExit) as exc:
@@ -315,6 +341,25 @@ def test_crystal_text_and_json(capsys):
     payload = json.loads(out)
     assert len(payload["vertices"]) == 8
     assert len(payload["classes"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--inner"], ["--format", "json"], ["--inner", "--format", "json"], ["--dot"]]
+)
+def test_crystal_of_the_empty_shape(capsys, flags):
+    code, out = run_cli(capsys, "crystal", "", "0", *flags)
+    assert code == 0
+    if flags[-1:] == ["json"]:
+        payload = json.loads(out)
+        assert payload["vertices"] == [[]]
+        assert payload["classes"] == [{"representative": [], "descent": [], "members": [0]}]
+    elif flags == ["--dot"]:
+        assert out.count("subgraph cluster_") == 1 and "->" not in out
+    else:
+        assert out.splitlines() == [
+            "shape  bound 0: 1 vertices, 0 edges, 1 quasi-crystals",
+            "  des= size=1 representative=[]",
+        ]
 
 
 def test_crystal_bound_too_small(capsys):

@@ -208,6 +208,25 @@ def test_build_crystal_small_cases():
     assert build_crystal((2, 1), 1).vertices == ()
 
 
+@pytest.mark.parametrize("bound", [0, 1, 3])
+def test_crystal_of_the_empty_shape(bound):
+    graph = build_crystal((), bound)
+    assert graph.vertices == (Tableau(()),)
+    assert graph.edges == ()
+    (qc,) = graph.classes
+    assert (qc.representative, qc.members, qc.descent, qc.indices) == (
+        Tableau(()), (Tableau(()),), (), (0,)
+    )
+    assert inner_crystal(graph) == fundamental_system(graph, ()) == graph.classes
+    assert vertex_count((), bound) == 1
+    payload = graph_json(graph)
+    assert payload["vertices"] == [[]] and payload["weights"] == [[]]
+    assert payload["classes"] == [{"representative": [], "descent": [], "members": [0]}]
+    assert to_dot(graph).count('v0 [label=""]') == 1
+    with pytest.raises(ValueError):
+        row_word(Tableau(()))
+
+
 def test_quasi_crystal_decomposition_of_21():
     graph = build_crystal((2, 1), 3)
     classes = quasi_crystals(graph)

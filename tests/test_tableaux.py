@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from skelpoly import (
     Tableau,
+    YamanouchiRow,
     compositions,
     descent_composition,
     descent_set,
@@ -26,7 +27,9 @@ from skelpoly import (
     standard_with_descent,
     standardize,
     tableau_stats,
+    tableaux_from_table,
     weight,
+    yamanouchi_table,
 )
 from skelpoly.compositions import trim
 
@@ -302,3 +305,93 @@ def test_parsing_properties_random(t):
             assert r1 >= r2 and c1 < c2
     for first, second in zip(labels, labels[1:]):
         assert max(first) < min(second)
+
+
+def _table_oracle_shapes():
+    shapes = [lam for n in range(9) for lam in partitions(n)]
+    return shapes + [(9,), (1,) * 9]
+
+
+def test_yamanouchi_table_against_per_tableau_routes():
+    # every table row against the fill and the minimal parsing, for |shape| <= 8
+    # plus the empty shape and one row and one column of 9
+    checked = 0
+    for lam in _table_oracle_shapes():
+        n = sum(lam)
+        table = yamanouchi_table(lam)
+        fill = semistandard_with_weight(lam, (1,) * n)
+        assert list(standard_tableaux(lam)) == fill
+        by_rows = {}
+        for row in table:
+            rows = [[] for _ in lam]
+            for i, r in enumerate(row.word, start=1):
+                rows[r].append(i)
+            by_rows[Tableau.of(rows)] = row
+        assert len(by_rows) == len(table) == len(fill)
+        assert set(by_rows) == set(fill)
+        assert list(table) == sorted(table, key=lambda row: row.word)  # walk order
+        for t in fill:
+            row = by_rows[t]
+            assert row.descent_composition == descent_composition(t)
+            assert row.maj == sum(descent_set(t))
+            assert row.stats() == tableau_stats(t)
+            assert row.stats(quasi_yamanouchi=True) == tableau_stats(destandardize(t))
+            checked += 1
+        # each QY tableau is the destandardization of its row's SYT, in sorted order
+        qy_pairs = tableaux_from_table(lam, quasi_yamanouchi=True)
+        assert sorted(destandardize(t).rows for t in fill) == [q.rows for q, _ in qy_pairs]
+        for q, row in qy_pairs:
+            t = standardize(q)
+            assert destandardize(t) == q
+            assert by_rows[t] is row
+        assert list(quasi_yamanouchi_tableaux(lam)) == [q for q, _ in qy_pairs]
+    assert checked == sum(len(standard_tableaux(lam)) for lam in _table_oracle_shapes())
+
+
+def test_yamanouchi_table_edge_shapes():
+    assert yamanouchi_table(()) == (YamanouchiRow((), (), 0),)
+    assert standard_tableaux(()) == quasi_yamanouchi_tableaux(()) == (Tableau(()),)
+    assert yamanouchi_table((4,)) == (YamanouchiRow((0, 0, 0, 0), (4,), 0),)
+    assert yamanouchi_table((1, 1, 1)) == (YamanouchiRow((0, 1, 2), (1, 1, 1), 3),)
+    assert quasi_yamanouchi_tableaux((1, 1, 1)) == (Tableau.of([[1], [2], [3]]),)
+    with pytest.raises(ValueError, match="not a partition"):
+        yamanouchi_table((1, 2))
+
+
+def test_descent_filter_reads_the_table():
+    for n in range(1, 8):
+        for lam in partitions(n):
+            listed = 0
+            for alpha in compositions(n):
+                got = standard_with_descent(lam, alpha)
+                assert got == [t for t in standard_tableaux(lam) if descent_composition(t) == alpha]
+                listed += len(got)
+            assert listed == len(standard_tableaux(lam))
+    assert standard_with_descent((3, 2), (2, 0, 3)) == []
+
+
+def test_table_routes_make_no_parsing(monkeypatch):
+    import skelpoly.tableaux as tableaux_module
+    from skelpoly import fake_degree
+    from skelpoly.cli import main
+
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return minimal_parsing(t)
+
+    monkeypatch.setattr(tableaux_module, "minimal_parsing", counted)
+    shape = (4, 3, 1, 1)
+    yamanouchi_table.cache_clear()
+    skeleton_poly.cache_clear()
+    fake_degree.cache_clear()
+    assert main(["tableaux", "4,3,1,1", "--qy"]) == 0
+    assert main(["tableaux", "4,3,1,1", "--syt", "--format", "json"]) == 0
+    assert main(["skeleton", "4,3,1,1"]) == 0
+    assert fake_degree(shape).coefficient(0) == 0
+    assert standard_with_descent(shape, (4, 3, 1, 1)) != []
+    assert special_tableaux(shape).anti_supersemistandard
+    assert calls == []
+    descent_composition(Tableau.of([[1, 2], [3]]))
+    assert len(calls) == 1  # the counter is live
