@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from math import factorial
 
 from .compositions import Composition, format_comp, is_partition, partitions
 from .crystal import build_crystal, graph_json, inner_crystal, to_dot, vertex_count
@@ -26,7 +25,7 @@ from .tableaux import (
     tableau_stats,
     tableaux_from_table,
 )
-from .verify import CHECK_NAMES, PERMUTATION_CHECKS, run_checks
+from .verify import CHECK_NAMES, run_checks
 
 # The largest crystal `skelpoly crystal` builds, counted before any work by the
 # hook-content formula.  `crystal 3,2 100` has 424,957,500 vertices, over a
@@ -42,12 +41,6 @@ MAX_CRYSTAL_VERTICES = 1_000_000
 # document: 48,048 SYT (`tableaux 5,4,3,2 --syt --format json`) peak at 322 MB, so
 # about 1.3 GB at the limit (CPython 3.11, 2 cores).
 MAX_TABLEAUX = 200_000
-
-# The largest S_n a `verify` check may sweep, as n! before any work.  `counting` keeps
-# a pair of lengths per permutation: `verify counting --max-n 10` (10! = 3,628,800)
-# peaks at 283 MB in 34 s, and --max-n 9 at 46 MB, so n = 11 would need about 3 GB
-# (CPython 3.11).  SKELETON_MAX_N passes the same guard.
-MAX_PERMUTATIONS = factorial(10)
 
 
 def parse_parts(text: str) -> Composition:
@@ -313,12 +306,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 raise SystemExit(f"error: SKELETON_MAX_N is not an integer: {env!r}")
     if max_n is not None and max_n < 1:
         raise SystemExit("error: --max-n must be at least 1")
-    if max_n is not None:
-        selected = CHECK_NAMES if "all" in names else names
-        sweeping = [name for name in selected if name in PERMUTATION_CHECKS]
-        if sweeping:
-            subject = f"verify {sweeping[0]} at n={max_n}"
-            _refuse_over(factorial(max_n), subject, "permutations", MAX_PERMUTATIONS)
     results = run_checks(names, max_n=max_n, report_support=args.report_support)
     failed = [r for r in results if not r.passed]
     if args.format == "json":

@@ -2,18 +2,18 @@
 
 Permutations are tuples in one-line notation over {1, ..., n}; words are
 tuples of positive integers.  `rsk` returns the insertion and recording
-tableaux; the statistics in `perm_stats` (descent compositions of w and of
-its inverse, major index, depth, inversions, charge) all live on the
-recording side or directly on the one-line word.  `perm_stats(w)` reads
-them off one word; `perm_table(n)` streams every permutation of S_n with the
-same statistics, carried along a depth-first search over positions rather
-than recomputed per row.
+tableaux; the statistics in `PermStats` (descent compositions of w and of
+its inverse, major index, depth, inversions, charge, involution) all live on
+the recording side or directly on the one-line word.  `perm_stats(w)` is the
+reference route, one function per statistic on one word; `perm_table(n)`
+streams every permutation of S_n with the same statistics, carried along a
+depth-first search over positions rather than recomputed per row.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import combinations, compress, permutations as _permutations, starmap
+from itertools import combinations, permutations as _permutations, starmap
 from operator import gt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -110,16 +110,12 @@ def left_descents(w: Word) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(w)) if position[i + 1] < position[i])
 
 
-def _charge(n: int, lefts: Iterable[int]) -> int:
-    # the label c_i counts the left descents d < i, so each d adds 1 to c_(d+1..n)
-    return sum(n - d for d in lefts)
-
-
 def charge(w: Word) -> int:
     """Sum of the inductive labels c_i, where c_i grows by 1 at each left descent."""
     if not is_permutation(w):
         raise ValueError(f"not a permutation: {w}")
-    return _charge(len(w), left_descents(w))
+    # c_i counts the left descents d < i, so each d adds 1 to c_(d+1..n)
+    return sum(len(w) - d for d in left_descents(w))
 
 
 def inversions(w: Word) -> int:
@@ -129,7 +125,6 @@ def inversions(w: Word) -> int:
 class PermStats(NamedTuple):
     descent_composition: Composition
     inverse_descent_composition: Composition
-    left_descents: tuple[int, ...]
     maj: int
     depth: int
     inversions: int
@@ -137,38 +132,25 @@ class PermStats(NamedTuple):
     is_involution: bool
 
 
-def _row(w: Word) -> PermStats:
-    n = len(w)
-    # not inverse(w): that validates again, and the tests use it as the reference
-    inv = [0] * n
-    for position, value in enumerate(w, start=1):
-        inv[value - 1] = position
-    inv = tuple(inv)
-    des = tuple(compress(range(1, n), map(gt, w, w[1:])))
-    # the left descents of w are the descents of its inverse
-    lefts = tuple(compress(range(1, n), map(gt, inv, inv[1:])))
-    alpha = set_to_comp(IndexSet(n, des))
+def perm_stats(w: Word) -> PermStats:
+    """All permutation statistics used by the polynomial identities, for one word.
+
+    The reference route: each statistic comes from its own function on the
+    one-line word.  The descent composition is the one of the recording
+    tableau; by the Schensted correspondence it can be read off the word.
+    """
+    w = tuple(w)
+    inv = inverse(w)  # raises on a non-permutation
+    alpha = word_descent_composition(w)
     return PermStats(
         descent_composition=alpha,
-        inverse_descent_composition=set_to_comp(IndexSet(n, lefts)),
-        left_descents=lefts,
-        maj=sum(des),
+        inverse_descent_composition=word_descent_composition(inv),
+        maj=sum(descents(w).members),
         depth=composition_depth(alpha),
         inversions=inversions(w),
-        charge=_charge(n, lefts),
+        charge=charge(w),
         is_involution=inv == w,
     )
-
-
-def perm_stats(w: Word) -> PermStats:
-    """All permutation statistics used by the polynomial identities.
-
-    The descent composition is the one of the recording tableau; by the
-    Schensted correspondence it can be read off the one-line word directly.
-    """
-    if not is_permutation(w):
-        raise ValueError(f"not a permutation: {w}")
-    return _row(tuple(w))
 
 
 def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
@@ -183,15 +165,11 @@ def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
     needs w(v) = i whenever v < i; the case v > i is tested when position v
     is filled.  Descent sets are bitmasks (bit d for descent d), mapped to
     compositions through one dict per n.  Streamed rather than stored: the
-    rows of S_8 alone take about 14 MiB.
+    rows of S_8 alone take about 12 MiB.
     """
-    composition_of: dict[int, Composition] = {}
-    members_of: dict[int, tuple[int, ...]] = {}
-    for alpha in compositions(n):
-        members = comp_to_set(alpha).members
-        mask = sum(1 << d for d in members)
-        composition_of[mask] = alpha
-        members_of[mask] = members
+    composition_of = {
+        sum(1 << d for d in comp_to_set(alpha).members): alpha for alpha in compositions(n)
+    }
     values = ((1 << (n + 1)) - 1) ^ 1  # bit v for each value v of [n]
     make = tuple.__new__
 
@@ -233,12 +211,12 @@ def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
                 l_mask |= 1 << x
                 l_charge += n - x
                 w_involution = w_involution and w[x - 1] == n
-            row = (composition_of[d_mask], composition_of[l_mask], members_of[l_mask],
-                   d_maj, n * d_des - d_maj, w_inv + n - x, l_charge, w_involution)
+            row = (composition_of[d_mask], composition_of[l_mask], d_maj, n * d_des - d_maj,
+                   w_inv + n - x, l_charge, w_involution)
             yield w, make(PermStats, row)
 
     if n < 2:  # no last position to unroll after the first
         alpha = composition_of[0]
-        yield tuple(range(1, n + 1)), make(PermStats, (alpha, alpha, (), 0, 0, 0, 0, True))
+        yield tuple(range(1, n + 1)), make(PermStats, (alpha, alpha, 0, 0, 0, 0, True))
         return
     yield from extend(1, (), 0, 0, 0, 0, 0, 0, 0, True)

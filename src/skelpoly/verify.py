@@ -2,9 +2,13 @@
 
 Every check returns a `CheckResult`: pass/fail, the first counterexample in
 canonical order when failing, and wall time.  Checks are deterministic and
-side-effect free.  `run_checks` is the single entry point used by the
-command line; the `_CHECKS` table names every check with its default bound
-and its jobs.
+side-effect free.  On the permutation side of an identity only a few
+statistics of each w matter, so the checks over S_n stream `perm_table(n)`
+into a tally (a `Counter` of term keys or of statistics) and build the
+polynomial once from the counts.  `run_checks` is the single entry point used
+by the command line; the `_CHECKS` table names every check with its default
+bound, whether it sweeps S_n, and its jobs, and `run_checks` refuses a sweep
+above `MAX_PERMUTATIONS` before any work.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from .compositions import (
     compositions,
     conjugate,
     depth,
-    dominance_covers,
     dominance_leq,
     is_hook,
     is_regular,
     lambda_bar,
     partitions,
+    raising_covers,
 )
 from .poly import (
     MultiPoly,
@@ -111,13 +115,10 @@ def check_skeleton_r(n: int, graded: bool = False) -> CheckResult:
     """Sum of skeleton polynomials over shapes of n = descent sum over involutions."""
     started = time.perf_counter()
     lhs = MultiPoly.sum((_skeleton(s, graded, "p").embed(n) for s in partitions(n)), n)
-    rhs = MultiPoly.sum(
-        (
-            MultiPoly.monomial(row.descent_composition, p=row.depth if graded else 0, arity=n)
-            for _, row in perm_table(n) if row.is_involution
-        ),
-        n,
-    )
+    rhs = MultiPoly(n, Counter(
+        (_padded(row.descent_composition, n), row.depth if graded else 0, 0)
+        for _, row in perm_table(n) if row.is_involution
+    ))
     return _finish(
         "skeleton-r", {"n": n, "graded": graded}, _poly_witness(lhs, rhs), started
     )
@@ -136,21 +137,15 @@ def check_skeleton_rs(
         ),
         arity,
     )
+    counts: Counter = Counter()
     monomial_groups: dict[tuple[int, ...], list[list[int]]] = {}
-
-    def monomials():
-        for w, row in perm_table(n):
-            des_inv = row.inverse_descent_composition
-            exps = _padded(des_inv, n) + _padded(row.descent_composition, n)
-            if report_support:
-                monomial_groups.setdefault(exps, []).append(list(w))
-            yield MultiPoly.monomial(
-                exps,
-                p=depth(des_inv) if graded else 0,
-                q=row.depth if graded else 0,
-            )
-
-    rhs = MultiPoly.sum(monomials(), arity)
+    for w, row in perm_table(n):
+        des_inv = row.inverse_descent_composition
+        exps = _padded(des_inv, n) + _padded(row.descent_composition, n)
+        counts[exps, depth(des_inv) if graded else 0, row.depth if graded else 0] += 1
+        if report_support:
+            monomial_groups.setdefault(exps, []).append(list(w))
+    rhs = MultiPoly(arity, counts)
     data = None
     if report_support:
         collisions = sorted(group for group in monomial_groups.values() if len(group) > 1)
@@ -177,16 +172,18 @@ def check_skeleton_rsk(n: int, k: int | None = None, graded: bool = False) -> Ch
         ),
         arity,
     )
-
-    def products():
-        for _, row in perm_table(n):
-            fundamental = qsym_fundamental(row.inverse_descent_composition, k)
-            y_mono = MultiPoly.monomial(
-                (0,) * k + row.descent_composition, q=row.depth if graded else 0, arity=arity
-            )
-            yield fundamental.embed(arity, 0) * y_mono
-
-    rhs = MultiPoly.sum(products(), arity)
+    triples = Counter(
+        (row.inverse_descent_composition, row.descent_composition, row.depth if graded else 0)
+        for _, row in perm_table(n)
+    )
+    rhs = MultiPoly.sum(
+        (
+            qsym_fundamental(des_inv, k).embed(arity, 0)
+            * MultiPoly.monomial((0,) * k + des, count, q=d, arity=arity)
+            for (des_inv, des, d), count in triples.items()
+        ),
+        arity,
+    )
     return _finish(
         "skeleton-rsk", {"n": n, "k": k, "graded": graded}, _poly_witness(lhs, rhs), started
     )
@@ -194,27 +191,26 @@ def check_skeleton_rsk(n: int, k: int | None = None, graded: bool = False) -> Ch
 
 def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckResult:
     """Prefix-of-ones skeleton evaluations count descent-length-bounded permutations."""
+    if j is not None and i is None:
+        raise ValueError(f"counting: j={j} needs i")
     started = time.perf_counter()
     skeletons = [skeleton_poly(shape) for shape in partitions(n)]
-    inv_lengths = []
-    pair_lengths = []
-    for _, row in perm_table(n):
-        lengths = (len(row.inverse_descent_composition), len(row.descent_composition))
-        pair_lengths.append(lengths)
-        if row.is_involution:
-            inv_lengths.append(lengths[1])
+    # (len Des(w^-1), len Des(w), w is an involution) -> number of permutations w
+    lengths = Counter(
+        (len(row.inverse_descent_composition), len(row.descent_composition), row.is_involution)
+        for _, row in perm_table(n)
+    )
+    involutions = sum(c for (_, _, involution), c in lengths.items() if involution)
     single_range = [i] if i is not None else list(range(1, n + 1))
-    if i is not None and j is not None:
-        pair_range = [(i, j)]
-    elif i is None:
+    if i is None:
         pair_range = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
     else:
-        pair_range = []
+        pair_range = [] if j is None else [(i, j)]
 
     witness = None
     for a in single_range:
         lhs = sum(poly.eval_ones_prefix(a) for poly in skeletons)
-        rhs = sum(1 for length in inv_lengths if length <= a)
+        rhs = sum(c for (_, lb, involution), c in lengths.items() if involution and lb <= a)
         if lhs != rhs:
             witness = {"i": a, "lhs": lhs, "rhs": rhs}
             break
@@ -224,15 +220,15 @@ def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckR
                 poly.eval_ones_prefix(a) * poly.eval_ones_prefix(b)
                 for poly in skeletons
             )
-            rhs = sum(1 for la, lb in pair_lengths if la <= a and lb <= b)
+            rhs = sum(c for (la, lb, _), c in lengths.items() if la <= a and lb <= b)
             if lhs != rhs:
                 witness = {"i": a, "j": b, "lhs": lhs, "rhs": rhs}
                 break
     if witness is None:
         total_f = sum(poly.evaluate() for poly in skeletons)
         total_f2 = sum(poly.evaluate() ** 2 for poly in skeletons)
-        if total_f != len(inv_lengths):
-            witness = {"identity": "sum f = involutions", "lhs": total_f, "rhs": len(inv_lengths)}
+        if total_f != involutions:
+            witness = {"identity": "sum f = involutions", "lhs": total_f, "rhs": involutions}
         elif total_f2 != factorial(n):
             witness = {"identity": "sum f^2 = n!", "lhs": total_f2, "rhs": factorial(n)}
     return _finish("counting", {"n": n, "i": i, "j": j}, witness, started)
@@ -263,7 +259,7 @@ def check_mahonian(n: int) -> CheckResult:
     target = q_factorial(n)
     # each statistic lies in 0..comb(n, 2): count by degree in one list per statistic
     majs, depths, charges, inversions = ([0] * (comb(n, 2) + 1) for _ in range(4))
-    for _, (_, _, _, maj, dep, inv, ch, _) in perm_table(n):
+    for _, (_, _, maj, dep, inv, ch, _) in perm_table(n):
         majs[maj] += 1
         depths[dep] += 1
         charges[ch] += 1
@@ -320,7 +316,6 @@ def check_schur_family(shape: Partition) -> CheckResult:
     dominance Hasse diagram; disconnectedness is asserted for rectangles.
     """
     started = time.perf_counter()
-    n = sum(shape)
     poly = skeleton_poly(shape)
     support = sorted(poly.support())
     lbar = lambda_bar(shape)
@@ -336,10 +331,12 @@ def check_schur_family(shape: Partition) -> CheckResult:
             witness = {"detail": "bottom endpoint coefficient", "alpha": list(lbar)}
     support_set = set(support)
     neighbors: dict[Composition, set[Composition]] = {a: set() for a in support_set}
-    for lower, upper in dominance_covers(n):
-        if lower in support_set and upper in support_set:
-            neighbors[lower].add(upper)
-            neighbors[upper].add(lower)
+    for upper in support:
+        # the raising moves from `upper` are its Hasse edges down in dominance order
+        for lower in raising_covers(upper):
+            if lower in support_set:
+                neighbors[lower].add(upper)
+                neighbors[upper].add(lower)
     seen: set[Composition] = set()
     stack = [support[0]] if support else []
     while stack:
@@ -440,25 +437,16 @@ def check_bifactorial(n: int) -> CheckResult:
     started = time.perf_counter()
     bi = bifactorial(n)
     observed = Counter((row.charge, row.depth) for _, row in perm_table(n))
-    expected = {(p, q): c for ((_, p, q), c) in bi.terms.items()}
+    expected = Counter({(p, q): c for ((_, p, q), c) in bi.terms.items()})
     witness = None
     if observed != expected:
-        diff = sorted(set(observed) ^ set(expected) | {
-            k for k in set(observed) & set(expected) if observed[k] != expected[k]
-        })
-        key = diff[0]
-        witness = {
-            "p": key[0],
-            "q": key[1],
-            "observed": observed.get(key, 0),
-            "expected": expected.get(key, 0),
-        }
+        p, q = min(k for k in observed.keys() | expected.keys() if observed[k] != expected[k])
+        witness = {"p": p, "q": q, "observed": observed[p, q], "expected": expected[p, q]}
     if witness is None:
-        at_p1 = {}
-        for (_, _, qe), coeff in bi.specialize(p=1).terms.items():
-            at_p1[qe] = at_p1.get(qe, 0) + coeff
+        at_p1 = bi.specialize(p=1)
         target = q_factorial(n)
-        if any(at_p1.get(d, 0) != target.coefficient(d) for d in range(target.degree() + 1)):
+        if any(at_p1.coefficient((), q=d) != target.coefficient(d)
+               for d in range(target.degree() + 1)):
             witness = {"detail": "p=1 specialization differs from q-factorial"}
     if witness is None and _is_prime(n):
         for k in range(comb(n, 2) + 1):
@@ -490,38 +478,38 @@ def _each_shape(check: Callable[[Partition], CheckResult], bound: int) -> list[_
     return [partial(check, s) for n in range(1, bound + 1) for s in partitions(n)]
 
 
-# name -> (default bound, jobs(bound, report_support)); None marks a check
-# that takes no bound.  `all` runs the checks in this order.
-_CHECKS: dict[str, tuple[int | None, Callable[[int, bool], list[_Job]]]] = {
-    "skeleton-r": (6, lambda b, _: _each_n_graded(check_skeleton_r, b)),
+# The largest S_n a sweeping check may walk, as n!, refused by `run_checks` before
+# any job is built; direct `check_*` calls are not limited.  Time holds the limit,
+# not memory: each sweep streams `perm_table(n)` into a tally, so `verify counting
+# --max-n 10` (10! = 3,628,800) takes 13 s at a 21 MB peak, `mahonian` 13 s at 17 MB,
+# and n = 11 would take over two minutes per check (CPython 3.11, 2 cores).  Its
+# polynomials in 2n variables, not the sweep, hold `skeleton-rsk`: --max-n 8 takes
+# 117 s at 454 MB.
+MAX_PERMUTATIONS = factorial(10)
+
+# name -> (default bound, sweeps S_n for each n up to the bound, jobs(bound,
+# report_support)); a bound of None marks a check that takes none.  `all` runs the
+# checks in this order.
+_CHECKS: dict[str, tuple[int | None, bool, Callable[[int, bool], list[_Job]]]] = {
+    "skeleton-r": (6, True, lambda b, _: _each_n_graded(check_skeleton_r, b)),
     "skeleton-rs": (
-        6,
-        lambda b, support: _each_n_graded(
-            lambda n, g: check_skeleton_rs(n, g, support), b
-        ),
+        6, True, lambda b, report: _each_n_graded(lambda n, g: check_skeleton_rs(n, g, report), b)
     ),
     "skeleton-rsk": (
-        6,
-        lambda b, _: _each_n_graded(lambda n, g: check_skeleton_rsk(n, graded=g), b),
+        6, True, lambda b, _: _each_n_graded(lambda n, g: check_skeleton_rsk(n, graded=g), b)
     ),
-    "counting": (7, lambda b, _: _each_n(check_counting, b)),
-    "hook-sum": (7, lambda b, _: _each_n(check_hook_sum, b)),
-    "mahonian": (8, lambda b, _: _each_n(check_mahonian, b)),
-    "bks": (8, lambda b, _: _each_shape(check_bks, b)),
-    "schur-family": (7, lambda b, _: _each_shape(check_schur_family, b)),
-    "charge-depth": (7, lambda b, _: _each_n(check_charge_depth, b)),
-    "s6-inversions": (None, lambda b, _: [check_s6_inversion_count]),
-    "linear-independence": (6, lambda b, _: _each_n(check_linear_independence, b)),
-    "bifactorial": (7, lambda b, _: _each_n(check_bifactorial, b)),
+    "counting": (7, True, lambda b, _: _each_n(check_counting, b)),
+    "hook-sum": (7, False, lambda b, _: _each_n(check_hook_sum, b)),
+    "mahonian": (8, True, lambda b, _: _each_n(check_mahonian, b)),
+    "bks": (8, False, lambda b, _: _each_shape(check_bks, b)),
+    "schur-family": (7, False, lambda b, _: _each_shape(check_schur_family, b)),
+    "charge-depth": (7, True, lambda b, _: _each_n(check_charge_depth, b)),
+    "s6-inversions": (None, False, lambda b, _: [check_s6_inversion_count]),
+    "linear-independence": (6, False, lambda b, _: _each_n(check_linear_independence, b)),
+    "bifactorial": (7, True, lambda b, _: _each_n(check_bifactorial, b)),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
-
-# The checks whose jobs sweep S_n through `perm_table` for every n up to their bound.
-PERMUTATION_CHECKS = frozenset(
-    ("skeleton-r", "skeleton-rs", "skeleton-rsk", "counting", "mahonian", "charge-depth",
-     "bifactorial")
-)
 
 
 def run_checks(
@@ -529,14 +517,26 @@ def run_checks(
     max_n: int | None = None,
     report_support: bool = False,
 ) -> list[CheckResult]:
-    """Run the selected checks (or all of them) and return results in order."""
+    """Run the selected checks (or all of them) and return results in order.
+
+    Refuses, before any work, a bound whose S_n is above `MAX_PERMUTATIONS`
+    for a selected check that sweeps S_n.
+    """
     selected = list(names)
     if "all" in selected or not selected:
         selected = list(CHECK_NAMES)
+    for name in selected:
+        if name in _CHECKS and _CHECKS[name][1]:
+            n = _CHECKS[name][0] if max_n is None else max_n
+            if n > 0 and factorial(n) > MAX_PERMUTATIONS:
+                raise ValueError(
+                    f"verify {name} at n={n} has {factorial(n)} permutations,"
+                    f" above the limit of {MAX_PERMUTATIONS}"
+                )
     jobs: list[_Job] = []
     for name in selected:
         if name not in _CHECKS:
             raise ValueError(f"unknown check: {name}")
-        default, build = _CHECKS[name]
+        default, _, build = _CHECKS[name]
         jobs.extend(build(default if max_n is None else max_n, report_support))
     return [job() for job in jobs]

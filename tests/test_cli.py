@@ -434,9 +434,12 @@ def test_verify_env_bound(capsys, monkeypatch):
     assert out.strip().splitlines()[-1] == "3/3 checks passed"
 
 
+SWEEPING_CHECKS = [name for name, (_, sweeps, _) in verify._CHECKS.items() if sweeps]
+
+
 @pytest.mark.parametrize(
     "checks, first",
-    [([name], name) for name in sorted(verify.PERMUTATION_CHECKS)]
+    [([name], name) for name in sorted(SWEEPING_CHECKS)]
     + [(["hook-sum", "mahonian"], "mahonian"), (["all"], "skeleton-r"), ([], "skeleton-r")],
 )
 def test_verify_refuses_runaway_permutation_sweep(checks, first, monkeypatch):
@@ -446,7 +449,7 @@ def test_verify_refuses_runaway_permutation_sweep(checks, first, monkeypatch):
     monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
     expected = (
         f"error: verify {first} at n=11 has 39916800 permutations,"
-        f" above the limit of {cli.MAX_PERMUTATIONS}"
+        f" above the limit of {verify.MAX_PERMUTATIONS}"
     )
     with pytest.raises(SystemExit) as exc:
         main(["verify", *checks, "--max-n", "11"])
@@ -458,7 +461,7 @@ def test_verify_refuses_runaway_permutation_sweep(checks, first, monkeypatch):
 
 
 def test_permutation_limit_admits_n10_only():
-    assert factorial(10) == cli.MAX_PERMUTATIONS < factorial(11)
+    assert factorial(10) == verify.MAX_PERMUTATIONS < factorial(11)
 
 
 def test_verify_sweep_limit_leaves_other_checks(capsys):

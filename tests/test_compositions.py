@@ -106,7 +106,7 @@ def test_raising_covers_contract():
 
 
 def test_raising_covers_are_exactly_hasse_edges():
-    for n in range(1, 7):
+    for n in range(1, 9):
         raised = {(g, a) for a in compositions(n) for g in raising_covers(a)}
         assert raised == set(dominance_covers(n))
 

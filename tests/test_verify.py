@@ -1,6 +1,6 @@
 import pytest
 
-from skelpoly import MultiPoly
+from skelpoly import MultiPoly, verify
 from skelpoly.verify import (
     CHECK_NAMES,
     check_bifactorial,
@@ -18,7 +18,7 @@ from skelpoly.verify import (
     _poly_witness,
     run_checks,
 )
-from skelpoly import is_regular, partitions
+from skelpoly import is_regular, partitions, perm_table
 
 
 def test_skeleton_r():
@@ -86,6 +86,11 @@ def test_counting():
     assert check_counting(4, 1).passed
     for n in range(1, 6):
         assert check_counting(n).passed
+
+
+def test_counting_rejects_j_without_i():
+    with pytest.raises(ValueError, match="j=2 needs i"):
+        check_counting(4, j=2)
 
 
 def test_hook_sum():
@@ -180,6 +185,37 @@ def test_run_checks_job_list_is_pinned():
     assert [(r.name, r.params) for r in results] == expected
 
 
+def test_sweep_flags_match_the_checks_that_sweep(monkeypatch):
+    sizes = {name: [] for name in CHECK_NAMES}
+    current = []
+
+    def recording_table(n):
+        sizes[current[-1]].append(n)
+        return perm_table(n)
+
+    monkeypatch.setattr(verify, "perm_table", recording_table)
+    for name in CHECK_NAMES:
+        current.append(name)
+        assert all(r.passed for r in run_checks([name], max_n=2))
+    # a flagged check sweeps S_n for each n up to its bound; s6-inversions
+    # sweeps S_6 whatever the bound, so it is not flagged
+    swept = {name for name, ns in sizes.items() if ns and max(ns) == 2}
+    assert swept == {name for name, (_, sweeps, _) in verify._CHECKS.items() if sweeps}
+    assert sizes["s6-inversions"] == [6]
+
+
+def test_run_checks_refuses_runaway_sweep_before_any_work(monkeypatch):
+    def must_not_enumerate(n):
+        raise AssertionError("S_n enumeration reached for a refused size")
+
+    monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
+    message = "verify mahonian at n=11 has 39916800 permutations, above the limit of 3628800"
+    with pytest.raises(ValueError) as exc:
+        run_checks(["mahonian"], max_n=11)
+    assert str(exc.value) == message
+    assert verify.MAX_PERMUTATIONS == 3628800
+
+
 def test_run_checks_unknown_name():
     with pytest.raises(ValueError):
         run_checks(["no-such-check"])
@@ -190,3 +226,120 @@ def test_check_result_json_excludes_timing_by_default():
     payload = result.to_json()
     assert "elapsed" not in payload
     assert "elapsed" in result.to_json(include_timing=True)
+
+
+def _changed(value, n):
+    """A different value of the same kind; the changed row is n..1, whose compositions are 1^n."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value - 1
+    return (n,)
+
+
+def _with_one_row_changed(table, field):
+    """`table` with the row of the longest permutation changed in `field`."""
+
+    def changed_table(n):
+        longest = tuple(range(n, 0, -1))
+        for w, row in table(n):
+            if w == longest:
+                row = row._replace(**{field: _changed(getattr(row, field), n)})
+            yield w, row
+
+    return changed_table
+
+
+# Each check that sweeps S_n, with each field of a `perm_table` row it reads.
+# Changing that field in one row must fail the check with the pinned witness.
+SWEEP_MUTANTS = [
+    (check, graded, field)
+    for check in ("skeleton-r", "skeleton-rs", "skeleton-rsk")
+    for graded in (False, True)
+    for field in (
+        ("is_involution" if check == "skeleton-r" else "inverse_descent_composition",
+         "descent_composition")
+        + (("depth",) if graded else ())
+    )
+] + [
+    ("counting", False, field)
+    for field in ("inverse_descent_composition", "descent_composition", "is_involution")
+] + [
+    ("mahonian", False, field) for field in ("maj", "depth", "inversions", "charge")
+] + [
+    ("charge-depth", False, field) for field in ("charge", "inverse_descent_composition")
+] + [("bifactorial", False, field) for field in ("charge", "depth")]
+
+SWEEP_CHECKS = {
+    "skeleton-r": check_skeleton_r,
+    "skeleton-rs": check_skeleton_rs,
+    "skeleton-rsk": lambda n, graded: check_skeleton_rsk(n, graded=graded),
+    "counting": lambda n, _: check_counting(n),
+    "mahonian": lambda n, _: check_mahonian(n),
+    "charge-depth": lambda n, _: check_charge_depth(n),
+    "bifactorial": lambda n, _: check_bifactorial(n),
+}
+
+# Pinned from the per-permutation sums that the tallies replaced.
+PINNED_WITNESSES = {
+    ("skeleton-r", False, "is_involution"):
+        {"exponents": [1, 1, 1, 1], "p": 0, "q": 0, "lhs": 1, "rhs": 0},
+    ("skeleton-r", False, "descent_composition"):
+        {"exponents": [4, 0, 0, 0], "p": 0, "q": 0, "lhs": 1, "rhs": 2},
+    ("skeleton-r", True, "is_involution"):
+        {"exponents": [1, 1, 1, 1], "p": 6, "q": 0, "lhs": 1, "rhs": 0},
+    ("skeleton-r", True, "descent_composition"):
+        {"exponents": [4, 0, 0, 0], "p": 6, "q": 0, "lhs": 0, "rhs": 1},
+    ("skeleton-r", True, "depth"):
+        {"exponents": [1, 1, 1, 1], "p": 5, "q": 0, "lhs": 0, "rhs": 1},
+    ("skeleton-rs", False, "inverse_descent_composition"):
+        {"exponents": [4, 0, 0, 0, 1, 1, 1, 1], "p": 0, "q": 0, "lhs": 0, "rhs": 1},
+    ("skeleton-rs", False, "descent_composition"):
+        {"exponents": [1, 1, 1, 1, 4, 0, 0, 0], "p": 0, "q": 0, "lhs": 0, "rhs": 1},
+    ("skeleton-rs", True, "inverse_descent_composition"):
+        {"exponents": [4, 0, 0, 0, 1, 1, 1, 1], "p": 0, "q": 6, "lhs": 0, "rhs": 1},
+    ("skeleton-rs", True, "descent_composition"):
+        {"exponents": [1, 1, 1, 1, 4, 0, 0, 0], "p": 6, "q": 6, "lhs": 0, "rhs": 1},
+    ("skeleton-rs", True, "depth"):
+        {"exponents": [1, 1, 1, 1, 1, 1, 1, 1], "p": 6, "q": 5, "lhs": 0, "rhs": 1},
+    ("skeleton-rsk", False, "inverse_descent_composition"):
+        {"exponents": [4, 0, 0, 0, 1, 1, 1, 1], "p": 0, "q": 0, "lhs": 0, "rhs": 1},
+    ("skeleton-rsk", False, "descent_composition"):
+        {"exponents": [1, 1, 1, 1, 4, 0, 0, 0], "p": 0, "q": 0, "lhs": 1, "rhs": 2},
+    ("skeleton-rsk", True, "inverse_descent_composition"):
+        {"exponents": [4, 0, 0, 0, 1, 1, 1, 1], "p": 0, "q": 6, "lhs": 0, "rhs": 1},
+    ("skeleton-rsk", True, "descent_composition"):
+        {"exponents": [1, 1, 1, 1, 4, 0, 0, 0], "p": 0, "q": 6, "lhs": 0, "rhs": 1},
+    ("skeleton-rsk", True, "depth"):
+        {"exponents": [1, 1, 1, 1, 1, 1, 1, 1], "p": 0, "q": 5, "lhs": 0, "rhs": 1},
+    ("counting", False, "inverse_descent_composition"):
+        {"i": 1, "j": 4, "lhs": 1, "rhs": 2},
+    ("counting", False, "descent_composition"):
+        {"i": 1, "lhs": 1, "rhs": 2},
+    ("counting", False, "is_involution"):
+        {"i": 4, "lhs": 10, "rhs": 9},
+    ("mahonian", False, "maj"):
+        {"statistic": "maj", "degree": 5, "count": 4, "expected": 3},
+    ("mahonian", False, "depth"):
+        {"statistic": "depth", "degree": 5, "count": 4, "expected": 3},
+    ("mahonian", False, "inversions"):
+        {"statistic": "inversions", "degree": 5, "count": 4, "expected": 3},
+    ("mahonian", False, "charge"):
+        {"statistic": "charge", "degree": 5, "count": 4, "expected": 3},
+    ("charge-depth", False, "charge"):
+        {"w": [4, 3, 2, 1], "charge": 5, "depth_of_inverse": 6},
+    ("charge-depth", False, "inverse_descent_composition"):
+        {"w": [4, 3, 2, 1], "charge": 6, "depth_of_inverse": 0},
+    ("bifactorial", False, "charge"):
+        {"p": 5, "q": 6, "observed": 1, "expected": 0},
+    ("bifactorial", False, "depth"):
+        {"p": 6, "q": 5, "observed": 1, "expected": 0},
+}
+
+
+@pytest.mark.parametrize("check, graded, field", SWEEP_MUTANTS)
+def test_changed_permutation_row_fails_each_sweeping_check(check, graded, field, monkeypatch):
+    monkeypatch.setattr(verify, "perm_table", _with_one_row_changed(verify.perm_table, field))
+    result = SWEEP_CHECKS[check](4, graded)
+    assert not result.passed
+    assert result.witness == PINNED_WITNESSES[check, graded, field]
