@@ -9,6 +9,7 @@ SKELETON_MAX_N overrides the default verification bound.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -26,6 +27,8 @@ from .tableaux import (
     tableaux_from_table,
 )
 from .verify import CHECK_NAMES, run_checks
+
+gc.freeze()  # keep the import-time objects out of every collection a command triggers
 
 # The largest crystal `skelpoly crystal` builds, counted before any work by the
 # hook-content formula.  `crystal 3,2 100` has 424,957,500 vertices, over a

@@ -103,6 +103,27 @@ class MultiPoly:
                 terms[key] = terms.get(key, 0) + coeff
         return cls(arity, terms)
 
+    @classmethod
+    def block_sum(
+        cls, pairs: Iterable[tuple["MultiPoly", "MultiPoly"]], left: int, right: int
+    ) -> "MultiPoly":
+        """Sum of a(x_1..x_left) * b(x_(left+1)..x_(left+right)) over the pairs (a, b).
+
+        The two factors share no variable, so each product term's exponent
+        tuple is the concatenation of its factors' tuples; all terms are
+        accumulated into one dict.
+        """
+        terms: dict[TermKey, int] = {}
+        for a, b in pairs:
+            if a.arity != left or b.arity != right:
+                raise ValueError(f"block arities {a.arity}, {b.arity} != {left}, {right}")
+            right_terms = b.terms.items()
+            for (e1, p1, q1), c1 in a.terms.items():
+                for (e2, p2, q2), c2 in right_terms:
+                    key = (e1 + e2, p1 + p2, q1 + q2)
+                    terms[key] = terms.get(key, 0) + c1 * c2
+        return cls(left + right, terms)
+
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         return MultiPoly.sum((self, other), self.arity)
 
@@ -413,6 +434,7 @@ def deep_skeleton(shape: Partition, variable: str = "q") -> MultiPoly:
     return MultiPoly(plain.arity, terms)
 
 
+@cache
 def schur_poly(shape: Partition, num_vars: int, graded: bool = False) -> MultiPoly:
     """Weight generating function of SSYT with entries at most `num_vars`.
 

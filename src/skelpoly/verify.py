@@ -7,8 +7,12 @@ statistics of each w matter, so the checks over S_n stream `perm_table(n)`
 into a tally (a `Counter` of term keys or of statistics) and build the
 polynomial once from the counts.  `run_checks` is the single entry point used
 by the command line; the `_CHECKS` table names every check with its default
-bound, whether it sweeps S_n, and its jobs, and `run_checks` refuses a sweep
-above `MAX_PERMUTATIONS` before any work.
+bound, the largest n it admits, and its jobs, and `run_checks` refuses a bound
+above that n before any work.  The two sides of `skeleton-rs` and
+`skeleton-rsk` multiply polynomials in disjoint x- and y-blocks, so they are
+built with `MultiPoly.block_sum`: one Schur or skeleton product per shape on
+the left, and on the right one product of F_{Des(w^-1)} with the tally of
+(Des(w), depth) over the permutations sharing that Des(w^-1).
 """
 
 from __future__ import annotations
@@ -130,12 +134,13 @@ def check_skeleton_rs(
     """Paired skeleton sum = two-sided descent sum over all permutations."""
     started = time.perf_counter()
     arity = 2 * n
-    lhs = MultiPoly.sum(
+    lhs = MultiPoly.block_sum(
         (
-            _skeleton(s, graded, "p").embed(arity, 0) * _skeleton(s, graded, "q").embed(arity, n)
+            (_skeleton(s, graded, "p").embed(n), _skeleton(s, graded, "q").embed(n))
             for s in partitions(n)
         ),
-        arity,
+        n,
+        n,
     )
     counts: Counter = Counter()
     monomial_groups: dict[tuple[int, ...], list[list[int]]] = {}
@@ -164,25 +169,21 @@ def check_skeleton_rsk(n: int, k: int | None = None, graded: bool = False) -> Ch
     started = time.perf_counter()
     if k is None:
         k = n
-    arity = k + n
-    lhs = MultiPoly.sum(
-        (
-            schur_poly(s, k).embed(arity, 0) * _skeleton(s, graded, "q").embed(arity, k)
-            for s in partitions(n)
-        ),
-        arity,
+    lhs = MultiPoly.block_sum(
+        ((schur_poly(s, k), _skeleton(s, graded, "q").embed(n)) for s in partitions(n)), k, n
     )
     triples = Counter(
         (row.inverse_descent_composition, row.descent_composition, row.depth if graded else 0)
         for _, row in perm_table(n)
     )
-    rhs = MultiPoly.sum(
-        (
-            qsym_fundamental(des_inv, k).embed(arity, 0)
-            * MultiPoly.monomial((0,) * k + des, count, q=d, arity=arity)
-            for (des_inv, des, d), count in triples.items()
-        ),
-        arity,
+    # one y-side tally of (Des(w), depth or 0) per Des(w^-1), so one product per F_{Des(w^-1)}
+    y_sides: dict[Composition, Counter] = {}
+    for (des_inv, des, d), count in triples.items():
+        y_sides.setdefault(des_inv, Counter())[_padded(des, n), 0, d] = count
+    rhs = MultiPoly.block_sum(
+        ((qsym_fundamental(des_inv, k), MultiPoly(n, y)) for des_inv, y in y_sides.items()),
+        k,
+        n,
     )
     return _finish(
         "skeleton-rsk", {"n": n, "k": k, "graded": graded}, _poly_witness(lhs, rhs), started
@@ -482,31 +483,40 @@ def _each_shape(check: Callable[[Partition], CheckResult], bound: int) -> list[_
 # any job is built; direct `check_*` calls are not limited.  Time holds the limit,
 # not memory: each sweep streams `perm_table(n)` into a tally, so `verify counting
 # --max-n 10` (10! = 3,628,800) takes 13 s at a 21 MB peak, `mahonian` 13 s at 17 MB,
-# and n = 11 would take over two minutes per check (CPython 3.11, 2 cores).  Its
-# polynomials in 2n variables, not the sweep, hold `skeleton-rsk`: --max-n 8 takes
-# 117 s at 454 MB.
-MAX_PERMUTATIONS = factorial(10)
+# and n = 11 would take over two minutes per check (CPython 3.11, 2 cores).
+_SWEEP_MAX_N = 10
+MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 
-# name -> (default bound, sweeps S_n for each n up to the bound, jobs(bound,
-# report_support)); a bound of None marks a check that takes none.  `all` runs the
+# Its polynomials in 2n variables, not the sweep, hold `skeleton-rsk`: `verify
+# skeleton-rsk --max-n 7` takes 0.9 s at a 75 MB peak and `--max-n 8` 10.9 s at
+# 487 MB (CPython 3.11, 2 cores), so memory alone would put n = 9 in gigabytes.
+_SKELETON_RSK_MAX_N = 8
+
+# name -> (default bound, largest n admitted or None when not limited, jobs(bound,
+# report_support)); every check with a largest n sweeps S_n for each n up to its
+# bound.  A default bound of None marks a check that takes none.  `all` runs the
 # checks in this order.
-_CHECKS: dict[str, tuple[int | None, bool, Callable[[int, bool], list[_Job]]]] = {
-    "skeleton-r": (6, True, lambda b, _: _each_n_graded(check_skeleton_r, b)),
+_CHECKS: dict[str, tuple[int | None, int | None, Callable[[int, bool], list[_Job]]]] = {
+    "skeleton-r": (6, _SWEEP_MAX_N, lambda b, _: _each_n_graded(check_skeleton_r, b)),
     "skeleton-rs": (
-        6, True, lambda b, report: _each_n_graded(lambda n, g: check_skeleton_rs(n, g, report), b)
+        6,
+        _SWEEP_MAX_N,
+        lambda b, report: _each_n_graded(lambda n, g: check_skeleton_rs(n, g, report), b),
     ),
     "skeleton-rsk": (
-        6, True, lambda b, _: _each_n_graded(lambda n, g: check_skeleton_rsk(n, graded=g), b)
+        6,
+        _SKELETON_RSK_MAX_N,
+        lambda b, _: _each_n_graded(lambda n, g: check_skeleton_rsk(n, graded=g), b),
     ),
-    "counting": (7, True, lambda b, _: _each_n(check_counting, b)),
-    "hook-sum": (7, False, lambda b, _: _each_n(check_hook_sum, b)),
-    "mahonian": (8, True, lambda b, _: _each_n(check_mahonian, b)),
-    "bks": (8, False, lambda b, _: _each_shape(check_bks, b)),
-    "schur-family": (7, False, lambda b, _: _each_shape(check_schur_family, b)),
-    "charge-depth": (7, True, lambda b, _: _each_n(check_charge_depth, b)),
-    "s6-inversions": (None, False, lambda b, _: [check_s6_inversion_count]),
-    "linear-independence": (6, False, lambda b, _: _each_n(check_linear_independence, b)),
-    "bifactorial": (7, True, lambda b, _: _each_n(check_bifactorial, b)),
+    "counting": (7, _SWEEP_MAX_N, lambda b, _: _each_n(check_counting, b)),
+    "hook-sum": (7, None, lambda b, _: _each_n(check_hook_sum, b)),
+    "mahonian": (8, _SWEEP_MAX_N, lambda b, _: _each_n(check_mahonian, b)),
+    "bks": (8, None, lambda b, _: _each_shape(check_bks, b)),
+    "schur-family": (7, None, lambda b, _: _each_shape(check_schur_family, b)),
+    "charge-depth": (7, _SWEEP_MAX_N, lambda b, _: _each_n(check_charge_depth, b)),
+    "s6-inversions": (None, None, lambda b, _: [check_s6_inversion_count]),
+    "linear-independence": (6, None, lambda b, _: _each_n(check_linear_independence, b)),
+    "bifactorial": (7, _SWEEP_MAX_N, lambda b, _: _each_n(check_bifactorial, b)),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -519,20 +529,25 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the selected checks (or all of them) and return results in order.
 
-    Refuses, before any work, a bound whose S_n is above `MAX_PERMUTATIONS`
-    for a selected check that sweeps S_n.
+    Refuses, before any work, a bound above the largest n of a selected
+    check: one whose S_n is above `MAX_PERMUTATIONS`, or above the lower
+    limit of `skeleton-rsk`.
     """
     selected = list(names)
     if "all" in selected or not selected:
         selected = list(CHECK_NAMES)
     for name in selected:
-        if name in _CHECKS and _CHECKS[name][1]:
-            n = _CHECKS[name][0] if max_n is None else max_n
-            if n > 0 and factorial(n) > MAX_PERMUTATIONS:
+        if name not in _CHECKS:
+            continue
+        default, largest, _ = _CHECKS[name]
+        n = default if max_n is None else max_n
+        if largest is not None and n > largest:
+            if factorial(n) > MAX_PERMUTATIONS:
                 raise ValueError(
                     f"verify {name} at n={n} has {factorial(n)} permutations,"
                     f" above the limit of {MAX_PERMUTATIONS}"
                 )
+            raise ValueError(f"verify {name} at n={n} is above its limit of n={largest}")
     jobs: list[_Job] = []
     for name in selected:
         if name not in _CHECKS:

@@ -434,7 +434,9 @@ def test_verify_env_bound(capsys, monkeypatch):
     assert out.strip().splitlines()[-1] == "3/3 checks passed"
 
 
-SWEEPING_CHECKS = [name for name, (_, sweeps, _) in verify._CHECKS.items() if sweeps]
+SWEEPING_CHECKS = [
+    name for name, (_, largest, _) in verify._CHECKS.items() if largest is not None
+]
 
 
 @pytest.mark.parametrize(
@@ -455,6 +457,23 @@ def test_verify_refuses_runaway_permutation_sweep(checks, first, monkeypatch):
         main(["verify", *checks, "--max-n", "11"])
     assert exc.value.code == expected
     monkeypatch.setenv("SKELETON_MAX_N", "11")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *checks])
+    assert exc.value.code == expected
+
+
+@pytest.mark.parametrize("checks", [["skeleton-rsk"], ["all"], []])
+@pytest.mark.parametrize("n", ["9", "10"])
+def test_verify_refuses_skeleton_rsk_above_n8(checks, n, monkeypatch):
+    def must_not_enumerate(n):
+        raise AssertionError("S_n enumeration reached for a refused size")
+
+    monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
+    expected = f"error: verify skeleton-rsk at n={n} is above its limit of n=8"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *checks, "--max-n", n])
+    assert exc.value.code == expected
+    monkeypatch.setenv("SKELETON_MAX_N", n)
     with pytest.raises(SystemExit) as exc:
         main(["verify", *checks])
     assert exc.value.code == expected

@@ -80,6 +80,26 @@ def test_skeleton_rsk():
     assert check_skeleton_rsk(3, k=5).passed
 
 
+def test_rs_and_rsk_multiply_in_blocks(monkeypatch):
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, MultiPoly):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    for graded in (False, True):
+        assert check_skeleton_rs(5, graded).passed
+        assert check_skeleton_rsk(5, graded=graded).passed
+    assert products == []
+    assert check_skeleton_rsk(7, graded=True).passed
+    assert check_skeleton_rsk(6, k=3).passed  # blocks of unequal size, k < n
+    MultiPoly.one(1) * MultiPoly.one(1)
+    assert len(products) == 1  # the counter is live
+
+
 def test_counting():
     assert check_counting(4, 2).passed
     assert check_counting(4, 4, 4).passed
@@ -197,10 +217,12 @@ def test_sweep_flags_match_the_checks_that_sweep(monkeypatch):
     for name in CHECK_NAMES:
         current.append(name)
         assert all(r.passed for r in run_checks([name], max_n=2))
-    # a flagged check sweeps S_n for each n up to its bound; s6-inversions
-    # sweeps S_6 whatever the bound, so it is not flagged
+    # a check with a largest n sweeps S_n for each n up to its bound; s6-inversions
+    # sweeps S_6 whatever the bound, so it has none
     swept = {name for name, ns in sizes.items() if ns and max(ns) == 2}
-    assert swept == {name for name, (_, sweeps, _) in verify._CHECKS.items() if sweeps}
+    assert swept == {
+        name for name, (_, largest, _) in verify._CHECKS.items() if largest is not None
+    }
     assert sizes["s6-inversions"] == [6]
 
 
@@ -214,6 +236,17 @@ def test_run_checks_refuses_runaway_sweep_before_any_work(monkeypatch):
         run_checks(["mahonian"], max_n=11)
     assert str(exc.value) == message
     assert verify.MAX_PERMUTATIONS == 3628800
+
+
+def test_skeleton_rsk_limit_admits_n8_and_refuses_n9(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(verify, "check_skeleton_rsk", lambda n, graded: sizes.append(n))
+    run_checks(["skeleton-rsk"], max_n=8)
+    assert max(sizes) == 8
+    with pytest.raises(ValueError) as exc:
+        run_checks(["skeleton-rsk"], max_n=9)
+    assert str(exc.value) == "verify skeleton-rsk at n=9 is above its limit of n=8"
+    assert max(sizes) == 8
 
 
 def test_run_checks_unknown_name():
