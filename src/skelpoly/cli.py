@@ -13,6 +13,9 @@ import gc
 import json
 import os
 import sys
+from functools import cache
+from itertools import chain, groupby, islice, starmap
+from typing import Iterator
 
 from .compositions import Composition, format_comp, is_partition, partitions
 from .crystal import build_crystal, graph_json, inner_crystal, to_dot, vertex_count
@@ -32,17 +35,19 @@ gc.freeze()  # keep the import-time objects out of every collection a command tr
 
 # The largest crystal `skelpoly crystal` builds, counted before any work by the
 # hook-content formula.  `crystal 3,2 100` has 424,957,500 vertices, over a
-# thousand times the 365,904 of `crystal 4,4,2 9`, whose text output peaks at
-# 0.37 GB in 6 s and whose JSON export peaks at 2.0 GB in 27 s (CPython 3.11).
+# thousand times the 365,904 of `crystal 4,4,2 9`, which peaks at 0.26 GB in 6 s
+# as text, at 0.51 GB in 9 s as DOT, built whole, and at 0.54 GB in 15 s as
+# streamed JSON, which holds the lists of `graph_json` (CPython 3.11, 2 cores).
 # Library calls to `build_crystal` are not limited.
 MAX_CRYSTAL_VERTICES = 1_000_000
 
 # The most tableaux `skeleton` and `tableaux` list, counted before any work: f^lambda,
 # summed over the shapes for `--table`, and s_lambda(1^N) for `--ssyt N`.  `--weight`
-# is not limited.  `skeleton --table 12` (189,080 SYT) takes 3.0-4.6 s and peaks at
-# 79 MB; the limit is held at 200,000 by the JSON listing, which builds the whole
-# document: 48,048 SYT (`tableaux 5,4,3,2 --syt --format json`) peak at 322 MB, so
-# about 1.3 GB at the limit (CPython 3.11, 2 cores).
+# is not limited.  `skeleton --table 12` (189,080 SYT) peaks at 78 MB in 5 s as
+# text and at 84 MB in 7 s as streamed JSON; `tableaux 5,4,3,2 --syt --format json`
+# (48,048 SYT) peaks at 60 MB, as its text listing does (CPython 3.11, 2 cores).
+# No export holds its whole document any more, so nothing pins the limit at
+# 200,000; it waits on measurements at larger sizes.
 MAX_TABLEAUX = 200_000
 
 
@@ -81,8 +86,89 @@ def _table_count(max_size: int) -> int:
     return total
 
 
+_INTS = frozenset({int})
+_ARRAYS = frozenset({list, tuple})
+_BATCHED = _INTS | _ARRAYS
+_BATCH = 4096  # the most array items read, and written as one chunk, at a time
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Write `json.dumps(obj, indent=2)` and a newline to stdout, a chunk at a time."""
+    sys.stdout.writelines(_json_chunks(obj))
+    sys.stdout.write("\n")
+
+
+def _json_chunks(obj, pad: str = "") -> Iterator[str]:
+    """The text of `json.dumps(obj, indent=2)` in pieces, for a value opening at `pad`.
+
+    An object is written an entry at a time, and an array a batch of items at
+    a time, so either may be an iterator, read once.  Array items are written
+    by `_format_batch` when it takes the whole batch, else one by one here.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        start = "{\n" + inner
+        for key, value in obj.items():
+            yield start + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+            yield from _json_chunks(value, inner)
+            start = ",\n" + inner
+        yield "\n" + pad + "}" if obj else "{}"
+    elif obj is None or isinstance(obj, (str, int, float)):
+        yield json.dumps(obj)
+    else:
+        start = "[\n" + inner
+        items = iter(obj)
+        for item in items:
+            batch = [item, *islice(items, _BATCH - 1)] if type(item) in _BATCHED else [item]
+            texts = _format_batch(batch, inner) or (
+                "".join(_json_chunks(value, inner)) for value in batch
+            )
+            yield start + (",\n" + inner).join(texts)
+            start = ",\n" + inner
+        yield "\n" + pad + "]" if start[0] == "," else "[]"
+
+
+def _format_batch(batch: list, pad: str) -> Iterator[str] | None:
+    """The texts, at `pad`, of a batch of ints, of int lists or of lists of int lists.
+
+    Each array is filled into the template of its row lengths.  None for any
+    other batch; bools are not ints here.
+    """
+    kinds = set(map(type, batch))
+    if kinds == _INTS:
+        return map(str, batch)
+    if not kinds <= _ARRAYS:
+        return None
+    cells = list(chain.from_iterable(batch))
+    kinds = set(map(type, cells))
+    if kinds <= _INTS:
+        return chain.from_iterable(
+            starmap(_template(length, pad).format, run) for length, run in groupby(batch, len)
+        )
+    if kinds <= _ARRAYS and set(map(type, chain.from_iterable(cells))) <= _INTS:
+        return (
+            _rows_template(tuple(map(len, item)), pad).format(*chain.from_iterable(item))
+            for item in batch
+        )
+    return None
+
+
+def _array(texts: list[str], pad: str) -> str:
+    """The array of these texts at `pad`, laid out as `json.dumps(indent=2)` does."""
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
+
+
+@cache
+def _template(length: int, pad: str) -> str:
+    """The int array of this length at `pad`, with "{}" for each int."""
+    return _array(["{}"] * length, pad)
+
+
+@cache
+def _rows_template(lengths: tuple[int, ...], pad: str) -> str:
+    """The array of int arrays of these lengths at `pad`, with "{}" for each int."""
+    return _array([_template(length, pad + "  ") for length in lengths], pad)
 
 
 def _cmd_skeleton(args: argparse.Namespace) -> int:
@@ -141,16 +227,12 @@ def _skeleton_table(max_size: int, fmt: str) -> int:
         return 0
     if fmt == "json":
         _print_json(
-            [
-                {
-                    "shape": list(shape),
-                    "quasi_yamanouchi": [
-                        t.to_json() for t in quasi_yamanouchi_tableaux(shape)
-                    ],
-                    "skeleton": skeleton_poly(shape).to_json(),
-                }
-                for shape in shapes
-            ]
+            {
+                "shape": shape,
+                "quasi_yamanouchi": [t.rows for t in quasi_yamanouchi_tableaux(shape)],
+                "skeleton": skeleton_poly(shape).to_json(),
+            }
+            for shape in shapes
         )
         return 0
     if fmt == "latex":
@@ -198,19 +280,17 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
     else:
         raise SystemExit("error: pick one of --qy, --syt, --ssyt N, --weight W")
     if args.format == "json":
-        payload = []
-        for t, stats in zip(listing, all_stats):
-            payload.append(
-                {
-                    "rows": t.to_json(),
-                    "descent_composition": list(stats.descent_composition),
-                    "weight": list(stats.weight),
-                    "maj": stats.maj,
-                    "depth": stats.depth,
-                    "quasi_yamanouchi": stats.is_quasi_yamanouchi,
-                }
-            )
-        _print_json(payload)
+        _print_json(
+            {
+                "rows": t.rows,
+                "descent_composition": stats.descent_composition,
+                "weight": stats.weight,
+                "maj": stats.maj,
+                "depth": stats.depth,
+                "quasi_yamanouchi": stats.is_quasi_yamanouchi,
+            }
+            for t, stats in zip(listing, all_stats)
+        )
         return 0
     for t, stats in zip(listing, all_stats):
         print(t.render())
@@ -286,12 +366,12 @@ def _cmd_crystal(args: argparse.Namespace) -> int:
     classes = inner_crystal(graph) if args.inner else graph.classes
     print(
         f"shape {format_comp(shape)} bound {args.bound}:"
-        f" {len(graph.vertices)} vertices, {len(graph.edges)} edges,"
+        f" {len(graph.rows)} vertices, {len(graph.edges)} edges,"
         f" {len(classes)} quasi-crystals"
     )
     for qc in classes:
         print(
-            f"  des={format_comp(qc.descent)} size={len(qc.members)}"
+            f"  des={format_comp(qc.descent)} size={len(qc.indices)}"
             f" representative={qc.representative.to_json()}"
         )
     return 0

@@ -7,40 +7,47 @@ rightmost unmatched i into i+1; the raising operator e_i turns the leftmost
 unmatched i+1 into i.  Vertices standardizing to the same SYT form a
 quasi-crystal; the common standardizations make up the crystal skeleton.
 
-`build_crystal` finds every f-edge of a vertex in one left-to-right scan of
-its row word, all colors at once: a letter x first closes an open bracket of
-color x, or else becomes the rightmost unmatched x so far; it then opens a
-bracket of color x-1.  The same pass groups the vertices into quasi-crystals
-by their standardized row word, so the classes are computed once, at build
-time, and stored on the graph.
+`build_crystal` takes the vertices as tuples of rows from the row-by-row
+SSYT fill of `tableaux`, in lexicographic order of their rows.  It finds
+every f-edge of a vertex in one left-to-right scan of its row word, all
+colors at once: a letter x first closes an open bracket of color x, or else
+becomes the rightmost unmatched x so far; it then opens a bracket of color
+x-1.  The same pass groups the vertices into quasi-crystals by their
+standardized row word, so the classes are computed once, at build time, and
+stored on the graph.  The graph keeps each vertex as its tuple of rows:
+`vertices` and `QuasiCrystal.members` build `Tableau` objects only when
+read, and the exports read the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import prod
+from operator import itemgetter
 
-from .compositions import Composition, Partition, format_comp, hook_product
-from .rsk import rsk
-from .tableaux import (
-    Tableau,
-    descent_composition,
-    semistandard_tableaux,
-    weight,
+from .compositions import (
+    Composition,
+    Partition,
+    _require_partition,
+    format_comp,
+    hook_product,
 )
+from .rsk import rsk
+from .tableaux import Rows, Tableau, _fill, descent_composition
 
 
 def row_word(t: Tableau) -> tuple[int, ...]:
     """Rows concatenated from the bottom row up."""
     if not t.rows:
         raise ValueError("empty tableau has no row word")
-    return _word(t)
+    return _word(t.rows)
 
 
-def _word(t: Tableau) -> tuple[int, ...]:
-    """`row_word`, and () for the empty tableau, the one vertex of the empty crystal."""
-    return tuple(chain.from_iterable(reversed(t.rows)))
+def _word(rows: Rows) -> tuple[int, ...]:
+    """`row_word` of the rows, and () for the empty tableau, the one vertex of the empty crystal."""
+    return tuple(chain.from_iterable(reversed(rows)))
 
 
 def _word_cells(t: Tableau) -> list[tuple[int, int]]:
@@ -97,9 +104,14 @@ class QuasiCrystal:
     """A class of vertices sharing one standardization."""
 
     representative: Tableau
-    members: tuple[Tableau, ...]
+    member_rows: tuple[Rows, ...]
     descent: Composition
     indices: tuple[int, ...]  # positions of the members among the graph's vertices
+
+    @cached_property
+    def members(self) -> tuple[Tableau, ...]:
+        """The members as tableaux, built on the first read."""
+        return tuple(map(Tableau, self.member_rows))
 
 
 @dataclass(frozen=True)
@@ -108,9 +120,14 @@ class CrystalGraph:
 
     shape: Partition
     bound: int
-    vertices: tuple[Tableau, ...]
+    rows: tuple[Rows, ...]  # the vertices, in lexicographic order
     edges: tuple[tuple[int, int, int], ...]  # (from, color, to)
     classes: tuple[QuasiCrystal, ...]  # sorted by representative row word
+
+    @cached_property
+    def vertices(self) -> tuple[Tableau, ...]:
+        """The vertices as tableaux, built on the first read."""
+        return tuple(map(Tableau, self.rows))
 
 
 def vertex_count(shape: Partition, bound: int) -> int:
@@ -122,22 +139,6 @@ def vertex_count(shape: Partition, bound: int) -> int:
     """
     contents = prod(bound + c - r for r, length in enumerate(shape) for c in range(length))
     return contents // hook_product(shape)
-
-
-def _lowering_positions(word: tuple[int, ...], bound: int) -> list[tuple[int, int]]:
-    """(color i, position of the rightmost unmatched i) for every f_i acting on `word`.
-
-    Colors run over 1..bound-1 in order; the letters must be at most `bound`.
-    """
-    opened = [0] * (bound + 1)  # unmatched letters x+1 seen so far, by color x
-    rightmost = [-1] * (bound + 1)
-    for p, x in enumerate(word):
-        if opened[x]:
-            opened[x] -= 1
-        else:
-            rightmost[x] = p
-        opened[x - 1] += 1
-    return [(color, rightmost[color]) for color in range(1, bound) if rightmost[color] >= 0]
 
 
 def _from_row_word(word: tuple[int, ...], shape: Partition) -> Tableau:
@@ -156,8 +157,9 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
     Empty when the bound is below the number of rows.  The empty shape has one
     vertex, the empty tableau, and one quasi-crystal, with descent ().
     """
-    vertices = tuple(semistandard_tableaux(shape, bound))
-    words = [_word(t) for t in vertices]
+    _require_partition(shape)
+    vertices = tuple(_fill(shape, bound, None))
+    words = list(map(_word, vertices))
     index = {word: i for i, word in enumerate(words)}
     edges = []
     # Equal entries of an SSYT form a horizontal strip, which the row word
@@ -165,8 +167,18 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
     # cells as standardization numbers them.
     groups: dict[tuple[int, ...], list[int]] = {}
     for u, word in enumerate(words):
-        for color, p in _lowering_positions(word, bound):
-            edges.append((u, color, index[word[:p] + (color + 1,) + word[p + 1 :]]))
+        opened = [0] * (bound + 1)  # unmatched letters x+1 seen so far, by color x
+        rightmost = [-1] * (bound + 1)  # the rightmost unmatched letter x so far
+        for p, x in enumerate(word):
+            if opened[x]:
+                opened[x] -= 1
+            else:
+                rightmost[x] = p
+            opened[x - 1] += 1
+        for color in range(1, bound):
+            p = rightmost[color]
+            if p >= 0:
+                edges.append((u, color, index[word[:p] + (color + 1,) + word[p + 1 :]]))
         groups.setdefault(tuple(sorted(range(len(word)), key=word.__getitem__)), []).append(u)
     classes = []
     for order, members in groups.items():
@@ -179,7 +191,7 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
                 rep, tuple(vertices[i] for i in members), descent_composition(rep), tuple(members)
             )
         )
-    classes.sort(key=lambda qc: _word(qc.representative))
+    classes.sort(key=lambda qc: _word(qc.representative.rows))
     return CrystalGraph(tuple(shape), bound, vertices, tuple(edges), tuple(classes))
 
 
@@ -221,9 +233,10 @@ def evacuation(t: Tableau) -> Tableau:
     return p
 
 
-def _word_label(t: Tableau) -> str:
-    word = _word(t)
-    return ("" if max(word, default=0) <= 9 else "-").join(map(str, word))
+def _word_label(rows: Rows, letters: tuple[str, ...]) -> str:
+    """The row word, spelled with `letters`; "-" parts the letters when one is above 9."""
+    part = "" if max(map(itemgetter(-1), rows), default=0) <= 9 else "-"
+    return part.join(map(letters.__getitem__, chain.from_iterable(reversed(rows))))
 
 
 def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
@@ -234,22 +247,30 @@ def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
     the edges between their members are rendered.
     """
     classes = inner_crystal(graph) if inner_only else graph.classes
-    cluster_of = {i: k for k, qc in enumerate(classes) for i in qc.indices}
+    cluster: list[int | None] = [None] * len(graph.rows)
+    letters = tuple(map(str, range(graph.bound + 1)))
 
     lines = ["digraph crystal {", "  node [shape=box];"]
     for k, qc in enumerate(classes):
         lines.append(f"  subgraph cluster_{k} {{")
         lines.append(f'    label="des {format_comp(qc.descent)}";')
         for i in qc.indices:
-            lines.append(f'    v{i} [label="{_word_label(graph.vertices[i])}"];')
+            cluster[i] = k
+            lines.append(f'    v{i} [label="{_word_label(graph.rows[i], letters)}"];')
         lines.append("  }")
     for u, color, v in graph.edges:
-        if u not in cluster_of or v not in cluster_of:
+        if cluster[u] is None or cluster[v] is None:
             continue
-        style = "" if cluster_of[u] == cluster_of[v] else ", style=dotted"
+        style = "" if cluster[u] == cluster[v] else ", style=dotted"
         lines.append(f'  v{u} -> v{v} [label="{color}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _weight(rows: Rows) -> list[int]:
+    """`tableaux.weight` of the tableau with these rows; each row ends with its largest entry."""
+    word = sum(rows, ())
+    return list(map(word.count, range(1, max(map(itemgetter(-1), rows), default=0) + 1)))
 
 
 def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
@@ -258,9 +279,9 @@ def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
     return {
         "shape": list(graph.shape),
         "bound": graph.bound,
-        "vertices": [t.to_json() for t in graph.vertices],
-        "weights": [list(weight(t)) for t in graph.vertices],
-        "edges": [[u, color, v] for u, color, v in graph.edges],
+        "vertices": [list(map(list, rows)) for rows in graph.rows],
+        "weights": list(map(_weight, graph.rows)),
+        "edges": list(map(list, graph.edges)),
         "classes": [
             {
                 "representative": qc.representative.to_json(),

@@ -11,7 +11,7 @@ walk of the Young lattice over their Yamanouchi words (the row of each of
 1..n), which carries the descent composition and maj along the prefix.  The
 SYT, their destandardizations (the quasi-Yamanouchi tableaux), the descent
 filter and every count by descent or maj are read from that table, with no
-tableau parsed.  SSYT are filled cell by cell (`_fill`).  The minimal
+tableau parsed.  SSYT are filled row by row (`_fill`).  The minimal
 parsing, `destandardize`, `descent_set` and `tableau_stats` work on one
 tableau at a time and are the reference the table is tested against.
 """
@@ -37,9 +37,12 @@ from .compositions import (
 )
 
 
-@dataclass(frozen=True)
+Rows = tuple[tuple[int, ...], ...]  # a tableau's rows, top down
+
+
+@dataclass(frozen=True, slots=True)
 class Tableau:
-    rows: tuple[tuple[int, ...], ...]
+    rows: Rows
 
     @classmethod
     def of(cls, rows: Iterable[Iterable[int]]) -> "Tableau":
@@ -201,44 +204,58 @@ def tableau_stats(t: Tableau) -> TableauStats:
     )
 
 
-def _fill(shape: Partition, max_entry: int, counts: list[int] | None) -> list[Tableau]:
+def _fill(shape: Partition, max_entry: int, counts: tuple[int, ...] | None) -> list[Rows]:
+    """The rows of every SSYT of `shape` with entries at most `max_entry`, in lexicographic order.
+
+    Row by row, top down: each row is a weakly increasing word whose entries
+    sit strictly below those of the row above and leave room for the rows
+    under it, so every partial filling completes.  With `counts`, a value v
+    fills at most counts[v - 1] cells.  The rows that fit under a row are
+    found once per row above and counts left.
+    """
     if not shape:
-        return [Tableau(())]
-    if max_entry < len(shape):
-        return []
-    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-    rows = [[0] * length for length in shape]
-    out: list[Tableau] = []
+        return [()]
+    # caps[k][c]: the largest entry of cell (k, c), one less per cell under it
+    caps = [
+        [max_entry - sum(lower > c for lower in shape[k + 1 :]) for c in range(length)]
+        for k, length in enumerate(shape)
+    ]
+    under: dict[tuple, list[tuple[int, ...]]] = {}
+    out: list[Rows] = []
 
-    def place(idx: int) -> None:
-        if idx == len(cells):
-            out.append(Tableau.of(rows))
+    def rows_under(
+        k: int, above: tuple[int, ...], left: tuple[int, ...] | None, row: tuple[int, ...]
+    ) -> list[tuple[int, ...]]:
+        """The rows k under `above` that extend `row`."""
+        c = len(row)
+        if c == shape[k]:
+            return [row]
+        found = []
+        for value in range(max(row[-1] if row else 1, above[c] + 1), caps[k][c] + 1):
+            if left is None or row.count(value) < left[value - 1]:
+                found += rows_under(k, above, left, row + (value,))
+        return found
+
+    def extend(rows: Rows, above: tuple[int, ...], left: tuple[int, ...] | None) -> None:
+        k = len(rows)
+        if k == len(shape):
+            out.append(rows)
             return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = rows[r][c - 1]
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for value in range(lo, max_entry + 1):
-            if counts is not None and counts[value - 1] == 0:
-                continue
-            rows[r][c] = value
-            if counts is not None:
-                counts[value - 1] -= 1
-            place(idx + 1)
-            if counts is not None:
-                counts[value - 1] += 1
-        rows[r][c] = 0
+        fits = under.get((k, above, left))
+        if fits is None:
+            fits = under[k, above, left] = rows_under(k, above, left, ())
+        for row in fits:
+            rest = left and tuple(n - row.count(v) for v, n in enumerate(left, start=1))
+            extend(rows + (row,), row, rest)
 
-    place(0)
+    extend((), (0,) * shape[0], counts)
     return out
 
 
 def semistandard_tableaux(shape: Partition, max_entry: int) -> list[Tableau]:
     """All SSYT of `shape` with entries at most `max_entry`, in row-reading lex order."""
     _require_partition(shape)
-    return _fill(shape, max_entry, None)
+    return list(map(Tableau, _fill(shape, max_entry, None)))
 
 
 def semistandard_with_weight(shape: Partition, weight_vec: Composition) -> list[Tableau]:
@@ -248,7 +265,7 @@ def semistandard_with_weight(shape: Partition, weight_vec: Composition) -> list[
         raise ValueError(f"weight parts must be nonnegative: {tuple(weight_vec)}")
     if sum(weight_vec) != sum(shape):
         return []
-    return _fill(shape, len(weight_vec), list(weight_vec))
+    return list(map(Tableau, _fill(shape, len(weight_vec), tuple(weight_vec))))
 
 
 def standard_count(shape: Partition) -> int:

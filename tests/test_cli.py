@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from math import factorial
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import skelpoly
-from skelpoly import cli, partitions, verify
+from skelpoly import build_crystal, cli, graph_json, partitions, verify, weight
 from skelpoly.cli import format_comp, main, parse_parts
 
 
@@ -399,6 +401,100 @@ def test_closed_pipe_exits_without_traceback(tmp_path):
         proc.stdout.close()  # the JSON is megabytes, far more than a pipe buffers
         assert proc.wait(timeout=60) == 1
     assert (tmp_path / "stderr").read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crystal", "4,2,2", "7", "--format", "json"],
+        ["tableaux", "5,4,3", "--syt", "--format", "json"],
+        ["skeleton", "--table", "9", "--format", "json"],
+    ],
+)
+def test_reader_closing_mid_stream_ends_the_export_quietly(tmp_path, argv):
+    # A streamed export has written its first chunks when the reader goes away;
+    # the next write fails, and the command must end with status 1, no traceback.
+    src = os.path.dirname(os.path.dirname(skelpoly.__file__))
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "skelpoly.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+    assert len(head) == 100
+    assert (tmp_path / "stderr").read_bytes() == b""
+
+
+def _written(obj) -> str:
+    return "".join(cli._json_chunks(obj))
+
+
+_KEYS = st.text(max_size=4) | st.integers() | st.booleans() | st.none()
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_INT_ARRAYS = st.lists(
+    st.lists(st.integers(-3, 300), max_size=4).map(tuple)
+    | st.lists(st.lists(st.integers(0, 12), max_size=3), max_size=3),
+    max_size=9,
+)
+_VALUES = st.recursive(
+    _SCALARS | _INT_ARRAYS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(_VALUES)
+@example([[[1, 2], [3, 4]], [[5, 6]], [[7, 8], [9, 10], [11, 12]]])  # same cells, other rows
+@example([[[1, 2], [3]], [[4], [5, 6]]])  # same rows, other lengths
+@example([[[1], []], [[2], []], [[3]]])
+@example([[1, 2], [3], [], [4, 5], (6,)])
+@example([1, True, 0, False, None, 2.5, "3"])
+def test_json_writer_matches_the_stdlib_layout(obj):
+    # a batch of 3 splits runs of same-shaped items across batches
+    for batch in (3, cli._BATCH):
+        with mock.patch.object(cli, "_BATCH", batch):
+            expected = json.dumps(obj, indent=2)
+            assert _written(obj) == expected
+            assert _written(iter(obj) if isinstance(obj, list) else obj) == expected
+
+
+@pytest.mark.parametrize(
+    "shape", [()] + [lam for n in range(1, 6) for lam in partitions(n)]
+)
+def test_crystal_json_matches_the_stdlib_layout(shape):
+    for bound in range(len(shape), 6):
+        graph = build_crystal(shape, bound)
+        for inner_only in (False, True):
+            payload = graph_json(graph, inner_only)
+            expected = json.dumps(payload, indent=2)
+            assert _written(payload) == expected
+        payload = json.loads(expected)
+        assert payload["vertices"] == [t.to_json() for t in graph.vertices]
+        assert payload["weights"] == [list(weight(t)) for t in graph.vertices]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--format", "json"],
+        ["verify", "s6-inversions", "bks", "--timing", "--format", "json"],
+        ["tableaux", "3,2,1", "--syt", "--format", "json"],
+        ["tableaux", "2,1", "--ssyt", "3", "--format", "json"],
+        ["skeleton", "--table", "5", "--format", "json"],
+        ["skeleton", "4,2", "--deep", "--format", "json"],
+        ["rsk", "3412", "--format", "json"],
+    ],
+)
+def test_json_exports_match_the_stdlib_layout(capsys, argv):
+    main(argv)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_verify_command(capsys):

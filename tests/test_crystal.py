@@ -196,6 +196,22 @@ def test_quasi_crystal_classes_are_connected():
         assert seen == members
 
 
+def test_build_crystal_checks_the_shape():
+    with pytest.raises(ValueError, match="not a partition"):
+        build_crystal((1, 2), 3)
+    with pytest.raises(ValueError, match="not a partition"):
+        build_crystal((2, -1), 3)
+
+
+def test_crystal_of_a_tall_rectangle():
+    # the rows under a row are drawn with room for the rows below, so the
+    # fill does no work beyond the 455 vertices
+    graph = build_crystal((12, 12, 12), 4)
+    assert len(graph.rows) == vertex_count((12, 12, 12), 4) == 455
+    assert sorted(i for qc in graph.classes for i in qc.indices) == list(range(455))
+    assert all(t.is_semistandard() for t in graph.vertices)
+
+
 def test_build_crystal_small_cases():
     two_one = build_crystal((2, 1), 2)
     assert len(two_one.vertices) == 2

@@ -1,4 +1,6 @@
 from collections import Counter
+from itertools import product
+from time import process_time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +45,12 @@ def test_tableau_predicates():
     assert not Tableau.of([[2, 1]]).is_semistandard()
     assert not Tableau.of([[1, 2], [1, 3]]).is_semistandard()
     assert not Tableau.of([[1], [1, 2]]).is_semistandard()
+
+
+def test_tableau_has_no_instance_dict():
+    # the slots keep a tableau to its one field: hundreds of thousands are held at once
+    assert Tableau.__slots__ == ("rows",)
+    assert not hasattr(WORKED, "__dict__")
 
 
 def test_minimal_parsing_worked_example():
@@ -270,6 +278,37 @@ def test_enumeration_counts():
     assert len(semistandard_tableaux((3, 2), 3)) == 15
     assert semistandard_tableaux((2, 1), 1) == []
     assert len(standard_with_descent((3, 3, 2), (1, 2, 2, 2, 1))) == 3
+
+
+def test_semistandard_fill_against_brute_force():
+    # every weakly increasing filling, kept when its columns strictly increase
+    for n in range(0, 6):
+        for lam in partitions(n):
+            for bound in range(0, 5):
+                cells = list(product(range(1, bound + 1), repeat=n))
+                brute = []
+                for word in cells:
+                    rows, start = [], 0
+                    for length in lam:
+                        rows.append(word[start : start + length])
+                        start += length
+                    t = Tableau(tuple(rows))
+                    if t.is_semistandard():
+                        brute.append(t)
+                assert semistandard_tableaux(lam, bound) == sorted(brute, key=lambda t: t.rows)
+                for alpha in set(map(weight, brute)):
+                    padded = alpha + (0,) * (bound - len(alpha))
+                    assert semistandard_with_weight(lam, padded) == [
+                        t for t in brute if weight(t) == alpha
+                    ]
+
+
+def test_semistandard_fill_of_a_tall_rectangle_is_quick():
+    # each row is drawn only with room left for the rows under it, so no
+    # partial filling is a dead end: 10,626 tableaux, not a search of 5^80
+    start = process_time()
+    assert len(semistandard_tableaux((20, 20, 20, 20), 5)) == 10_626
+    assert process_time() - start < 5
 
 
 def test_negative_weight_part_is_rejected():
