@@ -22,6 +22,7 @@ from .crystal import build_crystal, graph_json, inner_crystal, to_dot, vertex_co
 from .poly import deep_skeleton, skeleton_poly, skeleton_poly_i
 from .rsk import is_permutation, perm_stats, rsk
 from .tableaux import (
+    kostka,
     quasi_yamanouchi_tableaux,
     semistandard_tableaux,
     semistandard_with_weight,
@@ -42,8 +43,8 @@ gc.freeze()  # keep the import-time objects out of every collection a command tr
 MAX_CRYSTAL_VERTICES = 1_000_000
 
 # The most tableaux `skeleton` and `tableaux` list, counted before any work: f^lambda,
-# summed over the shapes for `--table`, and s_lambda(1^N) for `--ssyt N`.  `--weight`
-# is not limited.  `skeleton --table 12` (189,080 SYT) peaks at 78 MB in 5 s as
+# summed over the shapes for `--table`, s_lambda(1^N) for `--ssyt N`, and the Kostka
+# number for `--weight W`.  `skeleton --table 12` (189,080 SYT) peaks at 78 MB in 5 s as
 # text and at 84 MB in 7 s as streamed JSON; `tableaux 5,4,3,2 --syt --format json`
 # (48,048 SYT) peaks at 60 MB, as its text listing does (CPython 3.11, 2 cores).
 # No export holds its whole document any more, so nothing pins the limit at
@@ -275,6 +276,8 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
         listing = semistandard_tableaux(shape, args.ssyt)
         all_stats = map(tableau_stats, listing)
     elif args.weight is not None:
+        subject = f"tableaux {format_comp(shape)} --weight {format_comp(args.weight)}"
+        _refuse_over(kostka(shape, args.weight), subject, "SSYT")
         listing = semistandard_with_weight(shape, args.weight)
         all_stats = map(tableau_stats, listing)
     else:

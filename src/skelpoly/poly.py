@@ -27,7 +27,6 @@ from .compositions import (
     trim,
 )
 from .tableaux import (
-    descent_composition,
     semistandard_tableaux,
     weight,
     yamanouchi_table,
@@ -434,22 +433,12 @@ def deep_skeleton(shape: Partition, variable: str = "q") -> MultiPoly:
     return MultiPoly(plain.arity, terms)
 
 
-@cache
-def schur_poly(shape: Partition, num_vars: int, graded: bool = False) -> MultiPoly:
-    """Weight generating function of SSYT with entries at most `num_vars`.
-
-    Symmetric in the x-variables; with `graded`, each tableau contributes
-    q to the power of its depth.
-    """
+def schur_poly(shape: Partition, num_vars: int) -> MultiPoly:
+    """Weight generating function of SSYT with entries at most `num_vars`; symmetric in x."""
     if num_vars < 0:
         raise ValueError("number of variables must be nonnegative")
-    _require_partition(shape)
-    terms: dict[TermKey, int] = {}
-    for t in semistandard_tableaux(shape, num_vars):
-        d = composition_depth(descent_composition(t)) if graded else 0
-        key = (_padded(weight(t), num_vars), 0, d)
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(num_vars, terms)
+    weights = Counter(weight(t) for t in semistandard_tableaux(shape, num_vars))
+    return MultiPoly(num_vars, {(_padded(w, num_vars), 0, 0): c for w, c in weights.items()})
 
 
 def qsym_monomial(beta: Composition, num_vars: int) -> MultiPoly:
@@ -465,7 +454,6 @@ def qsym_monomial(beta: Composition, num_vars: int) -> MultiPoly:
     return MultiPoly(num_vars, terms)
 
 
-@cache
 def qsym_fundamental(alpha: Composition, num_vars: int) -> MultiPoly:
     """Sum of the monomial quasi-symmetric truncations over all refinements."""
     return MultiPoly.sum(

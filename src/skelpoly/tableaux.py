@@ -389,9 +389,30 @@ def standard_with_descent(shape: Partition, alpha: Composition) -> list[Tableau]
     return [t for t, _ in tableaux_from_table(shape, descent=alpha)]
 
 
+@cache
 def kostka(shape: Partition, weight_vec: Composition) -> int:
-    """Number of SSYT of `shape` with the given weight."""
-    return len(semistandard_with_weight(shape, weight_vec))
+    """Number of SSYT of `shape` with the given weight, counted by horizontal strips.
+
+    The cells holding 1..v form a shape inside `shape`, grown from the one for
+    1..v-1 by a horizontal strip of weight_vec[v - 1] cells: the count of each
+    such shape is carried, one value at a time, to the shapes grown from it.
+    """
+    _require_partition(shape)
+    if any(part < 0 for part in weight_vec):
+        raise ValueError(f"weight parts must be nonnegative: {tuple(weight_vec)}")
+    counts = {(0,) * len(shape): 1}  # inner shape, with a row for each row of `shape`
+    for part in weight_vec:
+        grown: dict[tuple[int, ...], int] = {}
+        for inner, count in counts.items():
+            outers = [((), part)]  # the rows grown so far, and the cells left to add
+            # row r grows at most to shape[r] and, to stay a strip, to inner[r - 1]
+            for row, cap in zip(inner, map(min, shape, shape[:1] + inner)):
+                outers = [(outer + (row + added,), left - added)
+                          for outer, left in outers for added in range(min(left, cap - row) + 1)]
+            for outer in (outer for outer, left in outers if left == 0):
+                grown[outer] = grown.get(outer, 0) + count
+        counts = grown
+    return counts.get(tuple(shape), 0)
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,17 @@ into a tally (a `Counter` of term keys or of statistics) and build the
 polynomial once from the counts.  `run_checks` is the single entry point used
 by the command line; the `_CHECKS` table names every check with its default
 bound, the largest n it admits, and its jobs, and `run_checks` refuses a bound
-above that n before any work.  The two sides of `skeleton-rs` and
-`skeleton-rsk` multiply polynomials in disjoint x- and y-blocks, so they are
-built with `MultiPoly.block_sum`: one Schur or skeleton product per shape on
-the left, and on the right one product of F_{Des(w^-1)} with the tally of
-(Des(w), depth) over the permutations sharing that Des(w^-1).
+above that n before any work.  The two sides of `skeleton-rs` multiply in
+disjoint x- and y-blocks (`MultiPoly.block_sum`).  Both sides of `skeleton-rsk`
+are quasisymmetric in x, so it compares them only at the flat monomials x^alpha,
+one alpha at a time: Kostka numbers times skeleton polynomials on the left, the
+(Des(w), depth) tallies of every Des(w^-1) that alpha refines on the right.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -37,6 +37,8 @@ from .compositions import (
     lambda_bar,
     partitions,
     raising_covers,
+    refinements,
+    trim,
 )
 from .poly import (
     MultiPoly,
@@ -46,14 +48,13 @@ from .poly import (
     fake_degree,
     internal_zeros,
     q_factorial,
-    qsym_fundamental,
     quasi_kostka_coefficient,
     quasi_kostka_matrix,
-    schur_poly,
     skeleton_poly,
     deep_skeleton,
 )
 from .rsk import perm_table
+from .tableaux import kostka
 
 
 @dataclass
@@ -100,8 +101,7 @@ def _poly_witness(lhs: MultiPoly, rhs: MultiPoly) -> dict | None:
     """First differing term in canonical order, or None when equal."""
     if lhs == rhs:
         return None
-    diff = lhs - rhs
-    (exps, p, q), _ = diff.sorted_terms()[0]
+    (exps, p, q), _ = (lhs - rhs).sorted_terms()[0]
     return {
         "exponents": list(exps),
         "p": p,
@@ -165,29 +165,40 @@ def check_skeleton_rs(
 
 
 def check_skeleton_rsk(n: int, k: int | None = None, graded: bool = False) -> CheckResult:
-    """Schur-times-skeleton sum = fundamental-times-descent sum over permutations."""
+    """Schur-times-skeleton sum = fundamental-times-descent sum over permutations.
+
+    Both sides are quasisymmetric in x, so they are compared at each flat x^alpha
+    (alpha of n with at most k parts) as y-tallies of (Des(w), depth or 0): K_(shape,
+    alpha) times each skeleton polynomial = the tally of each Des(w^-1) alpha refines.
+    """
     started = time.perf_counter()
     if k is None:
         k = n
-    lhs = MultiPoly.block_sum(
-        ((schur_poly(s, k), _skeleton(s, graded, "q").embed(n)) for s in partitions(n)), k, n
-    )
-    triples = Counter(
-        (row.inverse_descent_composition, row.descent_composition, row.depth if graded else 0)
-        for _, row in perm_table(n)
-    )
-    # one y-side tally of (Des(w), depth or 0) per Des(w^-1), so one product per F_{Des(w^-1)}
-    y_sides: dict[Composition, Counter] = {}
-    for (des_inv, des, d), count in triples.items():
-        y_sides.setdefault(des_inv, Counter())[_padded(des, n), 0, d] = count
-    rhs = MultiPoly.block_sum(
-        ((qsym_fundamental(des_inv, k), MultiPoly(n, y)) for des_inv, y in y_sides.items()),
-        k,
-        n,
-    )
-    return _finish(
-        "skeleton-rsk", {"n": n, "k": k, "graded": graded}, _poly_witness(lhs, rhs), started
-    )
+    skeletons = {s: [((trim(e), q), c) for (e, _, q), c in _skeleton(s, graded, "q").terms.items()]
+                 for s in partitions(n)}
+    y_sides: defaultdict[Composition, Counter] = defaultdict(Counter)
+    for _, row in perm_table(n):
+        y = row.descent_composition, row.depth if graded else 0
+        y_sides[row.inverse_descent_composition][y] += 1
+    reached: defaultdict[Composition, list[Counter]] = defaultdict(list)
+    for des_inv, y_side in y_sides.items():
+        for alpha in refinements(des_inv):
+            reached[alpha].append(y_side)
+    differing: tuple[dict, dict] = ({}, {})  # both sides at each alpha where they differ
+    for alpha in filter(lambda alpha: len(alpha) <= k, compositions(n)):
+        lhs, rhs = Counter(), Counter()
+        for shape, terms in skeletons.items():
+            if count := kostka(shape, alpha):
+                for y, coeff in terms:
+                    lhs[y] += count * coeff
+        for y_side in reached[alpha]:
+            rhs.update(y_side)
+        if lhs != rhs:
+            x = _padded(alpha, k)
+            for terms, side in zip(differing, (lhs, rhs)):
+                terms.update(((x + _padded(des, n), 0, q), c) for (des, q), c in side.items())
+    witness = _poly_witness(*(MultiPoly(k + n, terms) for terms in differing))
+    return _finish("skeleton-rsk", {"n": n, "k": k, "graded": graded}, witness, started)
 
 
 def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckResult:
@@ -217,10 +228,7 @@ def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckR
             break
     if witness is None:
         for a, b in pair_range:
-            lhs = sum(
-                poly.eval_ones_prefix(a) * poly.eval_ones_prefix(b)
-                for poly in skeletons
-            )
+            lhs = sum(poly.eval_ones_prefix(a) * poly.eval_ones_prefix(b) for poly in skeletons)
             rhs = sum(c for (la, lb, _), c in lengths.items() if la <= a and lb <= b)
             if lhs != rhs:
                 witness = {"i": a, "j": b, "lhs": lhs, "rhs": rhs}
@@ -245,9 +253,7 @@ def check_hook_sum(n: int) -> CheckResult:
         # refinement: the hook with k rows carries each length-k composition once
         for k in range(1, n + 1):
             hook = (n - k + 1,) + (1,) * (k - 1)
-            expected = MultiPoly.sum(
-                (MultiPoly.monomial(a) for a in compositions(n) if len(a) == k), k
-            )
+            expected = MultiPoly(k, {(a, 0, 0): 1 for a in compositions(n) if len(a) == k})
             if skeleton_poly(hook) != expected:
                 witness = {"hook": list(hook), "detail": "length-restricted sum differs"}
                 break
@@ -331,22 +337,14 @@ def check_schur_family(shape: Partition) -> CheckResult:
         elif poly.coefficient(lbar) != 1:
             witness = {"detail": "bottom endpoint coefficient", "alpha": list(lbar)}
     support_set = set(support)
-    neighbors: dict[Composition, set[Composition]] = {a: set() for a in support_set}
-    for upper in support:
-        # the raising moves from `upper` are its Hasse edges down in dominance order
-        for lower in raising_covers(upper):
-            if lower in support_set:
-                neighbors[lower].add(upper)
-                neighbors[upper].add(lower)
-    seen: set[Composition] = set()
-    stack = [support[0]] if support else []
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(neighbors[node])
-    connected = len(seen) == len(support_set)
+    # the raising moves from each alpha are its Hasse edges down in dominance order
+    edges = {(a, b) for a in support for b in raising_covers(a) if b in support_set}
+    edges |= {(b, a) for a, b in edges}
+    seen, frontier = set(), set(support[:1])
+    while frontier:  # breadth first from the first member
+        seen |= frontier
+        frontier = {b for a, b in edges if a in frontier} - seen
+    connected = seen == support_set
     if witness is None and not is_regular(shape) and connected:
         witness = {"detail": "rectangle support should be disconnected"}
     return _finish(
@@ -378,6 +376,7 @@ def check_s6_inversion_count() -> CheckResult:
     direct = sum(1 for _, row in perm_table(6) if row.inversions == 4)
     from_q_factorial = q_factorial(6).coefficient(4)
     deep_targets = {(2, 4), (3, 2, 1)}
+    expected_shapes = ((5, 1), (4, 2), (4, 1, 1), (3, 2, 1))
     admitting: dict[tuple[int, ...], int] = {}
     weighted = 0
     for shape in partitions(6):
@@ -385,19 +384,16 @@ def check_s6_inversion_count() -> CheckResult:
         if count:
             admitting[shape] = count
             weighted += count * skeleton_poly(shape).evaluate()
-    f_values = {
-        shape: skeleton_poly(shape).evaluate()
-        for shape in ((5, 1), (4, 2), (4, 1, 1), (3, 2, 1))
-    }
+    f_values = {shape: skeleton_poly(shape).evaluate() for shape in expected_shapes}
     if direct != 49:
         witness = {"detail": "direct count", "count": direct}
     elif from_q_factorial != 49:
         witness = {"detail": "q-factorial coefficient", "count": from_q_factorial}
     elif weighted != 49:
         witness = {"detail": "weighted shape sum", "count": weighted}
-    elif set(admitting) != {(5, 1), (4, 2), (4, 1, 1), (3, 2, 1)}:
+    elif set(admitting) != set(expected_shapes):
         witness = {"detail": "admitting shapes", "shapes": sorted(map(list, admitting))}
-    elif [f_values[s] for s in ((5, 1), (4, 2), (4, 1, 1), (3, 2, 1))] != [5, 9, 10, 16]:
+    elif [f_values[s] for s in expected_shapes] != [5, 9, 10, 16]:
         witness = {"detail": "f values", "values": {str(k): v for k, v in f_values.items()}}
     return _finish("s6-inversions", {}, witness, started, {"count": direct})
 
@@ -479,18 +475,13 @@ def _each_shape(check: Callable[[Partition], CheckResult], bound: int) -> list[_
     return [partial(check, s) for n in range(1, bound + 1) for s in partitions(n)]
 
 
-# The largest S_n a sweeping check may walk, as n!, refused by `run_checks` before
-# any job is built; direct `check_*` calls are not limited.  Time holds the limit,
-# not memory: each sweep streams `perm_table(n)` into a tally, so `verify counting
-# --max-n 10` (10! = 3,628,800) takes 13 s at a 21 MB peak, `mahonian` 13 s at 17 MB,
-# and n = 11 would take over two minutes per check (CPython 3.11, 2 cores).
+# The largest S_n a sweeping check may walk, as n!, refused by `run_checks` before any
+# job is built; direct `check_*` calls are not limited.  Time holds the limit, not memory:
+# each sweep streams `perm_table(n)` into a tally, so at `--max-n 10` (10! = 3,628,800)
+# `verify counting` takes 13 s at a 21 MB peak, `mahonian` 13 s at 17 MB, `skeleton-rsk`
+# 52 s at 43 MB (9: 5.4 s, 24 MB); 11 would take minutes per check (CPython 3.11, 2 cores).
 _SWEEP_MAX_N = 10
 MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
-
-# Its polynomials in 2n variables, not the sweep, hold `skeleton-rsk`: `verify
-# skeleton-rsk --max-n 7` takes 0.9 s at a 75 MB peak and `--max-n 8` 10.9 s at
-# 487 MB (CPython 3.11, 2 cores), so memory alone would put n = 9 in gigabytes.
-_SKELETON_RSK_MAX_N = 8
 
 # name -> (default bound, largest n admitted or None when not limited, jobs(bound,
 # report_support)); every check with a largest n sweeps S_n for each n up to its
@@ -505,7 +496,7 @@ _CHECKS: dict[str, tuple[int | None, int | None, Callable[[int, bool], list[_Job
     ),
     "skeleton-rsk": (
         6,
-        _SKELETON_RSK_MAX_N,
+        _SWEEP_MAX_N,
         lambda b, _: _each_n_graded(lambda n, g: check_skeleton_rsk(n, graded=g), b),
     ),
     "counting": (7, _SWEEP_MAX_N, lambda b, _: _each_n(check_counting, b)),
@@ -530,8 +521,7 @@ def run_checks(
     """Run the selected checks (or all of them) and return results in order.
 
     Refuses, before any work, a bound above the largest n of a selected
-    check: one whose S_n is above `MAX_PERMUTATIONS`, or above the lower
-    limit of `skeleton-rsk`.
+    check: one whose S_n is above `MAX_PERMUTATIONS`.
     """
     selected = list(names)
     if "all" in selected or not selected:
@@ -542,12 +532,10 @@ def run_checks(
         default, largest, _ = _CHECKS[name]
         n = default if max_n is None else max_n
         if largest is not None and n > largest:
-            if factorial(n) > MAX_PERMUTATIONS:
-                raise ValueError(
-                    f"verify {name} at n={n} has {factorial(n)} permutations,"
-                    f" above the limit of {MAX_PERMUTATIONS}"
-                )
-            raise ValueError(f"verify {name} at n={n} is above its limit of n={largest}")
+            raise ValueError(
+                f"verify {name} at n={n} has {factorial(n)} permutations,"
+                f" above the limit of {MAX_PERMUTATIONS}"
+            )
     jobs: list[_Job] = []
     for name in selected:
         if name not in _CHECKS:

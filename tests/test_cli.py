@@ -193,6 +193,25 @@ def test_tableaux_weight(capsys):
     assert "total: 2" in out
 
 
+def test_tableaux_weight_refuses_runaway_listing(capsys, monkeypatch):
+    def must_not_list(shape, weight_vec):
+        raise AssertionError("SSYT listed for a refused weight")
+
+    monkeypatch.setattr(cli, "semistandard_with_weight", must_not_list)
+    # K_{54321, 1^15} = f^54321 = 292,864
+    with pytest.raises(SystemExit) as exc:
+        main(["tableaux", "5,4,3,2,1", "--weight", "1" * 15])
+    assert exc.value.code == (
+        f"error: tableaux 54321 --weight {'1' * 15} has 292864 SSYT,"
+        f" above the limit of {cli.MAX_TABLEAUX}"
+    )
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:  # a value left out changes nothing
+        main(["tableaux", "5,4,3,2,1", "--weight", "1" * 7 + "0" + "1" * 8])
+    assert exc.value.code.endswith("--weight 1111111011111111 has 292864 SSYT,"
+                                   f" above the limit of {cli.MAX_TABLEAUX}")
+
+
 def test_tableaux_negative_weight_is_an_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tableaux", "2,1", "--weight", "2,-1,2"])
@@ -559,13 +578,18 @@ def test_verify_refuses_runaway_permutation_sweep(checks, first, monkeypatch):
 
 
 @pytest.mark.parametrize("checks", [["skeleton-rsk"], ["all"], []])
-@pytest.mark.parametrize("n", ["9", "10"])
-def test_verify_refuses_skeleton_rsk_above_n8(checks, n, monkeypatch):
+@pytest.mark.parametrize("n", ["11", "12"])
+def test_verify_refuses_skeleton_rsk_above_the_sweep_limit(checks, n, monkeypatch):
     def must_not_enumerate(n):
         raise AssertionError("S_n enumeration reached for a refused size")
 
     monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
-    expected = f"error: verify skeleton-rsk at n={n} is above its limit of n=8"
+    # `all`, named or by default, is refused at its first check, which sweeps too
+    first = "skeleton-rsk" if checks == ["skeleton-rsk"] else "skeleton-r"
+    expected = (
+        f"error: verify {first} at n={n} has {factorial(int(n))} permutations,"
+        f" above the limit of {verify.MAX_PERMUTATIONS}"
+    )
     with pytest.raises(SystemExit) as exc:
         main(["verify", *checks, "--max-n", n])
     assert exc.value.code == expected

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -13,7 +14,9 @@ from skelpoly import (
     deep_skeleton,
     depth,
     fake_degree,
+    flatten,
     internal_zeros,
+    kostka,
     partitions,
     q_factorial,
     qsym_fundamental,
@@ -327,21 +330,19 @@ def test_schur_expands_in_fundamental_basis():
         assert schur_poly(lam, 5) == expected
 
 
-def test_graded_schur_expands_in_fundamental_basis():
-    for lam in partitions(5):
-        expected = MultiPoly.zero(5)
-        for alpha in compositions(5):
-            coeff = quasi_kostka_coefficient(lam, alpha)
-            if coeff:
-                graded = MultiPoly(
-                    5,
-                    {
-                        (exps, 0, depth(alpha)): c
-                        for (exps, _, _), c in qsym_fundamental(alpha, 5).terms.items()
-                    },
-                )
-                expected = expected + coeff * graded
-        assert schur_poly(lam, 5, graded=True) == expected
+def test_schur_is_spread_from_flat_kostka_numbers():
+    # s_lambda(x_1..x_k) is symmetric, so its coefficient at a weak composition c
+    # is the Kostka number at c with its zero parts dropped, counted by strips
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            weak = [
+                tuple(b - a - 1 for a, b in zip((-1,) + cut, cut + (n + k - 1,)))
+                for cut in combinations(range(n + k - 1), k - 1)
+            ]
+            assert len(weak) == comb(n + k - 1, k - 1)
+            for lam in partitions(n):
+                spread = {(c, 0, 0): kostka(lam, flatten(c)) for c in weak}
+                assert schur_poly(lam, k) == MultiPoly(k, spread)
 
 
 def test_fake_degrees_for_four():

@@ -311,6 +311,23 @@ def test_semistandard_fill_of_a_tall_rectangle_is_quick():
     assert process_time() - start < 5
 
 
+def test_kostka_counts_match_the_listing():
+    # the strip count against the SSYT fill, for every composition of n <= 7 and
+    # every weight made from one by putting a zero before, between or after its parts
+    for n in range(8):
+        for alpha in compositions(n):
+            weights = [alpha] + [alpha[:i] + (0,) + alpha[i:] for i in range(len(alpha) + 1)]
+            for lam in partitions(n):
+                for w in weights:
+                    assert kostka(lam, w) == len(semistandard_with_weight(lam, w))
+
+
+def test_kostka_of_a_weight_with_many_parts():
+    # 500 values, counted one value at a time with no call nested per value
+    assert kostka((1,) * 500, (1,) * 500) == kostka((500,), (1,) * 500) == 1
+    assert kostka((2, 1), (1, 0, 1, 0, 1)) == 2
+
+
 def test_negative_weight_part_is_rejected():
     # (2, -1, 2) sums to |(2, 1)|, so only the sign check stands between it and the fill
     with pytest.raises(ValueError, match="nonnegative"):

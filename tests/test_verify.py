@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from skelpoly import MultiPoly, verify
@@ -18,7 +20,15 @@ from skelpoly.verify import (
     _poly_witness,
     run_checks,
 )
-from skelpoly import is_regular, partitions, perm_table
+from skelpoly import (
+    deep_skeleton,
+    is_regular,
+    partitions,
+    perm_table,
+    qsym_fundamental,
+    schur_poly,
+    skeleton_poly,
+)
 
 
 def test_skeleton_r():
@@ -238,15 +248,17 @@ def test_run_checks_refuses_runaway_sweep_before_any_work(monkeypatch):
     assert verify.MAX_PERMUTATIONS == 3628800
 
 
-def test_skeleton_rsk_limit_admits_n8_and_refuses_n9(monkeypatch):
+def test_skeleton_rsk_limit_admits_n10_and_refuses_n11(monkeypatch):
     sizes = []
     monkeypatch.setattr(verify, "check_skeleton_rsk", lambda n, graded: sizes.append(n))
-    run_checks(["skeleton-rsk"], max_n=8)
-    assert max(sizes) == 8
+    run_checks(["skeleton-rsk"], max_n=10)
+    assert max(sizes) == 10
     with pytest.raises(ValueError) as exc:
-        run_checks(["skeleton-rsk"], max_n=9)
-    assert str(exc.value) == "verify skeleton-rsk at n=9 is above its limit of n=8"
-    assert max(sizes) == 8
+        run_checks(["skeleton-rsk"], max_n=11)
+    assert str(exc.value) == (
+        "verify skeleton-rsk at n=11 has 39916800 permutations, above the limit of 3628800"
+    )
+    assert max(sizes) == 10
 
 
 def test_run_checks_unknown_name():
@@ -376,3 +388,37 @@ def test_changed_permutation_row_fails_each_sweeping_check(check, graded, field,
     result = SWEEP_CHECKS[check](4, graded)
     assert not result.passed
     assert result.witness == PINNED_WITNESSES[check, graded, field]
+
+
+def _expanded_rsk_witness(n, k, graded, table):
+    """The first differing term of the two sides of skeleton-rsk in full: every Schur
+    and fundamental polynomial expanded over all weak compositions with k parts."""
+
+    def skeleton(shape):
+        return (deep_skeleton(shape) if graded else skeleton_poly(shape)).embed(n)
+
+    lhs = MultiPoly.block_sum(((schur_poly(s, k), skeleton(s)) for s in partitions(n)), k, n)
+    y_sides = {}
+    for _, row in table(n):
+        des = row.descent_composition
+        key = (des + (0,) * (n - len(des)), 0, row.depth if graded else 0)
+        y_sides.setdefault(row.inverse_descent_composition, Counter())[key] += 1
+    rhs = MultiPoly.block_sum(
+        ((qsym_fundamental(d, k), MultiPoly(n, y)) for d, y in y_sides.items()), k, n
+    )
+    return _poly_witness(lhs, rhs)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (4, 4), (3, 5), (5, 3)])
+@pytest.mark.parametrize("graded", [False, True])
+def test_flat_skeleton_rsk_witness_matches_the_full_expansion(n, k, graded, monkeypatch):
+    fields = ["inverse_descent_composition", "descent_composition"] + (["depth"] if graded else [])
+    assert check_skeleton_rsk(n, k, graded).witness is None
+    assert _expanded_rsk_witness(n, k, graded, perm_table) is None
+    for field in fields:
+        changed = _with_one_row_changed(perm_table, field)
+        monkeypatch.setattr(verify, "perm_table", changed)
+        result = check_skeleton_rsk(n, k, graded)
+        # with k < n the changed row's F_(1^n) vanishes, so only its Des(w^-1) shows
+        assert result.passed == (k < n and field != "inverse_descent_composition")
+        assert result.witness == _expanded_rsk_witness(n, k, graded, changed)
