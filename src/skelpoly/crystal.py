@@ -35,7 +35,7 @@ from .compositions import (
     hook_product,
 )
 from .rsk import rsk
-from .tableaux import Rows, Tableau, _fill, descent_composition
+from .tableaux import Rows, Tableau, _fill, descent_composition, weight
 
 
 def row_word(t: Tableau) -> tuple[int, ...]:
@@ -267,12 +267,6 @@ def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _weight(rows: Rows) -> list[int]:
-    """`tableaux.weight` of the tableau with these rows; each row ends with its largest entry."""
-    word = sum(rows, ())
-    return list(map(word.count, range(1, max(map(itemgetter(-1), rows), default=0) + 1)))
-
-
 def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
     """JSON-ready dict mirroring the graph fields plus the class partition."""
     classes = inner_crystal(graph) if inner_only else graph.classes
@@ -280,7 +274,7 @@ def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
         "shape": list(graph.shape),
         "bound": graph.bound,
         "vertices": [list(map(list, rows)) for rows in graph.rows],
-        "weights": list(map(_weight, graph.rows)),
+        "weights": [list(weight(rows)) for rows in graph.rows],
         "edges": list(map(list, graph.edges)),
         "classes": [
             {

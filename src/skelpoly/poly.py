@@ -5,7 +5,10 @@ with two optional auxiliary exponents p and q carried per term; coefficients
 are exact Python integers.  `UniPoly` is a dense single-variable polynomial.
 On top of these sit the skeleton polynomials (descent generating functions
 of quasi-Yamanouchi tableaux), bounded Schur polynomials, quasi-symmetric
-truncations, fake degree polynomials, and the (p,q)-bifactorial.
+truncations, fake degree polynomials, and the (p,q)-bifactorial.  The
+identity checks of `verify` compare tallies of term keys and build a
+`MultiPoly` only to name a witness; the arithmetic here (sums, products,
+embeddings) serves the constructions above and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -102,27 +105,6 @@ class MultiPoly:
                 terms[key] = terms.get(key, 0) + coeff
         return cls(arity, terms)
 
-    @classmethod
-    def block_sum(
-        cls, pairs: Iterable[tuple["MultiPoly", "MultiPoly"]], left: int, right: int
-    ) -> "MultiPoly":
-        """Sum of a(x_1..x_left) * b(x_(left+1)..x_(left+right)) over the pairs (a, b).
-
-        The two factors share no variable, so each product term's exponent
-        tuple is the concatenation of its factors' tuples; all terms are
-        accumulated into one dict.
-        """
-        terms: dict[TermKey, int] = {}
-        for a, b in pairs:
-            if a.arity != left or b.arity != right:
-                raise ValueError(f"block arities {a.arity}, {b.arity} != {left}, {right}")
-            right_terms = b.terms.items()
-            for (e1, p1, q1), c1 in a.terms.items():
-                for (e2, p2, q2), c2 in right_terms:
-                    key = (e1 + e2, p1 + p2, q1 + q2)
-                    terms[key] = terms.get(key, 0) + c1 * c2
-        return cls(left + right, terms)
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         return MultiPoly.sum((self, other), self.arity)
 
@@ -203,11 +185,6 @@ class MultiPoly:
                     term *= value**e
             total += term
         return total
-
-    def eval_ones_prefix(self, k: int) -> int:
-        """Value at x_1 = ... = x_k = 1 and all later variables 0 (p = q = 1)."""
-        point = [1] * min(k, self.arity) + [0] * max(self.arity - k, 0)
-        return self.evaluate(point)
 
     def _term_str(self, key: TermKey, coeff: int) -> str:
         exps, p, q = key
@@ -420,17 +397,13 @@ def skeleton_poly_i(shape: Partition, length: int) -> MultiPoly:
     return MultiPoly(arity, terms)
 
 
-def deep_skeleton(shape: Partition, variable: str = "q") -> MultiPoly:
-    """Skeleton polynomial with each term graded by the depth of its exponent."""
-    if variable not in ("p", "q"):
-        raise ValueError(f"variable must be 'p' or 'q', got {variable!r}")
+def deep_skeleton(shape: Partition) -> MultiPoly:
+    """Skeleton polynomial with each term graded in q by the depth of its exponent."""
     plain = skeleton_poly(shape)
-    terms = {}
-    for (exps, _, _), coeff in plain.terms.items():
-        d = composition_depth(exps)
-        key = (exps, d, 0) if variable == "p" else (exps, 0, d)
-        terms[key] = coeff
-    return MultiPoly(plain.arity, terms)
+    return MultiPoly(
+        plain.arity,
+        {(exps, 0, composition_depth(exps)): coeff for (exps, _, _), coeff in plain.terms.items()},
+    )
 
 
 def schur_poly(shape: Partition, num_vars: int) -> MultiPoly:

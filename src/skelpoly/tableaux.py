@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, repeat
 from math import factorial
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .compositions import (
     Composition,
@@ -134,37 +134,29 @@ def descent_composition(t: Tableau) -> Composition:
     return tuple(band.size for band in minimal_parsing(t))
 
 
-def standardize(t: Tableau) -> Tableau:
-    """Relabel the cells 1..n in band order; the result is an SYT."""
-    new_label = {}
-    k = 0
-    for band in minimal_parsing(t):
-        for cell in band.cells:
-            k += 1
-            new_label[cell] = k
+def _relabel_bands(t: Tableau, label: Callable[[int, int], int]) -> Tableau:
+    """`t` with the k-th cell in band order, which lies in the i-th band, labelled label(i, k)."""
+    cells = ((i, cell) for i, band in enumerate(minimal_parsing(t), start=1) for cell in band.cells)
+    new_label = {cell: label(i, k) for k, (i, cell) in enumerate(cells, start=1)}
     return Tableau.of(
         [new_label[(r, c)] for c in range(len(row))] for r, row in enumerate(t.rows)
     )
+
+
+def standardize(t: Tableau) -> Tableau:
+    """Relabel the cells 1..n in band order; the result is an SYT."""
+    return _relabel_bands(t, lambda i, k: k)
 
 
 def destandardize(t: Tableau) -> Tableau:
     """Replace every entry of the i-th band by i; the result is quasi-Yamanouchi."""
-    new_label = {}
-    for i, band in enumerate(minimal_parsing(t), start=1):
-        for cell in band.cells:
-            new_label[cell] = i
-    return Tableau.of(
-        [new_label[(r, c)] for c in range(len(row))] for r, row in enumerate(t.rows)
-    )
+    return _relabel_bands(t, lambda i, k: i)
 
 
-def weight(t: Tableau) -> Composition:
-    """Multiplicity vector of the values 1..max_entry."""
-    counts = [0] * t.max_entry
-    for row in t.rows:
-        for value in row:
-            counts[value - 1] += 1
-    return tuple(counts)
+def weight(t: Tableau | Rows) -> Composition:
+    """Multiplicity vector of the values 1..max entry of a tableau, or of a tableau's rows."""
+    word = sum(t.rows if isinstance(t, Tableau) else t, ())
+    return tuple(map(word.count, range(1, max(word, default=0) + 1)))
 
 
 def descent_set(t: Tableau) -> tuple[int, ...]:
@@ -210,8 +202,9 @@ def _fill(shape: Partition, max_entry: int, counts: tuple[int, ...] | None) -> l
     Row by row, top down: each row is a weakly increasing word whose entries
     sit strictly below those of the row above and leave room for the rows
     under it, so every partial filling completes.  With `counts`, a value v
-    fills at most counts[v - 1] cells.  The rows that fit under a row are
-    found once per row above and counts left.
+    fills at most counts[v - 1] cells, and is tried in a row only while the
+    values from v up have cells enough left for the rest of that row.  The
+    rows that fit under a row are found once per row above and counts left.
     """
     if not shape:
         return [()]
@@ -232,7 +225,10 @@ def _fill(shape: Partition, max_entry: int, counts: tuple[int, ...] | None) -> l
             return [row]
         found = []
         for value in range(max(row[-1] if row else 1, above[c] + 1), caps[k][c] + 1):
-            if left is None or row.count(value) < left[value - 1]:
+            if left is None or (
+                (used := row.count(value)) < left[value - 1]
+                and sum(left[value - 1 :]) - used >= shape[k] - c  # cells for the rest of the row
+            ):
                 found += rows_under(k, above, left, row + (value,))
         return found
 

@@ -2,17 +2,20 @@
 
 Every check returns a `CheckResult`: pass/fail, the first counterexample in
 canonical order when failing, and wall time.  Checks are deterministic and
-side-effect free.  On the permutation side of an identity only a few
-statistics of each w matter, so the checks over S_n stream `perm_table(n)`
-into a tally (a `Counter` of term keys or of statistics) and build the
-polynomial once from the counts.  `run_checks` is the single entry point used
-by the command line; the `_CHECKS` table names every check with its default
+side-effect free.  A polynomial identity is checked as two tallies, each a
+`Counter` of term keys (x-exponents, p, q): on the skeleton side each shape
+contributes its coefficients f_(shape, alpha), read through `_skeleton_terms`;
+on the permutation side `perm_table(n)` streams S_n and only a few statistics
+of each w are counted.  No polynomial is added, multiplied or evaluated: one
+is built, by `_tally_witness`, only at the keys where the two tallies differ,
+to name the first differing term.  Both sides of `skeleton-rsk` are
+quasisymmetric in x, so it compares them only at the flat monomials x^alpha,
+one alpha at a time: Kostka numbers times skeleton polynomials on the left,
+built once per partition (the sorted parts of alpha), and the (Des(w), depth)
+tallies of every Des(w^-1) that alpha refines on the right.  `run_checks` is the single entry point used by
+the command line; the `_CHECKS` table names every check with its default
 bound, the largest n it admits, and its jobs, and `run_checks` refuses a bound
-above that n before any work.  The two sides of `skeleton-rs` multiply in
-disjoint x- and y-blocks (`MultiPoly.block_sum`).  Both sides of `skeleton-rsk`
-are quasisymmetric in x, so it compares them only at the flat monomials x^alpha,
-one alpha at a time: Kostka numbers times skeleton polynomials on the left, the
-(Des(w), depth) tallies of every Des(w^-1) that alpha refines on the right.
+above that n before any work.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import comb, factorial
 from typing import Callable, Iterable
 
@@ -51,7 +55,6 @@ from .poly import (
     quasi_kostka_coefficient,
     quasi_kostka_matrix,
     skeleton_poly,
-    deep_skeleton,
 )
 from .rsk import perm_table
 from .tableaux import kostka
@@ -111,20 +114,32 @@ def _poly_witness(lhs: MultiPoly, rhs: MultiPoly) -> dict | None:
     }
 
 
-def _skeleton(shape: Partition, graded: bool, variable: str) -> MultiPoly:
-    return deep_skeleton(shape, variable) if graded else skeleton_poly(shape)
+def _tally_witness(lhs: Counter, rhs: Counter, arity: int) -> dict | None:
+    """`_poly_witness` of two tallies of term keys, built only at the keys where they differ."""
+    differing = [key for key in lhs.keys() | rhs.keys() if lhs[key] != rhs[key]]
+    return _poly_witness(*(MultiPoly(arity, {key: side[key] for key in differing})
+                           for side in (lhs, rhs)))
+
+
+def _skeleton_terms(shape: Partition, n: int, graded: bool) -> list[tuple[tuple, int, int]]:
+    """(alpha padded to n, depth(alpha) when graded else 0, f_(shape, alpha)) per skeleton term."""
+    return [(_padded(exps, n), depth(exps) if graded else 0, coeff)
+            for (exps, _, _), coeff in skeleton_poly(shape).terms.items()]
 
 
 def check_skeleton_r(n: int, graded: bool = False) -> CheckResult:
     """Sum of skeleton polynomials over shapes of n = descent sum over involutions."""
     started = time.perf_counter()
-    lhs = MultiPoly.sum((_skeleton(s, graded, "p").embed(n) for s in partitions(n)), n)
-    rhs = MultiPoly(n, Counter(
+    lhs: Counter = Counter()
+    for shape in partitions(n):
+        for alpha, d, coeff in _skeleton_terms(shape, n, graded):
+            lhs[alpha, d, 0] += coeff
+    rhs = Counter(
         (_padded(row.descent_composition, n), row.depth if graded else 0, 0)
         for _, row in perm_table(n) if row.is_involution
-    ))
+    )
     return _finish(
-        "skeleton-r", {"n": n, "graded": graded}, _poly_witness(lhs, rhs), started
+        "skeleton-r", {"n": n, "graded": graded}, _tally_witness(lhs, rhs, n), started
     )
 
 
@@ -133,24 +148,20 @@ def check_skeleton_rs(
 ) -> CheckResult:
     """Paired skeleton sum = two-sided descent sum over all permutations."""
     started = time.perf_counter()
-    arity = 2 * n
-    lhs = MultiPoly.block_sum(
-        (
-            (_skeleton(s, graded, "p").embed(n), _skeleton(s, graded, "q").embed(n))
-            for s in partitions(n)
-        ),
-        n,
-        n,
-    )
-    counts: Counter = Counter()
+    lhs: Counter = Counter()
+    for shape in partitions(n):
+        terms = _skeleton_terms(shape, n, graded)
+        for alpha, p, c in terms:
+            for beta, q, d in terms:
+                lhs[alpha + beta, p, q] += c * d
+    rhs: Counter = Counter()
     monomial_groups: dict[tuple[int, ...], list[list[int]]] = {}
     for w, row in perm_table(n):
         des_inv = row.inverse_descent_composition
         exps = _padded(des_inv, n) + _padded(row.descent_composition, n)
-        counts[exps, depth(des_inv) if graded else 0, row.depth if graded else 0] += 1
+        rhs[exps, depth(des_inv) if graded else 0, row.depth if graded else 0] += 1
         if report_support:
             monomial_groups.setdefault(exps, []).append(list(w))
-    rhs = MultiPoly(arity, counts)
     data = None
     if report_support:
         collisions = sorted(group for group in monomial_groups.values() if len(group) > 1)
@@ -158,7 +169,7 @@ def check_skeleton_rs(
     return _finish(
         "skeleton-rs",
         {"n": n, "graded": graded},
-        _poly_witness(lhs, rhs),
+        _tally_witness(lhs, rhs, 2 * n),
         started,
         data,
     )
@@ -170,34 +181,39 @@ def check_skeleton_rsk(n: int, k: int | None = None, graded: bool = False) -> Ch
     Both sides are quasisymmetric in x, so they are compared at each flat x^alpha
     (alpha of n with at most k parts) as y-tallies of (Des(w), depth or 0): K_(shape,
     alpha) times each skeleton polynomial = the tally of each Des(w^-1) alpha refines.
+    K_(shape, alpha) = K_(shape, mu) for mu the parts of alpha sorted, so the left side
+    is built once per partition mu.
     """
     started = time.perf_counter()
     if k is None:
         k = n
-    skeletons = {s: [((trim(e), q), c) for (e, _, q), c in _skeleton(s, graded, "q").terms.items()]
-                 for s in partitions(n)}
+    padded = {des: _padded(des, n) for des in compositions(n)}
     y_sides: defaultdict[Composition, Counter] = defaultdict(Counter)
     for _, row in perm_table(n):
-        y = row.descent_composition, row.depth if graded else 0
+        y = padded[row.descent_composition], row.depth if graded else 0
         y_sides[row.inverse_descent_composition][y] += 1
     reached: defaultdict[Composition, list[Counter]] = defaultdict(list)
     for des_inv, y_side in y_sides.items():
         for alpha in refinements(des_inv):
             reached[alpha].append(y_side)
-    differing: tuple[dict, dict] = ({}, {})  # both sides at each alpha where they differ
-    for alpha in filter(lambda alpha: len(alpha) <= k, compositions(n)):
-        lhs, rhs = Counter(), Counter()
+    skeletons = {shape: _skeleton_terms(shape, n, graded) for shape in partitions(n)}
+    left: dict[Partition, Counter] = {}
+    for mu in filter(lambda mu: len(mu) <= k, skeletons):
+        at_mu = left[mu] = Counter()
         for shape, terms in skeletons.items():
-            if count := kostka(shape, alpha):
-                for y, coeff in terms:
-                    lhs[y] += count * coeff
+            if count := kostka(shape, mu):
+                for des, q, coeff in terms:
+                    at_mu[des, q] += count * coeff
+    differing: tuple[Counter, Counter] = (Counter(), Counter())  # both sides where they differ
+    for alpha in filter(lambda alpha: len(alpha) <= k, compositions(n)):
+        lhs, rhs = left[tuple(sorted(alpha, reverse=True))], Counter()
         for y_side in reached[alpha]:
             rhs.update(y_side)
         if lhs != rhs:
             x = _padded(alpha, k)
-            for terms, side in zip(differing, (lhs, rhs)):
-                terms.update(((x + _padded(des, n), 0, q), c) for (des, q), c in side.items())
-    witness = _poly_witness(*(MultiPoly(k + n, terms) for terms in differing))
+            for tally, side in zip(differing, (lhs, rhs)):
+                tally.update({(x + des, 0, q): c for (des, q), c in side.items()})
+    witness = _tally_witness(*differing, k + n)
     return _finish("skeleton-rsk", {"n": n, "k": k, "graded": graded}, witness, started)
 
 
@@ -206,7 +222,14 @@ def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckR
     if j is not None and i is None:
         raise ValueError(f"counting: j={j} needs i")
     started = time.perf_counter()
-    skeletons = [skeleton_poly(shape) for shape in partitions(n)]
+    # ones[a] of a shape: its skeleton polynomial at x_1 = .. = x_a = 1, later x = 0,
+    # the sum of f_(shape, alpha) over alpha of at most a parts
+    ones = []
+    for shape in partitions(n):
+        by_parts = [0] * (n + 1)
+        for alpha, _, coeff in _skeleton_terms(shape, n, False):
+            by_parts[len(trim(alpha))] += coeff
+        ones.append(list(accumulate(by_parts)))
     # (len Des(w^-1), len Des(w), w is an involution) -> number of permutations w
     lengths = Counter(
         (len(row.inverse_descent_composition), len(row.descent_composition), row.is_involution)
@@ -221,21 +244,21 @@ def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckR
 
     witness = None
     for a in single_range:
-        lhs = sum(poly.eval_ones_prefix(a) for poly in skeletons)
+        lhs = sum(at[a] for at in ones)
         rhs = sum(c for (_, lb, involution), c in lengths.items() if involution and lb <= a)
         if lhs != rhs:
             witness = {"i": a, "lhs": lhs, "rhs": rhs}
             break
     if witness is None:
         for a, b in pair_range:
-            lhs = sum(poly.eval_ones_prefix(a) * poly.eval_ones_prefix(b) for poly in skeletons)
+            lhs = sum(at[a] * at[b] for at in ones)
             rhs = sum(c for (la, lb, _), c in lengths.items() if la <= a and lb <= b)
             if lhs != rhs:
                 witness = {"i": a, "j": b, "lhs": lhs, "rhs": rhs}
                 break
     if witness is None:
-        total_f = sum(poly.evaluate() for poly in skeletons)
-        total_f2 = sum(poly.evaluate() ** 2 for poly in skeletons)
+        total_f = sum(at[n] for at in ones)
+        total_f2 = sum(at[n] ** 2 for at in ones)
         if total_f != involutions:
             witness = {"identity": "sum f = involutions", "lhs": total_f, "rhs": involutions}
         elif total_f2 != factorial(n):
@@ -246,15 +269,19 @@ def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckR
 def check_hook_sum(n: int) -> CheckResult:
     """The skeleton polynomials of hooks sum to all monomials x^alpha, alpha of n."""
     started = time.perf_counter()
-    lhs = MultiPoly.sum((skeleton_poly(s).embed(n) for s in partitions(n) if is_hook(s)), n)
-    rhs = MultiPoly.sum((MultiPoly.monomial(a, arity=n) for a in compositions(n)), n)
-    witness = _poly_witness(lhs, rhs)
+    hooks = {s: Counter({(alpha, 0, 0): c for alpha, _, c in _skeleton_terms(s, n, False)})
+             for s in partitions(n) if is_hook(s)}
+    lhs: Counter = Counter()
+    for terms in hooks.values():
+        lhs.update(terms)
+    rhs = Counter((_padded(a, n), 0, 0) for a in compositions(n))
+    witness = _tally_witness(lhs, rhs, n)
     if witness is None:
         # refinement: the hook with k rows carries each length-k composition once
         for k in range(1, n + 1):
             hook = (n - k + 1,) + (1,) * (k - 1)
-            expected = MultiPoly(k, {(a, 0, 0): 1 for a in compositions(n) if len(a) == k})
-            if skeleton_poly(hook) != expected:
+            expected = Counter((_padded(a, n), 0, 0) for a in compositions(n) if len(a) == k)
+            if hooks[hook] != expected:
                 witness = {"hook": list(hook), "detail": "length-restricted sum differs"}
                 break
     return _finish("hook-sum", {"n": n}, witness, started)
@@ -377,14 +404,15 @@ def check_s6_inversion_count() -> CheckResult:
     from_q_factorial = q_factorial(6).coefficient(4)
     deep_targets = {(2, 4), (3, 2, 1)}
     expected_shapes = ((5, 1), (4, 2), (4, 1, 1), (3, 2, 1))
+    f = {shape: sum(skeleton_poly(shape).terms.values()) for shape in partitions(6)}
     admitting: dict[tuple[int, ...], int] = {}
     weighted = 0
     for shape in partitions(6):
         count = sum(quasi_kostka_coefficient(shape, alpha) for alpha in deep_targets)
         if count:
             admitting[shape] = count
-            weighted += count * skeleton_poly(shape).evaluate()
-    f_values = {shape: skeleton_poly(shape).evaluate() for shape in expected_shapes}
+            weighted += count * f[shape]
+    f_values = {shape: f[shape] for shape in expected_shapes}
     if direct != 49:
         witness = {"detail": "direct count", "count": direct}
     elif from_q_factorial != 49:
@@ -479,7 +507,7 @@ def _each_shape(check: Callable[[Partition], CheckResult], bound: int) -> list[_
 # job is built; direct `check_*` calls are not limited.  Time holds the limit, not memory:
 # each sweep streams `perm_table(n)` into a tally, so at `--max-n 10` (10! = 3,628,800)
 # `verify counting` takes 13 s at a 21 MB peak, `mahonian` 13 s at 17 MB, `skeleton-rsk`
-# 52 s at 43 MB (9: 5.4 s, 24 MB); 11 would take minutes per check (CPython 3.11, 2 cores).
+# 42 s at 42 MB (9: 4-5 s, 23 MB); 11 would take minutes per check (CPython 3.11, 2 cores).
 _SWEEP_MAX_N = 10
 MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 

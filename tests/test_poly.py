@@ -87,29 +87,6 @@ class TestMultiPoly:
         assert list(total.terms) == [((3, 0), 0, 0)]
         assert not MultiPoly.sum([mono((1,)), -mono((1,))], 1).terms
 
-    def test_block_sum_accumulates_collisions_and_drops_cancelled_terms(self):
-        # p exponents 1 + 0 and 0 + 1 land on one key
-        pairs = [(mono((1,), p=1), mono((2,))), (mono((1,)), mono((2,), coeff=3, p=1))]
-        assert MultiPoly.block_sum(pairs, 1, 1) == mono((1, 2), coeff=4, p=1)
-        cancelling = [(mono((1,)), mono((2,), q=1)), (mono((1,), q=1), mono((2,), coeff=-1))]
-        assert MultiPoly.block_sum(cancelling, 1, 1).terms == {}
-
-    def test_block_sum_edges(self):
-        assert MultiPoly.block_sum([], 2, 3) == MultiPoly.zero(5)
-        assert MultiPoly.block_sum([(MultiPoly.one(0), mono((1, 2)))], 0, 2) == mono((1, 2))
-        assert MultiPoly.block_sum([(mono((1, 2)), MultiPoly.one(0))], 2, 0) == mono((1, 2))
-        assert MultiPoly.block_sum([(MultiPoly.one(0), MultiPoly.one(0))], 0, 0) == MultiPoly.one(0)
-        # each factor's arity is checked, also where the lengths would still add up
-        # or where a zero factor makes no term to reject
-        for a, b in [
-            (mono((1,)), mono((1, 0))),
-            (mono((1, 0)), MultiPoly.one(0)),
-            (mono((1,)), MultiPoly.zero(2)),
-            (MultiPoly.zero(2), mono((1,))),
-        ]:
-            with pytest.raises(ValueError):
-                MultiPoly.block_sum([(a, b)], 1, 1)
-
     def test_embed_and_reverse(self):
         f = mono((2, 1))
         assert f.embed(4, 1) == mono((0, 2, 1, 0))
@@ -123,7 +100,7 @@ class TestMultiPoly:
         assert f.evaluate((2, 5), q=1) == 60
         assert f.evaluate((2, 5), q=10) == 6000
         assert f.evaluate() == 3
-        assert (mono((1, 0)) + mono((0, 1))).eval_ones_prefix(1) == 1
+        assert (mono((1, 0)) + mono((0, 1))).evaluate((1, 0)) == 1
 
     def test_coefficient_and_support(self):
         f = mono((2, 1, 0)) + mono((1, 2, 0), coeff=4)
@@ -152,31 +129,6 @@ class TestMultiPoly:
         f = mono((1,), p=2) + mono((1,), q=1)
         assert f.specialize(p=1, q=1) == mono((1,), coeff=2)
         assert f.specialize(p=2) == mono((1,), coeff=4) + mono((1,), q=1)
-
-
-def _sparse_polys(arity):
-    """Few terms over small exponents, so keys collide and coefficients cancel."""
-    key = st.tuples(
-        st.tuples(*[st.integers(0, 2)] * arity), st.integers(0, 2), st.integers(0, 2)
-    )
-    return st.dictionaries(key, st.integers(-3, 3), max_size=5).map(
-        lambda terms: MultiPoly(arity, terms)
-    )
-
-
-@st.composite
-def _block_pairs(draw):
-    left, right = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    pairs = draw(st.lists(st.tuples(_sparse_polys(left), _sparse_polys(right)), max_size=4))
-    return left, right, pairs
-
-
-@given(_block_pairs())
-def test_block_sum_equals_sum_of_embedded_products(case):
-    left, right, pairs = case
-    arity = left + right
-    expected = MultiPoly.sum((a.embed(arity) * b.embed(arity, left) for a, b in pairs), arity)
-    assert MultiPoly.block_sum(pairs, left, right) == expected
 
 
 class TestUniPoly:

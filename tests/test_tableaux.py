@@ -311,6 +311,16 @@ def test_semistandard_fill_of_a_tall_rectangle_is_quick():
     assert process_time() - start < 5
 
 
+def test_weighted_fill_of_a_long_row_is_quick():
+    # a value is tried only while the values from it up can fill the rest of the
+    # row, so 21 distinct values make no dead-end prefixes: 20 tableaux, not 2^20
+    start = process_time()
+    listing = semistandard_with_weight((20, 1), (1,) * 21)
+    assert process_time() - start < 1
+    assert len(listing) == 20
+    assert all(t.is_semistandard() and t.rows[1] != (1,) for t in listing)
+
+
 def test_kostka_counts_match_the_listing():
     # the strip count against the SSYT fill, for every composition of n <= 7 and
     # every weight made from one by putting a zero before, between or after its parts

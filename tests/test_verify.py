@@ -390,21 +390,68 @@ def test_changed_permutation_row_fails_each_sweeping_check(check, graded, field,
     assert result.witness == PINNED_WITNESSES[check, graded, field]
 
 
+def _with_one_coefficient_raised(skeleton, shape, alpha):
+    """`skeleton` with the coefficient of x^alpha in the polynomial of `shape` raised by 1."""
+
+    def changed(lam):
+        poly = skeleton(lam)
+        if lam == shape:
+            key = (alpha + (0,) * (poly.arity - len(alpha)), 0, 0)
+            poly = MultiPoly(poly.arity, {**poly.terms, key: poly.terms.get(key, 0) + 1})
+        return poly
+
+    return changed
+
+
+# Pinned from the polynomial sums and prefix-of-ones evaluations that the tallies replaced.
+SKELETON_MUTANT_WITNESSES = {
+    ("skeleton-r", False):
+        {"exponents": [1, 2, 1, 0], "p": 0, "q": 0, "lhs": 3, "rhs": 2},
+    ("skeleton-r", True):
+        {"exponents": [1, 2, 1, 0], "p": 4, "q": 0, "lhs": 3, "rhs": 2},
+    ("skeleton-rs", False):
+        {"exponents": [2, 1, 1, 0, 1, 2, 1, 0], "p": 0, "q": 0, "lhs": 2, "rhs": 1},
+    ("skeleton-rs", True):
+        {"exponents": [2, 1, 1, 0, 1, 2, 1, 0], "p": 3, "q": 4, "lhs": 2, "rhs": 1},
+    ("skeleton-rsk", False):
+        {"exponents": [2, 1, 1, 0, 1, 2, 1, 0], "p": 0, "q": 0, "lhs": 3, "rhs": 2},
+    ("skeleton-rsk", True):
+        {"exponents": [2, 1, 1, 0, 1, 2, 1, 0], "p": 0, "q": 4, "lhs": 3, "rhs": 2},
+    ("counting", False): {"i": 3, "lhs": 10, "rhs": 9},
+    ("hook-sum", False): {"exponents": [1, 2, 1, 0], "p": 0, "q": 0, "lhs": 2, "rhs": 1},
+}
+
+
+@pytest.mark.parametrize("check, graded", SKELETON_MUTANT_WITNESSES)
+def test_changed_skeleton_coefficient_fails_each_skeleton_check(check, graded, monkeypatch):
+    changed = _with_one_coefficient_raised(verify.skeleton_poly, (2, 1, 1), (1, 2, 1))
+    monkeypatch.setattr(verify, "skeleton_poly", changed)
+    checks = {**SWEEP_CHECKS, "hook-sum": lambda n, _: check_hook_sum(n)}
+    result = checks[check](4, graded)
+    assert not result.passed
+    assert result.witness == SKELETON_MUTANT_WITNESSES[check, graded]
+
+
 def _expanded_rsk_witness(n, k, graded, table):
     """The first differing term of the two sides of skeleton-rsk in full: every Schur
     and fundamental polynomial expanded over all weak compositions with k parts."""
 
-    def skeleton(shape):
-        return (deep_skeleton(shape) if graded else skeleton_poly(shape)).embed(n)
+    arity = k + n
 
-    lhs = MultiPoly.block_sum(((schur_poly(s, k), skeleton(s)) for s in partitions(n)), k, n)
+    def product(x_poly, y_poly):  # x_poly in x_1..x_k times y_poly in the n variables after
+        return x_poly.embed(arity) * y_poly.embed(arity, k)
+
+    def skeleton(shape):
+        return deep_skeleton(shape) if graded else skeleton_poly(shape)
+
+    lhs = MultiPoly.sum((product(schur_poly(s, k), skeleton(s)) for s in partitions(n)), arity)
     y_sides = {}
     for _, row in table(n):
         des = row.descent_composition
         key = (des + (0,) * (n - len(des)), 0, row.depth if graded else 0)
         y_sides.setdefault(row.inverse_descent_composition, Counter())[key] += 1
-    rhs = MultiPoly.block_sum(
-        ((qsym_fundamental(d, k), MultiPoly(n, y)) for d, y in y_sides.items()), k, n
+    rhs = MultiPoly.sum(
+        (product(qsym_fundamental(d, k), MultiPoly(n, y)) for d, y in y_sides.items()), arity
     )
     return _poly_witness(lhs, rhs)
 
