@@ -8,11 +8,10 @@ of immutable tuples, so values can be shared and cached freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from functools import cache, total_ordering
 from itertools import combinations
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -155,20 +154,63 @@ def dominance_covers(n: int) -> tuple[tuple[Composition, Composition], ...]:
     return tuple(sorted(edges))
 
 
-@dataclass(frozen=True, order=True)
-class IndexSet:
-    """A subset of {1, ..., n-1}, stored strictly sorted."""
+class _Immutable:
+    """Attribute assignment and deletion refused once built: `__init__` sets the
+    fields through `object.__setattr__`, or through the instance `__dict__`."""
 
-    n: int
-    members: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        members = tuple(sorted(self.members))
-        if any(not 1 <= a <= self.n - 1 for a in members):
-            raise ValueError(f"members must lie in [1, {self.n - 1}]: {self.members}")
-        if len(set(members)) != len(members):
-            raise ValueError(f"duplicate members: {self.members}")
-        object.__setattr__(self, "members", members)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Frozen(_Immutable):
+    """Value semantics over `__slots__`: equality and hash by the fields, and a
+    field-by-field repr."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+@total_ordering
+class IndexSet(_Frozen):
+    """A subset of {1, ..., n-1}, stored strictly sorted; ordered by (n, members)."""
+
+    __slots__ = ("n", "members")
+
+    def __init__(self, n: int, members: tuple[int, ...]) -> None:
+        ordered = tuple(sorted(members))
+        if any(not 1 <= a <= n - 1 for a in ordered):
+            raise ValueError(f"members must lie in [1, {n - 1}]: {members}")
+        if len(set(ordered)) != len(ordered):
+            raise ValueError(f"duplicate members: {members}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", ordered)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() < other._fields()
 
 
 def comp_to_set(alpha: Composition) -> IndexSet:
@@ -277,8 +319,7 @@ def lambda_bar(lam: Partition) -> Composition:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class ShapeStats:
+class ShapeStats(NamedTuple):
     m: int
     conjugate: Partition
     is_hook: bool

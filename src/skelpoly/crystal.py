@@ -21,7 +21,6 @@ read, and the exports read the rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import prod
@@ -30,6 +29,7 @@ from operator import itemgetter
 from .compositions import (
     Composition,
     Partition,
+    _Immutable,
     _require_partition,
     format_comp,
     hook_product,
@@ -99,14 +99,19 @@ def raising_operator(t: Tableau, color: int) -> Tableau | None:
     return _replace(t, _word_cells(t)[high[0]], color)
 
 
-@dataclass(frozen=True)
-class QuasiCrystal:
-    """A class of vertices sharing one standardization."""
+class QuasiCrystal(_Immutable):
+    """A class of vertices sharing one standardization; compared by identity."""
 
-    representative: Tableau
-    member_rows: tuple[Rows, ...]
-    descent: Composition
-    indices: tuple[int, ...]  # positions of the members among the graph's vertices
+    def __init__(
+        self,
+        representative: Tableau,
+        member_rows: tuple[Rows, ...],
+        descent: Composition,
+        indices: tuple[int, ...],  # positions of the members among the graph's vertices
+    ) -> None:
+        vars(self).update(
+            representative=representative, member_rows=member_rows, descent=descent, indices=indices
+        )
 
     @cached_property
     def members(self) -> tuple[Tableau, ...]:
@@ -114,15 +119,18 @@ class QuasiCrystal:
         return tuple(map(Tableau, self.member_rows))
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
-    """All SSYT of one shape with bounded entries, with colored f-edges."""
+class CrystalGraph(_Immutable):
+    """All SSYT of one shape with bounded entries, with colored f-edges; compared by identity."""
 
-    shape: Partition
-    bound: int
-    rows: tuple[Rows, ...]  # the vertices, in lexicographic order
-    edges: tuple[tuple[int, int, int], ...]  # (from, color, to)
-    classes: tuple[QuasiCrystal, ...]  # sorted by representative row word
+    def __init__(
+        self,
+        shape: Partition,
+        bound: int,
+        rows: tuple[Rows, ...],  # the vertices, in lexicographic order
+        edges: tuple[tuple[int, int, int], ...],  # (from, color, to)
+        classes: tuple[QuasiCrystal, ...],  # sorted by representative row word
+    ) -> None:
+        vars(self).update(shape=shape, bound=bound, rows=rows, edges=edges, classes=classes)
 
     @cached_property
     def vertices(self) -> tuple[Tableau, ...]:

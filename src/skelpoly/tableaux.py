@@ -18,7 +18,6 @@ tableau at a time and are the reference the table is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, repeat
 from math import factorial
@@ -27,6 +26,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .compositions import (
     Composition,
     Partition,
+    _Frozen,
     _require_partition,
     comp_to_set,
     depth as composition_depth,
@@ -40,9 +40,13 @@ from .compositions import (
 Rows = tuple[tuple[int, ...], ...]  # a tableau's rows, top down
 
 
-@dataclass(frozen=True, slots=True)
-class Tableau:
-    rows: Rows
+class Tableau(_Frozen):
+    """A tableau as its rows, top down; immutable, equal and hashed by its rows."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Rows) -> None:
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def of(cls, rows: Iterable[Iterable[int]]) -> "Tableau":
@@ -99,8 +103,7 @@ class Tableau:
         return [list(row) for row in self.rows]
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     """A run of cells going strictly northeast, with weakly increasing entries."""
 
     cells: tuple[tuple[int, int], ...]
@@ -172,8 +175,7 @@ def is_quasi_yamanouchi(t: Tableau) -> bool:
     return trim(weight(t)) == descent_composition(t)
 
 
-@dataclass(frozen=True)
-class TableauStats:
+class TableauStats(NamedTuple):
     weight: Composition
     descent_composition: Composition
     descent_set: tuple[int, ...]
@@ -411,8 +413,7 @@ def kostka(shape: Partition, weight_vec: Composition) -> int:
     return counts.get(tuple(shape), 0)
 
 
-@dataclass(frozen=True)
-class SpecialTableaux:
+class SpecialTableaux(NamedTuple):
     superstandard: Tableau
     anti_supersemistandard: Tableau
 

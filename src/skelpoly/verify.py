@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import comb, factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .compositions import (
     Composition,
@@ -60,14 +58,13 @@ from .rsk import perm_table
 from .tableaux import kostka
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     params: dict
     passed: bool
     witness: object | None
     elapsed: float
-    data: dict | None = field(default=None)
+    data: dict | None = None
 
     def to_json(self, include_timing: bool = False) -> dict:
         out: dict = {
@@ -156,10 +153,11 @@ def check_skeleton_rs(
                 lhs[alpha + beta, p, q] += c * d
     rhs: Counter = Counter()
     monomial_groups: dict[tuple[int, ...], list[list[int]]] = {}
+    depths = {des: depth(des) if graded else 0 for des in compositions(n)}
     for w, row in perm_table(n):
         des_inv = row.inverse_descent_composition
         exps = _padded(des_inv, n) + _padded(row.descent_composition, n)
-        rhs[exps, depth(des_inv) if graded else 0, row.depth if graded else 0] += 1
+        rhs[exps, depths[des_inv], row.depth if graded else 0] += 1
         if report_support:
             monomial_groups.setdefault(exps, []).append(list(w))
     data = None
@@ -387,9 +385,10 @@ def check_charge_depth(n: int) -> CheckResult:
     """charge(w) equals the depth of the inverse for every permutation."""
     started = time.perf_counter()
     witness = None
+    depths = {des: depth(des) for des in compositions(n)}
     for w, row in perm_table(n):
         lhs = row.charge
-        rhs = depth(row.inverse_descent_composition)
+        rhs = depths[row.inverse_descent_composition]
         if lhs != rhs:
             witness = {"w": list(w), "charge": lhs, "depth_of_inverse": rhs}
             break
@@ -427,19 +426,28 @@ def check_s6_inversion_count() -> CheckResult:
 
 
 def _rank_over_rationals(matrix: list[list[int]]) -> int:
-    rows = [[Fraction(x) for x in row] for row in matrix if any(row)]
+    """Rank of an integer matrix over Q, by fraction-free (Bareiss) elimination.
+
+    After each pivot every entry of the rows below is a minor of `matrix`, on the pivot
+    rows and columns and its own, so the division by the previous pivot is exact and
+    every entry stays an integer; that holds only if every row below is rescaled, also
+    one with a 0 in the pivot column.
+    """
+    rows = [list(row) for row in matrix if any(row)]
     rank = 0
+    previous = 1
     ncols = len(matrix[0]) if matrix else 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
+        lead_row = rows[rank]
+        lead = lead_row[col]
         for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                scale = rows[r][col] / lead
-                rows[r] = [a - scale * b for a, b in zip(rows[r], rows[rank])]
+            row, scale = rows[r], rows[r][col]
+            rows[r] = [(lead * a - scale * b) // previous for a, b in zip(row, lead_row)]
+        previous = lead
         rank += 1
         if rank == len(rows):
             break

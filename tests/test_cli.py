@@ -407,6 +407,25 @@ def test_crystal_pool_sized_pair_runs(capsys):
     assert out.startswith("shape 422 bound 7: 8820 vertices,")
 
 
+def test_import_loads_neither_dataclasses_nor_fractions():
+    # each command imports skelpoly.cli in a fresh interpreter, so what the import
+    # adds to a bare interpreter's sys.modules is paid on every run
+    src = os.path.dirname(os.path.dirname(skelpoly.__file__))
+    script = (
+        "import sys; bare = set(sys.modules); import skelpoly.cli;"
+        " print(*sorted(set(sys.modules) - bare))"
+    )
+    added = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    assert "skelpoly.cli" in added
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(added)
+
+
 def test_closed_pipe_exits_without_traceback(tmp_path):
     src = os.path.dirname(os.path.dirname(skelpoly.__file__))
     with open(tmp_path / "stderr", "wb") as err:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 from math import comb
@@ -165,6 +167,27 @@ def test_index_set_validation():
         IndexSet(4, (4,))
     with pytest.raises(ValueError):
         IndexSet(4, (1, 1))
+
+
+def test_index_set_value_semantics():
+    with pytest.raises(ValueError, match=r"members must lie in \[1, 3\]: \(0, 2\)"):
+        IndexSet(4, (0, 2))
+    with pytest.raises(ValueError, match=r"duplicate members: \(2, 1, 2\)"):
+        IndexSet(4, (2, 1, 2))
+    s = IndexSet(5, (3, 1))
+    assert s.members == (1, 3) and repr(s) == "IndexSet(n=5, members=(1, 3))"
+    assert s == IndexSet(5, [1, 3]) and hash(s) == hash((5, (1, 3)))
+    assert s != IndexSet(6, (1, 3)) and s != (5, (1, 3))
+    assert pickle.loads(pickle.dumps(s)) == s
+    # ordered by n first, then members as tuples
+    assert IndexSet(5, (1, 3)) < IndexSet(5, (2,)) < IndexSet(6, ()) <= IndexSet(6, ())
+    assert IndexSet(6, ()) > IndexSet(5, (4,)) >= IndexSet(5, (4,))
+    with pytest.raises(TypeError):
+        IndexSet(5, ()) < (5, ())
+    with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+        s.n = 6
+    with pytest.raises(AttributeError, match="cannot delete field 'members'"):
+        del s.members
 
 
 def test_superboolean_covers_examples():

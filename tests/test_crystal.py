@@ -196,6 +196,16 @@ def test_quasi_crystal_classes_are_connected():
         assert seen == members
 
 
+def test_tableaux_of_a_graph_are_built_once():
+    graph = build_crystal((2, 1), 3)
+    assert graph.vertices is graph.vertices
+    qc = graph.classes[0]
+    assert qc.members is qc.members
+    assert qc.members == tuple(graph.vertices[i] for i in qc.indices)
+    with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
+        graph.rows = ()
+
+
 def test_build_crystal_checks_the_shape():
     with pytest.raises(ValueError, match="not a partition"):
         build_crystal((1, 2), 3)

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from itertools import product
 from time import process_time
@@ -51,6 +52,18 @@ def test_tableau_has_no_instance_dict():
     # the slots keep a tableau to its one field: hundreds of thousands are held at once
     assert Tableau.__slots__ == ("rows",)
     assert not hasattr(WORKED, "__dict__")
+
+
+def test_tableau_value_semantics():
+    same = Tableau(((1, 1, 2, 5), (3, 8), (8,)))
+    assert same == WORKED and hash(same) == hash(WORKED) == hash((WORKED.rows,))
+    assert WORKED != Tableau.of([[1, 1, 2, 5], [3, 8], [9]]) and WORKED != WORKED.rows
+    assert repr(Tableau.of([[1, 2], [3]])) == "Tableau(rows=((1, 2), (3,)))"
+    assert pickle.loads(pickle.dumps(WORKED)) == WORKED
+    with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
+        WORKED.rows = ()
+    with pytest.raises(AttributeError):
+        WORKED.extra = 1
 
 
 def test_minimal_parsing_worked_example():

@@ -1,6 +1,8 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skelpoly import MultiPoly, verify
 from skelpoly.verify import (
@@ -26,6 +28,7 @@ from skelpoly import (
     partitions,
     perm_table,
     qsym_fundamental,
+    quasi_kostka_matrix,
     schur_poly,
     skeleton_poly,
 )
@@ -171,6 +174,64 @@ def test_s6():
 def test_linear_independence():
     for n in range(1, 7):
         assert check_linear_independence(n).passed
+
+
+def _rank_by_fractions(matrix):
+    """Gaussian elimination over Fraction: the oracle for the integer rank."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            scale = rows[r][col] / rows[rank][col]
+            rows[r] = [a - scale * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _integer_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))  # zeros below a pivot skip no row
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=7))
+    # zero rows, repeated rows and integer combinations of earlier rows lower the rank
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combine"]))
+        if kind == "zero" or not rows:
+            new = [0] * ncols
+        elif kind == "repeat":
+            new = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            new = [x * u + y * v for u, v in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+@settings(max_examples=400)
+@given(_integer_matrices())
+@example([[0, 0, 3, 3], [0, 1, 3, 2], [3, -5, 3, 3], [0, -5, 0, 7]])
+@example([[7, 0, 7, -1, 0, 0], [0, 1, 1, 0, 0, 2], [0, -1, 0, 0, 1, 0], [0, 1, 0, 3, 1, 0]])
+def test_integer_rank_matches_fraction_elimination(matrix):
+    assert verify._rank_over_rationals(matrix) == _rank_by_fractions(matrix)
+
+
+def test_rank_examples():
+    assert verify._rank_over_rationals([]) == 0
+    assert verify._rank_over_rationals([[0, 0], [0, 0]]) == 0
+    assert verify._rank_over_rationals([[2, 4, 6], [1, 2, 3], [0, 0, 1]]) == 2
+    assert verify._rank_over_rationals([[0, 3], [5, 7], [1, 1]]) == 2
+
+
+def test_quasi_kostka_matrix_has_full_row_rank():
+    for n in range(1, 9):
+        shapes, _, matrix = quasi_kostka_matrix(n)
+        assert verify._rank_over_rationals(matrix) == len(shapes) == _rank_by_fractions(matrix)
 
 
 def test_bifactorial_check():
