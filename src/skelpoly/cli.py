@@ -178,6 +178,8 @@ def _cmd_skeleton(args: argparse.Namespace) -> int:
                             ("--eval-ones", args.eval_ones)):
             if given:
                 raise SystemExit(f"error: {flag} applies to one shape, not to --table")
+        if args.table < 0:
+            raise SystemExit(f"error: --table must be at least 0, got {args.table}")
         return _skeleton_table(args.table, args.format)
     if args.shape is None:
         raise SystemExit("error: a shape is required unless --table is given")
@@ -260,6 +262,8 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
     shape = _require_partition(args.shape)
     if args.des is not None and (args.qy or not args.syt):
         raise SystemExit("error: --des applies only to --syt")
+    if args.ssyt is not None and args.ssyt < 0:
+        raise SystemExit(f"error: --ssyt must be at least 0, got {args.ssyt}")
     modes = [flag for flag, given in (("--qy", args.qy), ("--syt", args.syt),
                                       ("--ssyt", args.ssyt is not None),
                                       ("--weight", args.weight is not None)) if given]
@@ -382,6 +386,8 @@ def _cmd_crystal(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = args.checks or ["all"]
+    if args.report_support and not {"all", "skeleton-rs"} & set(names):
+        raise SystemExit("error: --report-support applies only to skeleton-rs")
     max_n = args.max_n
     if max_n is None:
         env = os.environ.get("SKELETON_MAX_N")

@@ -514,8 +514,9 @@ def _each_shape(check: Callable[[Partition], CheckResult], bound: int) -> list[_
 # The largest S_n a sweeping check may walk, as n!, refused by `run_checks` before any
 # job is built; direct `check_*` calls are not limited.  Time holds the limit, not memory:
 # each sweep streams `perm_table(n)` into a tally, so at `--max-n 10` (10! = 3,628,800)
-# `verify counting` takes 13 s at a 21 MB peak, `mahonian` 13 s at 17 MB, `skeleton-rsk`
-# 42 s at 42 MB (9: 4-5 s, 23 MB); 11 would take minutes per check (CPython 3.11, 2 cores).
+# `verify counting` takes 5.8 s at a 27 MB peak, `mahonian` 5.2 s at 23 MB, `skeleton-rsk`
+# 24 s at 46 MB (9: 3.2 s, 22 MB); the 252 tail tables of the S_10 sweep hold about 7 MB
+# of those peaks.  11 would take eleven times as long (CPython 3.11, 2 cores).
 _SWEEP_MAX_N = 10
 MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 

@@ -175,6 +175,29 @@ def test_tableaux_modes_are_exclusive(capsys, first, second):
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["skeleton", "--table", "-1"], "--table", -1),
+        (["skeleton", "--table", "-3", "--format", "json"], "--table", -3),
+        (["tableaux", "3,2", "--ssyt", "-2"], "--ssyt", -2),
+        (["tableaux", "3,2", "--ssyt", "-1", "--format", "json"], "--ssyt", -1),
+    ],
+)
+def test_negative_sizes_are_refused(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == f"error: {flag} must be at least 0, got {value}"
+    assert capsys.readouterr().out == ""
+
+
+def test_zero_sizes_are_answered(capsys):
+    code, out = run_cli(capsys, "skeleton", "--table", "0")
+    assert (code, out) == (0, "(): 1   []\n")
+    code, out = run_cli(capsys, "tableaux", "3,2", "--ssyt", "0")
+    assert (code, out) == (0, "total: 0\n")
+
+
 def test_tableaux_needs_a_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tableaux", "3,2"])
@@ -559,6 +582,28 @@ def test_verify_report_support(capsys):
     )
     assert code == 0
     assert '"support_size": 22' in out
+
+
+@pytest.mark.parametrize(
+    "checks", [["mahonian"], ["skeleton-r", "skeleton-rsk"], ["s6-inversions", "counting"]]
+)
+def test_verify_refuses_report_support_without_skeleton_rs(capsys, checks, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("checks ran although the flag was refused")
+
+    monkeypatch.setattr(cli, "run_checks", must_not_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *checks, "--report-support"])
+    assert exc.value.code == "error: --report-support applies only to skeleton-rs"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("checks", [["all"], [], ["mahonian", "skeleton-rs"]])
+def test_verify_report_support_with_skeleton_rs_selected(checks, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_checks", lambda *args, **kwargs: calls.append(kwargs) or [])
+    assert main(["verify", *checks, "--report-support"]) == 0
+    assert calls == [{"max_n": None, "report_support": True}]
 
 
 def test_verify_env_bound(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 import inspect
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -280,8 +282,41 @@ def test_perm_stats_rejects_non_permutations():
             perm_stats(word)
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_perm_table_past_n7_against_oracles(n):
+    # tails of length n // 2 = 4: the first sizes whose tail tables hold 24 orderings
+    stride = 997  # coprime to the 24 tails of a prefix: the sample meets each tail index
+    involutions = 0
+    last = factorial(n) - 1
+    for index, ((w, row), expected) in enumerate(
+        zip(perm_table(n), all_permutations(n), strict=True)
+    ):
+        assert w == expected
+        involutions += row.is_involution
+        if row.is_involution or index % stride == 0 or index == last:
+            assert perm_stats(w) == row
+    counts = [1, 1]  # I(n) = I(n-1) + (n-1) I(n-2)
+    for k in range(2, n + 1):
+        counts.append(counts[-1] + (k - 1) * counts[-2])
+    assert involutions == counts[n]
+
+
+def test_perm_table_streams():
+    # the rows of S_8 take about 10.5 MiB when stored; a sweep holds one row at a
+    # time and its 70 tail tables of 24 entries, about 0.4 MiB
+    tracemalloc.start()
+    try:
+        pairs = Counter((row.charge, row.depth) for _, row in perm_table(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(pairs.values()) == 40320
+    assert peak < 2 * 2**20
+
+
 def test_perm_table_degenerate_sizes():
-    # the search unrolls its last position; S_0 and S_1 never reach that step
+    # S_0 has only the empty prefix and S_1 only the prefix (1,); both join the
+    # one empty tail
     assert list(perm_table(0)) == [((), PermStats((), (), 0, 0, 0, 0, True))]
     assert list(perm_table(1)) == [((1,), PermStats((1,), (1,), 0, 0, 0, 0, True))]
 
