@@ -2,8 +2,7 @@
 
 Subcommands: skeleton, tableaux, rsk, crystal, verify.  Output is fully
 deterministic (no timestamps unless --timing is requested), so identical
-invocations produce byte-identical output.  The environment variable
-SKELETON_MAX_N overrides the default verification bound.
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -388,17 +387,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = args.checks or ["all"]
     if args.report_support and not {"all", "skeleton-rs"} & set(names):
         raise SystemExit("error: --report-support applies only to skeleton-rs")
-    max_n = args.max_n
-    if max_n is None:
-        env = os.environ.get("SKELETON_MAX_N")
-        if env:
-            try:
-                max_n = int(env)
-            except ValueError:
-                raise SystemExit(f"error: SKELETON_MAX_N is not an integer: {env!r}")
-    if max_n is not None and max_n < 1:
+    if args.max_n is not None and args.max_n < 1:
         raise SystemExit("error: --max-n must be at least 1")
-    results = run_checks(names, max_n=max_n, report_support=args.report_support)
+    results = run_checks(names, max_n=args.max_n, report_support=args.report_support)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         _print_json(
@@ -473,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("checks", nargs="*", metavar="CHECK",
                           help=f"any of: all, {', '.join(CHECK_NAMES)}")
     p_verify.add_argument("--max-n", type=int, default=None,
-                          help="override the per-check bound (env: SKELETON_MAX_N)")
+                          help="override the per-check bound")
     p_verify.add_argument("--report-support", action="store_true",
                           help="attach monomial-support data to skeleton-rs results")
     p_verify.add_argument("--timing", action="store_true",

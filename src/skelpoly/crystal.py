@@ -128,7 +128,7 @@ class CrystalGraph(_Immutable):
         bound: int,
         rows: tuple[Rows, ...],  # the vertices, in lexicographic order
         edges: tuple[tuple[int, int, int], ...],  # (from, color, to)
-        classes: tuple[QuasiCrystal, ...],  # sorted by representative row word
+        classes: tuple[QuasiCrystal, ...],  # by standardization, sorted by representative word
     ) -> None:
         vars(self).update(shape=shape, bound=bound, rows=rows, edges=edges, classes=classes)
 
@@ -174,19 +174,26 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
     # reads left to right, so the stable argsort of the row word orders the
     # cells as standardization numbers them.
     groups: dict[tuple[int, ...], list[int]] = {}
+    # Shared by all words, so the work per word grows with its letters, not with
+    # the bound: each word resets the entries it touched.
+    opened = [0] * (bound + 1)  # unmatched letters x+1 seen so far, by color x
+    rightmost = [-1] * (bound + 1)  # the rightmost unmatched letter x so far
     for u, word in enumerate(words):
-        opened = [0] * (bound + 1)  # unmatched letters x+1 seen so far, by color x
-        rightmost = [-1] * (bound + 1)  # the rightmost unmatched letter x so far
         for p, x in enumerate(word):
             if opened[x]:
                 opened[x] -= 1
             else:
                 rightmost[x] = p
             opened[x - 1] += 1
-        for color in range(1, bound):
+        letters = list(word)  # each f-image is this word with one letter raised
+        for color in sorted(set(word)):
             p = rightmost[color]
-            if p >= 0:
-                edges.append((u, color, index[word[:p] + (color + 1,) + word[p + 1 :]]))
+            if p >= 0 and color < bound:
+                letters[p] = color + 1
+                edges.append((u, color, index[tuple(letters)]))
+                letters[p] = color
+            rightmost[color] = -1
+            opened[color - 1] = 0
         groups.setdefault(tuple(sorted(range(len(word)), key=word.__getitem__)), []).append(u)
     classes = []
     for order, members in groups.items():
@@ -201,11 +208,6 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
         )
     classes.sort(key=lambda qc: _word(qc.representative.rows))
     return CrystalGraph(tuple(shape), bound, vertices, tuple(edges), tuple(classes))
-
-
-def quasi_crystals(graph: CrystalGraph) -> tuple[QuasiCrystal, ...]:
-    """Partition of the vertices by standardization, sorted by representative row word."""
-    return graph.classes
 
 
 def fundamental_system(graph: CrystalGraph, alpha: Composition) -> tuple[QuasiCrystal, ...]:

@@ -6,16 +6,16 @@ are exact Python integers.  `UniPoly` is a dense single-variable polynomial.
 On top of these sit the skeleton polynomials (descent generating functions
 of quasi-Yamanouchi tableaux), bounded Schur polynomials, quasi-symmetric
 truncations, fake degree polynomials, and the (p,q)-bifactorial.  The
-identity checks of `verify` compare tallies of term keys and build a
-`MultiPoly` only to name a witness; the arithmetic here (sums, products,
-embeddings) serves the constructions above and the tests' oracles.
+identity checks of `verify` compare tallies of term keys and build no
+`MultiPoly`; the arithmetic here (sums, products, embeddings) serves the
+constructions above and the tests' oracles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, NamedTuple
 
 from .compositions import (
@@ -173,10 +173,13 @@ class MultiPoly:
         return MultiPoly(self.arity, terms)
 
     def evaluate(self, xs: Iterable[int] | None = None, p: int = 1, q: int = 1) -> int:
-        """Value at the given point; x defaults to all ones."""
-        values = tuple(xs) if xs is not None else (1,) * self.arity
-        if len(values) != self.arity:
-            raise ValueError(f"expected {self.arity} values, got {len(values)}")
+        """Value at the given point; x defaults to all ones, read without a tuple of them."""
+        if xs is None:
+            values: Iterable[int] = repeat(1)
+        else:
+            values = tuple(xs)
+            if len(values) != self.arity:
+                raise ValueError(f"expected {self.arity} values, got {len(values)}")
         total = 0
         for (exps, pe, qe), coeff in self.terms.items():
             term = coeff * p**pe * q**qe
@@ -321,7 +324,7 @@ class UniPoly:
             total = total * x + coeff
         return total
 
-    def to_str(self, var: str = "q") -> str:
+    def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         chunks = []
@@ -331,7 +334,7 @@ class UniPoly:
             if degree == 0:
                 chunks.append(str(coeff))
             else:
-                power = var if degree == 1 else f"{var}^{degree}"
+                power = "q" if degree == 1 else f"q^{degree}"
                 if coeff == 1:
                     chunks.append(power)
                 elif coeff == -1:
@@ -339,9 +342,6 @@ class UniPoly:
                 else:
                     chunks.append(f"{coeff}·{power}")
         return " + ".join(chunks)
-
-    def __str__(self) -> str:
-        return self.to_str()
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"

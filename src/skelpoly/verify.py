@@ -6,16 +6,16 @@ side-effect free.  A polynomial identity is checked as two tallies, each a
 `Counter` of term keys (x-exponents, p, q): on the skeleton side each shape
 contributes its coefficients f_(shape, alpha), read through `_skeleton_terms`;
 on the permutation side `perm_table(n)` streams S_n and only a few statistics
-of each w are counted.  No polynomial is added, multiplied or evaluated: one
-is built, by `_tally_witness`, only at the keys where the two tallies differ,
-to name the first differing term.  Both sides of `skeleton-rsk` are
-quasisymmetric in x, so it compares them only at the flat monomials x^alpha,
-one alpha at a time: Kostka numbers times skeleton polynomials on the left,
-built once per partition (the sorted parts of alpha), and the (Des(w), depth)
-tallies of every Des(w^-1) that alpha refines on the right.  `run_checks` is the single entry point used by
-the command line; the `_CHECKS` table names every check with its default
-bound, the largest n it admits, and its jobs, and `run_checks` refuses a bound
-above that n before any work.
+of each w are counted.  No polynomial is added, multiplied or evaluated;
+`_witness` names the first key, in canonical term order, where the two
+tallies differ.  Both sides of `skeleton-rsk` are quasisymmetric in x, so it
+compares them only at the flat monomials x^alpha, one alpha at a time:
+Kostka numbers times skeleton polynomials on the left, built once per
+partition (the sorted parts of alpha), and the (Des(w), depth) tallies of
+every Des(w^-1) that alpha refines on the right.  `run_checks` is the single
+entry point used by the command line; the `_CHECKS` table names every check
+with its default bound, the largest n it admits, and its jobs, and
+`run_checks` refuses a bound above that n before any work.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from collections import Counter, defaultdict
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, factorial
 from typing import Callable, Iterable, NamedTuple
 
@@ -43,8 +43,8 @@ from .compositions import (
     trim,
 )
 from .poly import (
-    MultiPoly,
     _padded,
+    _term_sort_key,
     bifactorial,
     bifactorial_q_slice,
     fake_degree,
@@ -97,25 +97,13 @@ def _finish(
     )
 
 
-def _poly_witness(lhs: MultiPoly, rhs: MultiPoly) -> dict | None:
-    """First differing term in canonical order, or None when equal."""
-    if lhs == rhs:
-        return None
-    (exps, p, q), _ = (lhs - rhs).sorted_terms()[0]
-    return {
-        "exponents": list(exps),
-        "p": p,
-        "q": q,
-        "lhs": lhs.coefficient(exps, p, q),
-        "rhs": rhs.coefficient(exps, p, q),
-    }
-
-
-def _tally_witness(lhs: Counter, rhs: Counter, arity: int) -> dict | None:
-    """`_poly_witness` of two tallies of term keys, built only at the keys where they differ."""
+def _witness(lhs: Counter, rhs: Counter) -> dict | None:
+    """The first term key, in canonical term order, where two tallies differ, or None."""
     differing = [key for key in lhs.keys() | rhs.keys() if lhs[key] != rhs[key]]
-    return _poly_witness(*(MultiPoly(arity, {key: side[key] for key in differing})
-                           for side in (lhs, rhs)))
+    if not differing:
+        return None
+    exps, p, q = key = min(differing, key=_term_sort_key)
+    return {"exponents": list(exps), "p": p, "q": q, "lhs": lhs[key], "rhs": rhs[key]}
 
 
 def _skeleton_terms(shape: Partition, n: int, graded: bool) -> list[tuple[tuple, int, int]]:
@@ -136,7 +124,7 @@ def check_skeleton_r(n: int, graded: bool = False) -> CheckResult:
         for _, row in perm_table(n) if row.is_involution
     )
     return _finish(
-        "skeleton-r", {"n": n, "graded": graded}, _tally_witness(lhs, rhs, n), started
+        "skeleton-r", {"n": n, "graded": graded}, _witness(lhs, rhs), started
     )
 
 
@@ -167,24 +155,22 @@ def check_skeleton_rs(
     return _finish(
         "skeleton-rs",
         {"n": n, "graded": graded},
-        _tally_witness(lhs, rhs, 2 * n),
+        _witness(lhs, rhs),
         started,
         data,
     )
 
 
-def check_skeleton_rsk(n: int, k: int | None = None, graded: bool = False) -> CheckResult:
+def check_skeleton_rsk(n: int, graded: bool = False) -> CheckResult:
     """Schur-times-skeleton sum = fundamental-times-descent sum over permutations.
 
     Both sides are quasisymmetric in x, so they are compared at each flat x^alpha
-    (alpha of n with at most k parts) as y-tallies of (Des(w), depth or 0): K_(shape,
+    (alpha a composition of n) as y-tallies of (Des(w), depth or 0): K_(shape,
     alpha) times each skeleton polynomial = the tally of each Des(w^-1) alpha refines.
     K_(shape, alpha) = K_(shape, mu) for mu the parts of alpha sorted, so the left side
     is built once per partition mu.
     """
     started = time.perf_counter()
-    if k is None:
-        k = n
     padded = {des: _padded(des, n) for des in compositions(n)}
     y_sides: defaultdict[Composition, Counter] = defaultdict(Counter)
     for _, row in perm_table(n):
@@ -196,29 +182,27 @@ def check_skeleton_rsk(n: int, k: int | None = None, graded: bool = False) -> Ch
             reached[alpha].append(y_side)
     skeletons = {shape: _skeleton_terms(shape, n, graded) for shape in partitions(n)}
     left: dict[Partition, Counter] = {}
-    for mu in filter(lambda mu: len(mu) <= k, skeletons):
+    for mu in skeletons:
         at_mu = left[mu] = Counter()
         for shape, terms in skeletons.items():
             if count := kostka(shape, mu):
                 for des, q, coeff in terms:
                     at_mu[des, q] += count * coeff
     differing: tuple[Counter, Counter] = (Counter(), Counter())  # both sides where they differ
-    for alpha in filter(lambda alpha: len(alpha) <= k, compositions(n)):
+    for alpha in compositions(n):
         lhs, rhs = left[tuple(sorted(alpha, reverse=True))], Counter()
         for y_side in reached[alpha]:
             rhs.update(y_side)
         if lhs != rhs:
-            x = _padded(alpha, k)
+            x = _padded(alpha, n)
             for tally, side in zip(differing, (lhs, rhs)):
                 tally.update({(x + des, 0, q): c for (des, q), c in side.items()})
-    witness = _tally_witness(*differing, k + n)
-    return _finish("skeleton-rsk", {"n": n, "k": k, "graded": graded}, witness, started)
+    witness = _witness(*differing)
+    return _finish("skeleton-rsk", {"n": n, "k": n, "graded": graded}, witness, started)
 
 
-def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckResult:
+def check_counting(n: int) -> CheckResult:
     """Prefix-of-ones skeleton evaluations count descent-length-bounded permutations."""
-    if j is not None and i is None:
-        raise ValueError(f"counting: j={j} needs i")
     started = time.perf_counter()
     # ones[a] of a shape: its skeleton polynomial at x_1 = .. = x_a = 1, later x = 0,
     # the sum of f_(shape, alpha) over alpha of at most a parts
@@ -234,21 +218,15 @@ def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckR
         for _, row in perm_table(n)
     )
     involutions = sum(c for (_, _, involution), c in lengths.items() if involution)
-    single_range = [i] if i is not None else list(range(1, n + 1))
-    if i is None:
-        pair_range = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    else:
-        pair_range = [] if j is None else [(i, j)]
-
     witness = None
-    for a in single_range:
+    for a in range(1, n + 1):
         lhs = sum(at[a] for at in ones)
         rhs = sum(c for (_, lb, involution), c in lengths.items() if involution and lb <= a)
         if lhs != rhs:
             witness = {"i": a, "lhs": lhs, "rhs": rhs}
             break
     if witness is None:
-        for a, b in pair_range:
+        for a, b in product(range(1, n + 1), repeat=2):
             lhs = sum(at[a] * at[b] for at in ones)
             rhs = sum(c for (la, lb, _), c in lengths.items() if la <= a and lb <= b)
             if lhs != rhs:
@@ -261,7 +239,7 @@ def check_counting(n: int, i: int | None = None, j: int | None = None) -> CheckR
             witness = {"identity": "sum f = involutions", "lhs": total_f, "rhs": involutions}
         elif total_f2 != factorial(n):
             witness = {"identity": "sum f^2 = n!", "lhs": total_f2, "rhs": factorial(n)}
-    return _finish("counting", {"n": n, "i": i, "j": j}, witness, started)
+    return _finish("counting", {"n": n, "i": None, "j": None}, witness, started)
 
 
 def check_hook_sum(n: int) -> CheckResult:
@@ -273,7 +251,7 @@ def check_hook_sum(n: int) -> CheckResult:
     for terms in hooks.values():
         lhs.update(terms)
     rhs = Counter((_padded(a, n), 0, 0) for a in compositions(n))
-    witness = _tally_witness(lhs, rhs, n)
+    witness = _witness(lhs, rhs)
     if witness is None:
         # refinement: the hook with k rows carries each length-k composition once
         for k in range(1, n + 1):
@@ -534,7 +512,7 @@ _CHECKS: dict[str, tuple[int | None, int | None, Callable[[int, bool], list[_Job
     "skeleton-rsk": (
         6,
         _SWEEP_MAX_N,
-        lambda b, _: _each_n_graded(lambda n, g: check_skeleton_rsk(n, graded=g), b),
+        lambda b, _: _each_n_graded(check_skeleton_rsk, b),
     ),
     "counting": (7, _SWEEP_MAX_N, lambda b, _: _each_n(check_counting, b)),
     "hook-sum": (7, None, lambda b, _: _each_n(check_hook_sum, b)),

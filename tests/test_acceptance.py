@@ -33,7 +33,6 @@ from skelpoly import (
     max_descent_length,
     partitions,
     qsym_fundamental,
-    quasi_crystals,
     raising_operator,
     row_word,
     rsk,
@@ -143,10 +142,10 @@ def test_criterion_05_skeleton_correspondences():
     for n in range(1, 6):
         assert check_skeleton_r(n).passed
         assert check_skeleton_rs(n).passed
-        assert check_skeleton_rsk(n, k=n).passed
+        assert check_skeleton_rsk(n).passed
         assert check_skeleton_r(n, graded=True).passed
         assert check_skeleton_rs(n, graded=True).passed
-        assert check_skeleton_rsk(n, k=n, graded=True).passed
+        assert check_skeleton_rsk(n, graded=True).passed
     _report(5, "three correspondences, plain and graded, for n <= 5", started)
 
 
@@ -252,7 +251,7 @@ def test_criterion_13_crystal_structure():
     started = time.perf_counter()
     graph = build_crystal((3, 2), 3)
     assert len(graph.vertices) == 15
-    classes = quasi_crystals(graph)
+    classes = graph.classes
     assert len(classes) == 5
     assert sorted(qc.descent for qc in classes) == sorted(
         [(3, 2), (2, 3), (2, 2, 1), (1, 3, 1), (1, 2, 2)]
@@ -278,7 +277,7 @@ def test_criterion_13_crystal_structure():
     for lam in partitions(5):
         bound = max_descent_length(lam)
         bounded = build_crystal(lam, bound)
-        for qc in quasi_crystals(bounded):
+        for qc in bounded.classes:
             generating = MultiPoly.zero(bound)
             for t in qc.members:
                 w = weight(t)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import factorial
 from unittest import mock
 
@@ -67,6 +68,18 @@ def test_skeleton_i_above_maximal_length_is_zero(capsys):
     code, out = run_cli(capsys, "skeleton", "3,2", "--i", "4")
     assert code == 0
     assert out.strip() == "0"
+
+
+def test_skeleton_eval_ones_above_maximal_length_builds_no_point(capsys):
+    # the zero polynomial in 10^7 variables is evaluated without a tuple of 10^7 ones
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "skeleton", "3,2", "--i", "10000000", "--eval-ones")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "0\n")
+    assert peak < 4_000_000
 
 
 def test_skeleton_json(capsys):
@@ -607,10 +620,11 @@ def test_verify_report_support_with_skeleton_rs_selected(checks, monkeypatch):
 
 
 def test_verify_env_bound(capsys, monkeypatch):
+    # only --max-n sets the bound; the environment does not
     monkeypatch.setenv("SKELETON_MAX_N", "3")
     code, out = run_cli(capsys, "verify", "charge-depth")
     assert code == 0
-    assert out.strip().splitlines()[-1] == "3/3 checks passed"
+    assert out.strip().splitlines()[-1] == "7/7 checks passed"
 
 
 SWEEPING_CHECKS = [
@@ -635,10 +649,6 @@ def test_verify_refuses_runaway_permutation_sweep(checks, first, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["verify", *checks, "--max-n", "11"])
     assert exc.value.code == expected
-    monkeypatch.setenv("SKELETON_MAX_N", "11")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", *checks])
-    assert exc.value.code == expected
 
 
 @pytest.mark.parametrize("checks", [["skeleton-rsk"], ["all"], []])
@@ -656,10 +666,6 @@ def test_verify_refuses_skeleton_rsk_above_the_sweep_limit(checks, n, monkeypatc
     )
     with pytest.raises(SystemExit) as exc:
         main(["verify", *checks, "--max-n", n])
-    assert exc.value.code == expected
-    monkeypatch.setenv("SKELETON_MAX_N", n)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", *checks])
     assert exc.value.code == expected
 
 
@@ -681,13 +687,6 @@ def test_verify_unknown_check(capsys):
         main(["verify", "nonsense"])
 
 
-def test_verify_rejects_non_integer_env_bound(capsys, monkeypatch):
-    monkeypatch.setenv("SKELETON_MAX_N", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "mahonian"])
-    assert str(exc.value.code).startswith("error: SKELETON_MAX_N")
-
-
 def test_rsk_rejects_zero_letter(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rsk", "0"])
@@ -702,24 +701,31 @@ def test_verify_rejects_nonpositive_bound(capsys):
 def test_benchmark_trace_mode_runs():
     # The benchmark's trace mode rebinds public names of every layer (see
     # perfbench/child.py); a renamed or removed one fails here, not in a bench run.
+    # One tiny op per command the benchmark runs.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    read_fd, write_fd = os.pipe()
-    try:
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                os.path.join(root, "perfbench", "child.py"),
-                str(write_fd),
-                "trace",
-                os.path.join(root, "src"),
-                *("verify", "s6-inversions", "--max-n", "2"),
-            ],
-            pass_fds=(write_fd,),
-            stdout=subprocess.DEVNULL,
-        )
-    finally:
-        os.close(write_fd)
-    with os.fdopen(read_fd) as info:
-        record = json.load(info)
-    assert proc.wait(timeout=120) == 0
-    assert record["error"] is None
+    for argv in (
+        ["verify", "--max-n", "3"],
+        ["crystal", "2,1", "3"],
+        ["skeleton", "3,2"],
+        ["tableaux", "3,2", "--qy"],
+    ):
+        read_fd, write_fd = os.pipe()
+        try:
+            proc = subprocess.Popen(
+                [
+                    sys.executable,
+                    os.path.join(root, "perfbench", "child.py"),
+                    str(write_fd),
+                    "trace",
+                    os.path.join(root, "src"),
+                    *argv,
+                ],
+                pass_fds=(write_fd,),
+                stdout=subprocess.DEVNULL,
+            )
+        finally:
+            os.close(write_fd)
+        with os.fdopen(read_fd) as info:
+            record = json.load(info)
+        assert proc.wait(timeout=120) == 0, argv
+        assert record["error"] is None, argv

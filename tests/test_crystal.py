@@ -15,7 +15,6 @@ from skelpoly import (
     max_descent_length,
     partitions,
     qsym_fundamental,
-    quasi_crystals,
     raising_operator,
     row_word,
     semistandard_tableaux,
@@ -118,7 +117,7 @@ def test_figure_crystal_golden():
         for u, color, v in graph.edges
     }
     assert edges == FIGURE_EDGES
-    classes = quasi_crystals(graph)
+    classes = graph.classes
     assert {qc.descent: {t.rows for t in qc.members} for qc in classes} == FIGURE_CLASSES
     for qc in classes:
         assert qc.representative.is_standard()
@@ -149,8 +148,8 @@ def test_build_crystal_against_per_tableau_operators(lam, bound):
     for i, t in enumerate(vertices):
         groups.setdefault(standardize(t), []).append(i)
     expected_classes = sorted(groups.items(), key=lambda item: row_word(item[0]))
-    assert len(quasi_crystals(graph)) == len(expected_classes)
-    for qc, (rep, members) in zip(quasi_crystals(graph), expected_classes):
+    assert len(graph.classes) == len(expected_classes)
+    for qc, (rep, members) in zip(graph.classes, expected_classes):
         assert qc.representative == rep
         assert qc.descent == descent_composition(rep)
         assert qc.indices == tuple(members)
@@ -167,18 +166,18 @@ def test_crystal_counts_match_closed_forms(lam, bound):
             hooks *= (length - c - 1) + sum(1 for part in lam[r + 1 :] if part > c) + 1
     assert len(graph.vertices) == vertex_count(lam, bound) == contents // hooks
     n = sum(lam)
-    for qc in quasi_crystals(graph):
+    for qc in graph.classes:
         # F_alpha(1^b) = C(b - d + n - 1, n) with d = len(alpha) - 1 descents
         d = len(qc.descent) - 1
         assert len(qc.members) == comb(bound - d + n - 1, n)
     few_descents = [t for t in standard_tableaux(lam) if len(descent_set(t)) <= bound - 1]
-    assert len(quasi_crystals(graph)) == len(few_descents)
+    assert len(graph.classes) == len(few_descents)
 
 
 def test_quasi_crystal_classes_are_connected():
     graph = build_crystal((3, 2), 3)
     index = {t: i for i, t in enumerate(graph.vertices)}
-    for qc in quasi_crystals(graph):
+    for qc in graph.classes:
         members = {index[t] for t in qc.members}
         adjacency = {m: set() for m in members}
         for u, _, v in graph.edges:
@@ -222,6 +221,12 @@ def test_crystal_of_a_tall_rectangle():
     assert all(t.is_semistandard() for t in graph.vertices)
 
 
+def test_crystal_of_one_box_at_a_large_bound():
+    # a vertex costs the letters of its row word, not the bound: one letter each here
+    graph = build_crystal((1,), 20_000)
+    assert graph.edges == tuple((x - 1, x, x) for x in range(1, 20_000))
+
+
 def test_build_crystal_small_cases():
     two_one = build_crystal((2, 1), 2)
     assert len(two_one.vertices) == 2
@@ -255,7 +260,7 @@ def test_crystal_of_the_empty_shape(bound):
 
 def test_quasi_crystal_decomposition_of_21():
     graph = build_crystal((2, 1), 3)
-    classes = quasi_crystals(graph)
+    classes = graph.classes
     assert len(classes) == 2
     assert sorted(qc.representative.rows for qc in classes) == sorted(
         t.rows for t in standard_tableaux((2, 1))
@@ -271,7 +276,7 @@ def test_fundamental_system():
 def test_fundamental_system_totals():
     for lam in partitions(5):
         graph = build_crystal(lam, 5)
-        classes = quasi_crystals(graph)
+        classes = graph.classes
         assert len(classes) == len(standard_tableaux(lam))
         by_descent = {}
         for qc in classes:
@@ -284,7 +289,7 @@ def test_quasi_crystal_generating_functions_are_fundamental():
     for lam in partitions(5):
         bound = max_descent_length(lam)
         graph = build_crystal(lam, bound)
-        for qc in quasi_crystals(graph):
+        for qc in graph.classes:
             generating = MultiPoly.zero(bound)
             for t in qc.members:
                 w = weight(t)
@@ -301,7 +306,7 @@ def test_descent_equivalent_classes_are_isomorphic():
     bound = max_descent_length(lam)
     graph = build_crystal(lam, bound)
     by_descent = {}
-    for qc in quasi_crystals(graph):
+    for qc in graph.classes:
         by_descent.setdefault(qc.descent, []).append(qc)
     repeated = {descent: group for descent, group in by_descent.items() if len(group) > 1}
     assert {descent: len(group) for descent, group in repeated.items()} == {
