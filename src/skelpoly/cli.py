@@ -218,7 +218,7 @@ def _skeleton_csv(polys) -> None:
 
 
 def _compact_tableau(t) -> str:
-    return "/".join(["".join(map(str, row)) for row in t.rows])
+    return "/".join(map(format_comp, t.rows))
 
 
 def _skeleton_table(max_size: int, fmt: str) -> int:

@@ -44,6 +44,24 @@ def _term_sort_key(key: TermKey):
     return (len(trimmed), tuple(-e for e in trimmed), p, q)
 
 
+def _power(var: str, e: int, latex: bool = False) -> str:
+    """var to the power e >= 1: the bare variable at 1, LaTeX braces the exponent."""
+    if e == 1:
+        return var
+    return f"{var}^{{{e}}}" if latex else f"{var}^{e}"
+
+
+def _scaled(coeff: int, body: str, times: str) -> str:
+    """coeff times a product of powers; a constant (empty body) prints as its coefficient."""
+    if not body:
+        return str(coeff)
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return "-" + body
+    return f"{coeff}{times}{body}"
+
+
 class MultiPoly:
     """Sparse polynomial in x_1..x_arity with optional p, q exponents per term."""
 
@@ -189,33 +207,18 @@ class MultiPoly:
             total += term
         return total
 
-    def _term_str(self, key: TermKey, coeff: int) -> str:
+    def _term_str(self, key: TermKey, coeff: int, latex: bool = False) -> str:
         exps, p, q = key
-        factors = []
-        if p:
-            factors.append(f"p^{p}" if p > 1 else "p")
-        if q:
-            factors.append(f"q^{q}" if q > 1 else "q")
+        factors = [_power(var, e, latex) for var, e in (("p", p), ("q", q)) if e]
         trimmed = trim(exps)
-        if trimmed:
-            if all(e <= 9 for e in trimmed):
-                factors.append("x^" + "".join(str(e) for e in trimmed))
-            else:
-                factors.append(
-                    "*".join(
-                        f"x{i}^{e}" if e > 1 else f"x{i}"
-                        for i, e in enumerate(trimmed, start=1)
-                        if e
-                    )
-                )
-        body = "·".join(factors)
-        if not body:
-            return str(coeff)
-        if coeff == 1:
-            return body
-        if coeff == -1:
-            return "-" + body
-        return f"{coeff}·{body}"
+        if latex:
+            factors += (_power(f"x_{{{i}}}", e, True) for i, e in enumerate(trimmed, 1) if e)
+        elif trimmed and all(e <= 9 for e in trimmed):
+            factors.append("x^" + "".join(map(str, trimmed)))
+        elif trimmed:
+            factors.append("*".join(_power(f"x{i}", e) for i, e in enumerate(trimmed, 1) if e))
+        times = "" if latex else "·"
+        return _scaled(coeff, times.join(factors), times)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -228,24 +231,8 @@ class MultiPoly:
     def latex(self) -> str:
         if not self.terms:
             return "0"
-        chunks = []
-        for (exps, p, q), coeff in self.sorted_terms():
-            factors = []
-            if p:
-                factors.append("p" if p == 1 else f"p^{{{p}}}")
-            if q:
-                factors.append("q" if q == 1 else f"q^{{{q}}}")
-            for i, e in enumerate(trim(exps), start=1):
-                if e:
-                    factors.append(f"x_{{{i}}}" if e == 1 else f"x_{{{i}}}^{{{e}}}")
-            body = "".join(factors) or "1"
-            if coeff == 1:
-                chunks.append(body)
-            elif coeff == -1:
-                chunks.append(f"-{body}")
-            else:
-                chunks.append(f"{coeff}{body}")
-        return "+".join(chunks).replace("+-", "-")
+        terms = "+".join(self._term_str(key, c, latex=True) for key, c in self.sorted_terms())
+        return terms.replace("+-", "-")
 
     def to_json(self) -> dict:
         return {
@@ -327,21 +314,9 @@ class UniPoly:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        chunks = []
-        for degree, coeff in enumerate(self.coeffs):
-            if coeff == 0:
-                continue
-            if degree == 0:
-                chunks.append(str(coeff))
-            else:
-                power = "q" if degree == 1 else f"q^{degree}"
-                if coeff == 1:
-                    chunks.append(power)
-                elif coeff == -1:
-                    chunks.append(f"-{power}")
-                else:
-                    chunks.append(f"{coeff}·{power}")
-        return " + ".join(chunks)
+        return " + ".join(
+            _scaled(c, _power("q", d) if d else "", "·") for d, c in enumerate(self.coeffs) if c
+        )
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"

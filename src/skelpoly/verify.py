@@ -13,9 +13,10 @@ compares them only at the flat monomials x^alpha, one alpha at a time:
 Kostka numbers times skeleton polynomials on the left, built once per
 partition (the sorted parts of alpha), and the (Des(w), depth) tallies of
 every Des(w^-1) that alpha refines on the right.  `run_checks` is the single
-entry point used by the command line; the `_CHECKS` table names every check
-with its default bound, the largest n it admits, and its jobs, and
-`run_checks` refuses a bound above that n before any work.
+entry point used by the command line.  Each row of the `_CHECKS` table holds a
+check's function, its job kind, its default bound and the largest n it admits;
+`run_checks` builds the jobs of every selected row in one loop, and refuses a
+bound above that n before any job runs.
 """
 
 from __future__ import annotations
@@ -474,23 +475,8 @@ def _is_prime(n: int) -> bool:
     return all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-_Job = Callable[[], CheckResult]
-
-
-def _each_n(check: Callable[[int], CheckResult], bound: int) -> list[_Job]:
-    return [partial(check, n) for n in range(1, bound + 1)]
-
-
-def _each_n_graded(check: Callable[[int, bool], CheckResult], bound: int) -> list[_Job]:
-    return [partial(check, n, g) for n in range(1, bound + 1) for g in (False, True)]
-
-
-def _each_shape(check: Callable[[Partition], CheckResult], bound: int) -> list[_Job]:
-    return [partial(check, s) for n in range(1, bound + 1) for s in partitions(n)]
-
-
 # The largest S_n a sweeping check may walk, as n!, refused by `run_checks` before any
-# job is built; direct `check_*` calls are not limited.  Time holds the limit, not memory:
+# job runs; direct `check_*` calls are not limited.  Time holds the limit, not memory:
 # each sweep streams `perm_table(n)` into a tally, so at `--max-n 10` (10! = 3,628,800)
 # `verify counting` takes 5.8 s at a 27 MB peak, `mahonian` 5.2 s at 23 MB, `skeleton-rsk`
 # 24 s at 46 MB (9: 3.2 s, 22 MB); the 252 tail tables of the S_10 sweep hold about 7 MB
@@ -498,31 +484,24 @@ def _each_shape(check: Callable[[Partition], CheckResult], bound: int) -> list[_
 _SWEEP_MAX_N = 10
 MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 
-# name -> (default bound, largest n admitted or None when not limited, jobs(bound,
-# report_support)); every check with a largest n sweeps S_n for each n up to its
-# bound.  A default bound of None marks a check that takes none.  `all` runs the
-# checks in this order.
-_CHECKS: dict[str, tuple[int | None, int | None, Callable[[int, bool], list[_Job]]]] = {
-    "skeleton-r": (6, _SWEEP_MAX_N, lambda b, _: _each_n_graded(check_skeleton_r, b)),
-    "skeleton-rs": (
-        6,
-        _SWEEP_MAX_N,
-        lambda b, report: _each_n_graded(lambda n, g: check_skeleton_rs(n, g, report), b),
-    ),
-    "skeleton-rsk": (
-        6,
-        _SWEEP_MAX_N,
-        lambda b, _: _each_n_graded(check_skeleton_rsk, b),
-    ),
-    "counting": (7, _SWEEP_MAX_N, lambda b, _: _each_n(check_counting, b)),
-    "hook-sum": (7, None, lambda b, _: _each_n(check_hook_sum, b)),
-    "mahonian": (8, _SWEEP_MAX_N, lambda b, _: _each_n(check_mahonian, b)),
-    "bks": (8, None, lambda b, _: _each_shape(check_bks, b)),
-    "schur-family": (7, None, lambda b, _: _each_shape(check_schur_family, b)),
-    "charge-depth": (7, _SWEEP_MAX_N, lambda b, _: _each_n(check_charge_depth, b)),
-    "s6-inversions": (None, None, lambda b, _: [check_s6_inversion_count]),
-    "linear-independence": (6, None, lambda b, _: _each_n(check_linear_independence, b)),
-    "bifactorial": (7, _SWEEP_MAX_N, lambda b, _: _each_n(check_bifactorial, b)),
+# name -> (check, job kind, default bound, largest n admitted or None when not
+# limited).  The kind names a check's jobs up to a bound n: `per_n` runs it at each
+# m = 1..n, `graded` at each m ungraded then graded, `per_shape` at each partition of
+# each m, `single` once with no argument and no bound.  Every check with a largest n
+# sweeps S_m for each m up to its bound.  `all` runs the checks in this order.
+_CHECKS: dict[str, tuple[Callable[..., CheckResult], str, int | None, int | None]] = {
+    "skeleton-r": (check_skeleton_r, "graded", 6, _SWEEP_MAX_N),
+    "skeleton-rs": (check_skeleton_rs, "graded", 6, _SWEEP_MAX_N),
+    "skeleton-rsk": (check_skeleton_rsk, "graded", 6, _SWEEP_MAX_N),
+    "counting": (check_counting, "per_n", 7, _SWEEP_MAX_N),
+    "hook-sum": (check_hook_sum, "per_n", 7, None),
+    "mahonian": (check_mahonian, "per_n", 8, _SWEEP_MAX_N),
+    "bks": (check_bks, "per_shape", 8, None),
+    "schur-family": (check_schur_family, "per_shape", 7, None),
+    "charge-depth": (check_charge_depth, "per_n", 7, _SWEEP_MAX_N),
+    "s6-inversions": (check_s6_inversion_count, "single", None, None),
+    "linear-independence": (check_linear_independence, "per_n", 6, None),
+    "bifactorial": (check_bifactorial, "per_n", 7, _SWEEP_MAX_N),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -535,26 +514,37 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the selected checks (or all of them) and return results in order.
 
-    Refuses, before any work, a bound above the largest n of a selected
-    check: one whose S_n is above `MAX_PERMUTATIONS`.
+    One pass over the selected names refuses an unknown name, or a bound above the
+    largest n of a check (one whose S_n is above `MAX_PERMUTATIONS`), and otherwise
+    queues the check's jobs; no job runs until every name has passed.
     """
     selected = list(names)
     if "all" in selected or not selected:
         selected = list(CHECK_NAMES)
-    for name in selected:
-        if name not in _CHECKS:
-            continue
-        default, largest, _ = _CHECKS[name]
-        n = default if max_n is None else max_n
-        if largest is not None and n > largest:
-            raise ValueError(
-                f"verify {name} at n={n} has {factorial(n)} permutations,"
-                f" above the limit of {MAX_PERMUTATIONS}"
-            )
-    jobs: list[_Job] = []
+    queued: list[tuple[Callable[..., CheckResult], Iterable[tuple]]] = []
     for name in selected:
         if name not in _CHECKS:
             raise ValueError(f"unknown check: {name}")
-        default, _, build = _CHECKS[name]
-        jobs.extend(build(default if max_n is None else max_n, report_support))
-    return [job() for job in jobs]
+        check, kind, default, largest = _CHECKS[name]
+        n = default if max_n is None else max_n
+        if largest is not None and n > largest:
+            # n! is written out only up to 20!; at n = 100000 its digits would pass the
+            # int-to-str limit, and past sys.maxsize `factorial` overflows
+            count = factorial(n) if n <= 20 else f"{n}!"
+            raise ValueError(
+                f"verify {name} at n={n} has {count} permutations,"
+                f" above the limit of {MAX_PERMUTATIONS}"
+            )
+        if name == "skeleton-rs":
+            check = partial(check, report_support=report_support)
+        sizes = range(1, (n or 0) + 1)
+        if kind == "single":
+            arguments: Iterable[tuple] = [()]
+        elif kind == "per_n":
+            arguments = ((m,) for m in sizes)
+        elif kind == "graded":
+            arguments = ((m, graded) for m in sizes for graded in (False, True))
+        else:  # per_shape, lazy: a name refused later in the loop lists no partition
+            arguments = ((shape,) for m in sizes for shape in partitions(m))
+        queued.append((check, arguments))
+    return [check(*args) for check, arguments in queued for args in arguments]

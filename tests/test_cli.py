@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from math import factorial
 from unittest import mock
@@ -10,7 +11,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import skelpoly
-from skelpoly import build_crystal, cli, graph_json, partitions, verify, weight
+from skelpoly import (
+    build_crystal,
+    cli,
+    graph_json,
+    partitions,
+    quasi_yamanouchi_tableaux,
+    verify,
+    weight,
+)
 from skelpoly.cli import format_comp, main, parse_parts
 
 
@@ -117,6 +126,28 @@ def test_skeleton_table(capsys):
     lines = out.splitlines()
     assert len(lines) == 7  # shapes of size 0..3
     assert "21: x^21 + x^12   [11/2, 12/2]" in lines
+
+
+def test_skeleton_table_fillings_read_back_at_n11(capsys):
+    # the rows of a filling are written as compositions: with commas once an entry is 10
+    code, out = run_cli(capsys, "skeleton", "--table", "11")
+    assert code == 0
+    shapes = [shape for n in range(1, 12) for shape in partitions(n)]
+    lines = out.splitlines()[1:]  # after the empty shape, which has no filling
+    assert len(lines) == len(shapes)
+    fillings = {shape: line.split("[", 1)[1].rstrip("]").split(", ")
+                for shape, line in zip(shapes, lines)}
+    assert "16/27/38/49/5,10/6" in fillings[2, 2, 2, 2, 2, 1]
+    assert fillings[(2,) + (1,) * 9][-1] == "1,10/2/3/4/5/6/7/8/9/10"
+
+    def read_row(text, length):  # a row of one entry is that entry, whatever its digits
+        if "," in text:
+            return tuple(map(int, text.split(",")))
+        return tuple(map(int, text)) if length > 1 else (int(text),)
+
+    for shape, written in fillings.items():
+        rows = [tuple(map(read_row, filling.split("/"), shape)) for filling in written]
+        assert rows == [t.rows for t in quasi_yamanouchi_tableaux(shape)], shape
 
 
 def test_skeleton_table_latex(capsys):
@@ -628,7 +659,7 @@ def test_verify_env_bound(capsys, monkeypatch):
 
 
 SWEEPING_CHECKS = [
-    name for name, (_, largest, _) in verify._CHECKS.items() if largest is not None
+    name for name, (_, _, _, largest) in verify._CHECKS.items() if largest is not None
 ]
 
 
@@ -667,6 +698,40 @@ def test_verify_refuses_skeleton_rsk_above_the_sweep_limit(checks, n, monkeypatc
     with pytest.raises(SystemExit) as exc:
         main(["verify", *checks, "--max-n", n])
     assert exc.value.code == expected
+
+
+@pytest.mark.parametrize("checks", [["mahonian"], ["bks", "schur-family", "mahonian"]])
+@pytest.mark.parametrize("n", ["100000", "5000000", "99999999999999999999"])
+def test_verify_refuses_a_huge_bound_at_once(checks, n, monkeypatch):
+    # the count is named as n!, never computed; a check queued before the refused
+    # one lists no partition
+    def must_not_enumerate(n):
+        raise AssertionError("S_n enumeration reached for a refused size")
+
+    monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *checks, "--max-n", n])
+    assert time.perf_counter() - started < 1
+    assert exc.value.code == (
+        f"error: verify mahonian at n={n} has {n}! permutations, above the limit of 3628800"
+    )
+
+
+def test_verify_huge_bound_exits_1_without_a_traceback():
+    src = os.path.dirname(os.path.dirname(skelpoly.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from skelpoly.cli import main; sys.exit(main())",
+         "verify", "mahonian", "--max-n", "99999999999999999999"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: verify mahonian at n=99999999999999999999 has ")
+    assert "Traceback" not in done.stderr
 
 
 def test_permutation_limit_admits_n10_only():

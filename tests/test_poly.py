@@ -125,6 +125,18 @@ class TestMultiPoly:
             {"exponents": [1, 2], "p": 0, "q": 0, "coefficient": 1},
         ]
 
+    @pytest.mark.parametrize("coeff", [1, -1, 2, -3])
+    def test_constant_prints_as_its_coefficient(self, coeff):
+        constant = mono((0, 0), coeff=coeff)
+        assert str(constant) == constant.latex() == str(UniPoly((coeff,))) == str(coeff)
+        with_x1 = constant + mono((1, 0), coeff=2)
+        assert str(with_x1) == f"{coeff} + 2·x^1"
+        assert with_x1.latex() == f"{coeff}+2x_{{1}}"
+        assert str(UniPoly((coeff, 2))) == f"{coeff} + 2·q"
+
+    def test_latex_negative_term_after_a_constant(self):
+        assert (mono((0, 0), coeff=-1) + mono((1, 0), coeff=-1)).latex() == "-1-x_{1}"
+
     def test_specialize(self):
         f = mono((1,), p=2) + mono((1,), q=1)
         assert f.specialize(p=1, q=1) == mono((1,), coeff=2)

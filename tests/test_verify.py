@@ -1,5 +1,7 @@
+import runpy
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -286,7 +288,7 @@ def test_sweep_flags_match_the_checks_that_sweep(monkeypatch):
     # sweeps S_6 whatever the bound, so it has none
     swept = {name for name, ns in sizes.items() if ns and max(ns) == 2}
     assert swept == {
-        name for name, (_, largest, _) in verify._CHECKS.items() if largest is not None
+        name for name, (_, _, _, largest) in verify._CHECKS.items() if largest is not None
     }
     assert sizes["s6-inversions"] == [6]
 
@@ -305,7 +307,8 @@ def test_run_checks_refuses_runaway_sweep_before_any_work(monkeypatch):
 
 def test_skeleton_rsk_limit_admits_n10_and_refuses_n11(monkeypatch):
     sizes = []
-    monkeypatch.setattr(verify, "check_skeleton_rsk", lambda n, graded: sizes.append(n))
+    fake = (lambda n, graded: sizes.append(n), *verify._CHECKS["skeleton-rsk"][1:])
+    monkeypatch.setitem(verify._CHECKS, "skeleton-rsk", fake)
     run_checks(["skeleton-rsk"], max_n=10)
     assert max(sizes) == 10
     with pytest.raises(ValueError) as exc:
@@ -314,6 +317,14 @@ def test_skeleton_rsk_limit_admits_n10_and_refuses_n11(monkeypatch):
         "verify skeleton-rsk at n=11 has 39916800 permutations, above the limit of 3628800"
     )
     assert max(sizes) == 10
+
+
+def test_benchmark_copy_of_the_check_table_matches():
+    # perfbench/workloads.py counts the jobs its `verify` oracle expects from its own
+    # {name: (job kind, default bound)} copy of the table; a drift fails every run there
+    workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+    table = {name: (kind, default) for name, (_, kind, default, _) in verify._CHECKS.items()}
+    assert list(table.items()) == list(workloads["VERIFY_CHECKS"].items())
 
 
 def test_run_checks_unknown_name():
