@@ -16,7 +16,7 @@ from functools import cache
 from itertools import chain, groupby, islice, starmap
 from typing import Iterator
 
-from .compositions import Composition, format_comp, is_partition, partitions
+from .compositions import Composition, format_comp, is_partition, is_strong, partitions
 from .crystal import build_crystal, graph_json, inner_crystal, to_dot, vertex_count
 from .poly import deep_skeleton, skeleton_poly, skeleton_poly_i
 from .rsk import is_permutation, perm_stats, rsk
@@ -52,13 +52,14 @@ MAX_TABLEAUX = 200_000
 
 
 def parse_parts(text: str) -> Composition:
-    """Comma-separated parts, or a bare digit string when all parts are < 10."""
+    """Comma-separated parts (a trailing comma allowed, as in `12,`), or a bare
+    digit string when all parts are < 10."""
     text = text.strip()
     if not text:
         return ()
     try:
         if "," in text:
-            return tuple(int(chunk) for chunk in text.split(","))
+            return tuple(int(chunk) for chunk in text.removesuffix(",").split(","))
         if text.isdigit():
             return tuple(int(ch) for ch in text)
         return (int(text),)
@@ -214,11 +215,17 @@ def _skeleton_csv(polys) -> None:
             continue
         for (exps, _, _), coeff in poly.sorted_terms():
             alpha = tuple(e for e in exps if e)  # skeleton exponents have no gaps
-            print(f"{format_comp(shape)},{format_comp(alpha)},{coeff}")
+            print(f"{_csv_field(format_comp(shape))},{_csv_field(format_comp(alpha))},{coeff}")
+
+
+def _csv_field(text: str) -> str:
+    """A CSV field, quoted when it holds a comma, as `csv.writer` quotes by default."""
+    return f'"{text}"' if "," in text else text
 
 
 def _compact_tableau(t) -> str:
-    return "/".join(map(format_comp, t.rows))
+    # a row of one entry is that entry: the shape gives each row's length
+    return "/".join(str(row[0]) if len(row) == 1 else format_comp(row) for row in t.rows)
 
 
 def _skeleton_table(max_size: int, fmt: str) -> int:
@@ -261,6 +268,10 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
     shape = _require_partition(args.shape)
     if args.des is not None and (args.qy or not args.syt):
         raise SystemExit("error: --des applies only to --syt")
+    if args.des is not None and not (is_strong(args.des) and sum(args.des) == sum(shape)):
+        raise SystemExit(
+            f"error: --des {','.join(map(str, args.des))} is not a composition of {sum(shape)}"
+        )
     if args.ssyt is not None and args.ssyt < 0:
         raise SystemExit(f"error: --ssyt must be at least 0, got {args.ssyt}")
     modes = [flag for flag, given in (("--qy", args.qy), ("--syt", args.syt),

@@ -45,10 +45,14 @@ def trim(weak: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def format_comp(alpha: Composition) -> str:
-    """Digits run together when every part is below ten, else comma-separated."""
+    """Digits run together when every part is below ten, else comma-separated.
+
+    A lone part above nine keeps a trailing comma (`12,`), so that it does not
+    read back as the digit string of (1, 2).
+    """
     if all(part <= 9 for part in alpha):
         return "".join(str(part) for part in alpha)
-    return ",".join(str(part) for part in alpha)
+    return ",".join(str(part) for part in alpha) + ("," if len(alpha) == 1 else "")
 
 
 @cache

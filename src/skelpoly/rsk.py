@@ -2,13 +2,11 @@
 
 Permutations are tuples in one-line notation over {1, ..., n}; words are
 tuples of positive integers.  `rsk` returns the insertion and recording
-tableaux; the statistics in `PermStats` (descent compositions of w and of
-its inverse, major index, depth, inversions, charge, involution) all live on
-the recording side or directly on the one-line word.  `perm_stats(w)` is the
-reference route, one function per statistic on one word; `perm_table(n)`
-streams every permutation of S_n with the same statistics, each row joining
-a searched prefix to an entry of a per-remaining-set tail table rather than
-recomputed from its word.
+tableaux.  A `PermStats` row holds the descent compositions of w and of its
+inverse (its left descents), maj, depth, inversions, charge and whether w is
+an involution.  `perm_stats(w)` is the reference, one function per statistic
+on one word; `perm_table(n)` streams S_n with the same rows, reading maj,
+depth and charge off the descent and left-descent masks.
 """
 
 from __future__ import annotations
@@ -154,46 +152,57 @@ def perm_stats(w: Word) -> PermStats:
     )
 
 
+def _involutions(n: int) -> Iterator[Word]:
+    """Every involution of S_n in one-line notation, each once.
+
+    The least value not yet matched is either fixed or swapped with a greater
+    unmatched one.
+    """
+    w = [0] * n
+
+    def match(i):
+        while i < n and w[i]:
+            i += 1
+        if i == n:
+            yield tuple(w)
+            return
+        for j in range(i, n):
+            if not w[j]:
+                w[i], w[j] = j + 1, i + 1
+                yield from match(i + 1)
+                w[i] = w[j] = 0
+
+    return match(0)
+
+
 def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
     """Each w of S_n with `perm_stats(w)`, in `all_permutations(n)` order.
 
-    Each w is a prefix (positions 1..m, m = ceil(n/2)) followed by a tail
-    (the other n - m positions), and every statistic splits into a part of
-    the prefix, a part of the tail and at most one term that couples them.
-    The prefixes come from a depth-first search over positions 1..m that
-    tries the unplaced values in increasing order.  Placing v at position i
-    updates every statistic in O(1): inversions by the placed values greater
-    than v; a descent at i-1 when the previous value exceeds v (maj += i-1,
-    depth = n*des - maj); a left descent at v when v+1 is already placed
-    (charge += n-v).  The tails are the orderings of the set R of values a
-    prefix leaves, listed once per R in increasing order with what each adds
-    to the descents at positions m+1..n-1, to the inversions (those between
-    R and the greater placed values included) and to the left descents: a
-    pair v, v+1 inside R by its order, v in R with v+1 placed always, v
-    placed with v+1 in R never.  A row joins a prefix and a tail; the one
-    coupling is the descent at position m, which every tail starting below
-    the last prefix value has.  An involution needs w(v) = i at each position
-    i with v = w(i) < i: the prefix tests its own positions; a tail fails on
-    its own or names, for each of its values v <= m, the position that w(v)
-    must be, and the prefix must agree.  Descent sets are bitmasks (bit d for
-    descent d), mapped to compositions through one dict per n.
-
-    The tail tables live as long as the generator: C(n, n-m) of them with
-    (n-m)! entries each (252 of 120 at n = 10).  The rows are streamed rather
-    than stored; those of S_8 alone take about 10.5 MiB.
+    Each w joins a prefix (positions 1..m, m = ceil(n/2)), from a depth-first
+    search that tries the unplaced values in increasing order, to a tail, an
+    ordering of the values the prefix leaves, from a table built once per
+    remaining set.  Each half carries its descents and left descents (i with
+    i+1 placed before i) as bitmasks, bit d for d, and its inversions; the one
+    coupling is the descent at m of every tail that starts below the last
+    prefix value.  One table per n maps each mask to its composition, its
+    maj (sum of D) and its depth (n*|D| - sum of D); charge is that depth of
+    the left-descent mask.  An involution passes the prefix test w(v) = i for
+    each v = w(i) < i, then is looked up among the `_involutions(n)`.
     """
-    composition_of = {
-        sum(1 << d for d in comp_to_set(alpha).members): alpha for alpha in compositions(n)
-    }
+    stats_of = [None] * (1 << n)  # descent mask -> (composition, maj, depth)
+    for alpha in compositions(n):
+        ds = comp_to_set(alpha).members
+        stats_of[sum(1 << d for d in ds)] = alpha, sum(ds), n * len(ds) - sum(ds)
+    involutions = frozenset(_involutions(n))
     values = ((1 << (n + 1)) - 1) ^ 1  # bit v for each value v of [n]
     m = (n + 1) // 2  # prefix length; the tail holds the other t positions
     t = n - m
     make = tuple.__new__
 
-    def prefixes(i, prefix, used, des_mask, maj, des, left_mask, charge, inv, involution):
+    def prefixes(i, prefix, used, des_mask, left_mask, inv, involution):
         # every way to fill positions i..m after `prefix`, with its statistics
         if i > m:
-            yield prefix, used, des_mask, maj, des, left_mask, charge, inv, involution
+            yield prefix, used, des_mask, left_mask, inv, involution
             return
         prev = prefix[-1] if prefix else 0
         free = values & ~used
@@ -201,85 +210,50 @@ def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
             bit = free & -free
             free ^= bit
             v = bit.bit_length() - 1
-            d_mask, d_maj, d_des = des_mask, maj, des
-            if prev > v:
-                d_mask |= 1 << (i - 1)
-                d_maj += i - 1
-                d_des += 1
             placed = used | bit
-            l_mask, l_charge = left_mask, charge
-            if placed >> (v + 1) & 1:
-                l_mask |= 1 << v
-                l_charge += n - v
             yield from prefixes(
-                i + 1, prefix + (v,), placed, d_mask, d_maj, d_des, l_mask, l_charge,
+                i + 1, prefix + (v,), placed,
+                des_mask | 1 << (i - 1) if prev > v else des_mask,
+                left_mask | 1 << v if placed >> (v + 1) & 1 else left_mask,
                 inv + (used >> (v + 1)).bit_count(),
                 involution and (v >= i or prefix[v - 1] == i),
             )
 
     # the orderings of range(t), lexicographic: the descents they put at positions
-    # m+1..n-1 (mask, maj, n*des - maj), their inversions, and each k after k+1
+    # m+1..n-1, their inversions, and each k that comes after k+1
     patterns = []
     for order in _permutations(range(t)):
         steps = [m + j for j in range(1, t) if order[j - 1] > order[j]]
         where = sorted(range(t), key=order.__getitem__)
-        patterns.append((order, sum(1 << d for d in steps), sum(steps),
-                         n * len(steps) - sum(steps), inversions(order),
+        patterns.append((order, sum(1 << d for d in steps), inversions(order),
                          [k for k in range(t - 1) if where[k + 1] < where[k]]))
 
     def tail_table(rest):
-        # every ordering of the values in `rest`, lexicographic, with its statistics
+        # every ordering of the values in `rest`, lexicographic, with its statistics;
+        # v in `rest` is a left descent when v+1 is placed, never when v is placed
         r = [v for v in range(1, n + 1) if rest >> v & 1]
         placed = values ^ rest
         cross = sum((placed >> (v + 1)).bit_count() for v in r)
-        fixed_left = fixed_charge = 0
-        for v in r:
-            if placed >> (v + 1) & 1:
-                fixed_left |= 1 << v
-                fixed_charge += n - v
-        table = []
-        for order, mask, maj, dep, inv, after in patterns:
-            tail = tuple([r[k] for k in order])
-            left, charge = fixed_left, fixed_charge
-            for k in after:
-                v = r[k]
-                if r[k + 1] == v + 1:
-                    left |= 1 << v
-                    charge += n - v
-            key = []  # w(v) = m+1+j for the value v <= m at tail index j, else 0
-            for p, v in enumerate(tail, start=m + 1):
-                if m < v < p and tail[v - m - 1] != p:
-                    key = None
-                    break
-                key.append(v if v <= m else 0)
-            table.append((tail, mask, maj, dep, cross + inv, left, charge,
-                          None if key is None else tuple(key)))
-        return table
+        fixed_left = sum(1 << v for v in r if placed >> (v + 1) & 1)
+        return [
+            (tuple([r[k] for k in order]), mask, cross + inv,
+             fixed_left | sum(1 << r[k] for k in after if r[k + 1] == r[k] + 1))
+            for order, mask, inv, after in patterns
+        ]
 
     tables = {}
     block = len(patterns) // max(t, 1)  # tails per first value
-    for prefix, used, mask, maj, des, left, charge, inv, involution in prefixes(
-        1, (), 0, 0, 0, 0, 0, 0, 0, True
-    ):
+    for prefix, used, mask, left, inv, involution in prefixes(1, (), 0, 0, 0, 0, True):
         rest = values ^ used
         table = tables.get(rest)
         if table is None:
             table = tables[rest] = tail_table(rest)
-        key = False  # equal to no tail's key
-        if involution:
-            need = [0] * t
-            for v, p in enumerate(prefix, start=1):
-                if p > m:
-                    need[p - m - 1] = v
-            key = tuple(need)
         # the tails that start below the last prefix value add a descent at m
         split = (rest & ((1 << (prefix[-1] if prefix else 0)) - 1)).bit_count() * block
-        for b_mask, b_maj, b_dep, entries in (
-            (mask | 1 << m, maj + m, n * (des + 1) - maj - m, table[:split]),
-            (mask, maj, n * des - maj, table[split:]),
-        ):
-            for tail, t_mask, t_maj, t_dep, t_inv, t_left, t_charge, t_key in entries:
-                row = (composition_of[b_mask | t_mask], composition_of[left | t_left],
-                       b_maj + t_maj, b_dep + t_dep, inv + t_inv, charge + t_charge,
-                       t_key == key)
-                yield prefix + tail, make(PermStats, row)
+        for b_mask, entries in ((mask | 1 << m, table[:split]), (mask, table[split:])):
+            for tail, t_mask, t_inv, t_left in entries:
+                w = prefix + tail
+                alpha, maj, dep = stats_of[b_mask | t_mask]
+                beta, _, charge = stats_of[left | t_left]
+                yield w, make(PermStats, (alpha, beta, maj, dep, inv + t_inv, charge,
+                                          involution and w in involutions))

@@ -478,9 +478,10 @@ def _is_prime(n: int) -> bool:
 # The largest S_n a sweeping check may walk, as n!, refused by `run_checks` before any
 # job runs; direct `check_*` calls are not limited.  Time holds the limit, not memory:
 # each sweep streams `perm_table(n)` into a tally, so at `--max-n 10` (10! = 3,628,800)
-# `verify counting` takes 5.8 s at a 27 MB peak, `mahonian` 5.2 s at 23 MB, `skeleton-rsk`
-# 24 s at 46 MB (9: 3.2 s, 22 MB); the 252 tail tables of the S_10 sweep hold about 7 MB
-# of those peaks.  11 would take eleven times as long (CPython 3.11, 2 cores).
+# `verify counting` takes about 6 s at a 27 MB peak, `mahonian` 4.5 s at 22 MB,
+# `skeleton-rsk` 21 s at 45 MB (9: 3.2 s, 22 MB); the 252 tail tables and the 9,496
+# involutions of the S_10 sweep hold about 7 MB of those peaks.  11 would take eleven
+# times as long (CPython 3.11, 2 cores).
 _SWEEP_MAX_N = 10
 MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 

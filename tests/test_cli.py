@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import product
 from math import factorial
 from unittest import mock
 
@@ -14,6 +16,7 @@ import skelpoly
 from skelpoly import (
     build_crystal,
     cli,
+    compositions,
     graph_json,
     partitions,
     quasi_yamanouchi_tableaux,
@@ -40,6 +43,25 @@ def test_parse_parts():
 def test_format_comp():
     assert format_comp((3, 2)) == "32"
     assert format_comp((10, 3)) == "10,3"
+
+
+def test_format_comp_reads_back():
+    # a lone part above nine keeps a trailing comma, so (11,) and (1, 1) differ
+    assert format_comp((11,)) == "11,"
+    assert parse_parts("11,") == (11,)
+    strong = [alpha for n in range(13) for alpha in compositions(n)]
+    weak = [alpha for k in range(4) for alpha in product(range(13), repeat=k)]
+    for alpha in strong + weak:
+        assert parse_parts(format_comp(alpha)) == alpha
+
+
+def test_lone_part_of_ten_or_more(capsys):
+    code, out = run_cli(capsys, "skeleton", "10,")
+    assert (code, out) == (0, "x1^10\n")
+    code, out = run_cli(capsys, "skeleton", "--table", "11")
+    labels = [line.split(": ", 1)[0] for line in out.splitlines()]
+    assert len(set(labels)) == len(labels)
+    assert "11,: x1^11   [11111111111]" in out.splitlines()
 
 
 def test_skeleton_command(capsys):
@@ -120,6 +142,27 @@ def test_skeleton_csv(capsys):
     ]
 
 
+def test_skeleton_csv_quotes_fields_with_commas(capsys):
+    code, out = run_cli(capsys, "skeleton", "10,1", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:3] == ['"10,1","10,1",1', '"10,1",92,1']
+    code, out = run_cli(capsys, "skeleton", "--table", "11", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["lambda", "alpha", "f_lambda_alpha"]
+    assert all(len(row) == 3 for row in rows), [row for row in rows if len(row) != 3]
+    read = {}
+    for shape, alpha, coeff in rows[1:]:
+        read.setdefault(parse_parts(shape), {})[parse_parts(alpha)] = int(coeff)
+    shapes = [shape for n in range(1, 12) for shape in partitions(n)]
+    assert list(read) == shapes
+    for shape in shapes:  # f_{lambda, alpha} counts the QY tableaux of weight alpha
+        counts = {}
+        for t in quasi_yamanouchi_tableaux(shape):
+            counts[weight(t)] = counts.get(weight(t), 0) + 1
+        assert read[shape] == counts, shape
+
+
 def test_skeleton_table(capsys):
     code, out = run_cli(capsys, "skeleton", "--table", "3")
     assert code == 0
@@ -195,6 +238,14 @@ def test_tableaux_des_needs_syt(capsys, mode):
     with pytest.raises(SystemExit) as exc:
         main(["tableaux", "3,2", *mode, "--des", "2,3"])
     assert exc.value.code == "error: --des applies only to --syt"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("des", ["0,3", "2", "1,1,2", "3,0"])
+def test_tableaux_des_must_be_a_composition_of_the_size(capsys, des):
+    with pytest.raises(SystemExit) as exc:
+        main(["tableaux", "2,1", "--syt", "--des", des])
+    assert exc.value.code == f"error: --des {des} is not a composition of 3"
     assert capsys.readouterr().out == ""
 
 

@@ -2,7 +2,7 @@ import inspect
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 from math import factorial
 
 import pytest
@@ -31,6 +31,7 @@ from skelpoly import (
     standard_tableaux,
     word_descent_composition,
 )
+from skelpoly.rsk import _involutions
 
 # RS images and descent compositions for all of S_4.
 S4_TABLE = {
@@ -299,6 +300,25 @@ def test_perm_table_past_n7_against_oracles(n):
     for k in range(2, n + 1):
         counts.append(counts[-1] + (k - 1) * counts[-2])
     assert involutions == counts[n]
+
+
+def test_involutions_each_once_and_self_inverse():
+    counts = [1, 1]  # I(n) = I(n-1) + (n-1) I(n-2)
+    for k in range(2, 11):
+        counts.append(counts[-1] + (k - 1) * counts[-2])
+    for n in range(11):
+        words = list(_involutions(n))
+        assert len(set(words)) == len(words) == counts[n]
+        assert all(inverse(w) == w for w in words)  # `inverse` rejects a non-permutation
+
+
+def test_perm_table_at_n10_against_oracles():
+    # n = 10 is the first size with tails of length 5, whose tables hold 120 orderings
+    rows = list(islice(zip(perm_table(10), all_permutations(10)), 20_000))
+    assert len(rows) == 20_000
+    for (w, row), expected in rows:
+        assert w == expected
+        assert perm_stats(w) == row
 
 
 def test_perm_table_streams():
