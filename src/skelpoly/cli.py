@@ -35,10 +35,10 @@ gc.freeze()  # keep the import-time objects out of every collection a command tr
 
 # The largest crystal `skelpoly crystal` builds, counted before any work by the
 # hook-content formula.  `crystal 3,2 100` has 424,957,500 vertices, over a
-# thousand times the 365,904 of `crystal 4,4,2 9`, which peaks at 0.26 GB in 6 s
-# as text, at 0.51 GB in 9 s as DOT, built whole, and at 0.54 GB in 15 s as
-# streamed JSON, which holds the lists of `graph_json` (CPython 3.11, 2 cores).
-# Library calls to `build_crystal` are not limited.
+# thousand times the 365,904 of `crystal 4,4,2 9`.  That crystal peaks at 0.26 GB
+# in every format, as the build does, since DOT and JSON stream from the graph's
+# tuples: in 4.5 s as text, 9 s as DOT and 10.5 s as JSON (CPython 3.11, 2 cores).
+# So one limit fits every format.  Library calls to `build_crystal` are not limited.
 MAX_CRYSTAL_VERTICES = 1_000_000
 
 # The most tableaux `skeleton` and `tableaux` list, counted before any work: f^lambda,
@@ -69,7 +69,10 @@ def parse_parts(text: str) -> Composition:
 
 def _require_partition(shape: Composition) -> Composition:
     if not is_partition(shape):
-        raise SystemExit(f"error: not a partition: {format_comp(shape)}")
+        digits = "".join(map(str, shape))  # a digit string? 10 reads as the parts (1, 0)
+        hint = f" (each digit of {digits} is a part; write {digits}, for one part)"
+        hint = hint if len(digits) == len(shape) > 1 else ""
+        raise SystemExit(f"error: not a partition: {','.join(map(str, shape))}{hint}")
     return shape
 
 
@@ -326,38 +329,30 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
     if not word:
         raise SystemExit("error: empty word")
     p, q = rsk(word)
-    permutation = is_permutation(word)
+    des_p, des_q = (tableau_stats(t).descent_composition for t in (p, q))
+    stats = perm_stats(word) if is_permutation(word) else None
     if args.format == "json":
         payload = {
-            "word": list(word),
-            "is_permutation": permutation,
-            "P": p.to_json(),
-            "Q": q.to_json(),
-            "des_P": list(tableau_stats(p).descent_composition),
-            "des_Q": list(tableau_stats(q).descent_composition),
+            "word": word,
+            "is_permutation": stats is not None,
+            "P": p.rows,
+            "Q": q.rows,
+            "des_P": des_p,
+            "des_Q": des_q,
         }
-        if permutation:
-            stats = perm_stats(word)
-            payload["stats"] = {
-                "descent_composition": list(stats.descent_composition),
-                "maj": stats.maj,
-                "depth": stats.depth,
-                "charge": stats.charge,
-                "inversions": stats.inversions,
-                "is_involution": stats.is_involution,
-            }
+        if stats is not None:
+            keys = ("descent_composition", "maj", "depth", "charge", "inversions", "is_involution")
+            payload["stats"] = {key: getattr(stats, key) for key in keys}
         _print_json(payload)
         return 0
-    kind = "permutation" if permutation else "word"
-    print(f"input ({kind}): {format_comp(word)}")
+    print(f"input ({'word' if stats is None else 'permutation'}): {format_comp(word)}")
     print("P:")
     print(p.render())
     print("Q:")
     print(q.render())
-    print(f"des P = {format_comp(tableau_stats(p).descent_composition)}")
-    print(f"des Q = {format_comp(tableau_stats(q).descent_composition)}")
-    if permutation:
-        stats = perm_stats(word)
+    print(f"des P = {format_comp(des_p)}")
+    print(f"des Q = {format_comp(des_q)}")
+    if stats is not None:
         print(
             f"maj={stats.maj} depth={stats.depth}"
             f" charge={stats.charge} inversions={stats.inversions}"
@@ -368,14 +363,12 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
 def _cmd_crystal(args: argparse.Namespace) -> int:
     shape = _require_partition(args.shape)
     if args.bound < len(shape):
-        raise SystemExit(
-            f"error: bound {args.bound} is below the number of rows {len(shape)}"
-        )
+        raise SystemExit(f"error: bound {args.bound} is below the number of rows {len(shape)}")
     subject = f"crystal {format_comp(shape)} {args.bound}"
     _refuse_over(vertex_count(shape, args.bound), subject, "vertices", MAX_CRYSTAL_VERTICES)
     graph = build_crystal(shape, args.bound)
     if args.format == "dot":
-        sys.stdout.write(to_dot(graph, inner_only=args.inner))
+        sys.stdout.writelines(to_dot(graph, inner_only=args.inner))
         return 0
     if args.format == "json":
         _print_json(graph_json(graph, inner_only=args.inner))

@@ -25,6 +25,7 @@ from functools import cached_property
 from itertools import chain
 from math import prod
 from operator import itemgetter
+from typing import Iterator
 
 from .compositions import (
     Composition,
@@ -36,6 +37,8 @@ from .compositions import (
 )
 from .rsk import rsk
 from .tableaux import Rows, Tableau, _fill, descent_composition, weight
+
+_EDGE_BATCH = 4096  # the most edges written as one block of `to_dot`
 
 
 def row_word(t: Tableau) -> tuple[int, ...]:
@@ -69,34 +72,30 @@ def _unmatched(word: tuple[int, ...], color: int) -> tuple[list[int], list[int]]
     return low, open_stack
 
 
-def _replace(t: Tableau, cell: tuple[int, int], value: int) -> Tableau:
+def _operate(t: Tableau, color: int, raising: bool) -> Tableau | None:
+    """Change the rightmost unmatched `color` to color+1, or with `raising` the
+    leftmost unmatched color+1 to `color`; None if there is no such letter."""
+    if color < 1:
+        raise ValueError(f"color must be >= 1, got {color}")
+    if not t.rows:
+        return None
+    low, high = _unmatched(row_word(t), color)
+    if not (high if raising else low):
+        return None
+    r, c = _word_cells(t)[high[0] if raising else low[-1]]
     rows = [list(row) for row in t.rows]
-    rows[cell[0]][cell[1]] = value
+    rows[r][c] = color if raising else color + 1
     return Tableau.of(rows)
 
 
 def lowering_operator(t: Tableau, color: int) -> Tableau | None:
     """f_i: change the rightmost unmatched i to i+1, or None if none exists."""
-    if color < 1:
-        raise ValueError(f"color must be >= 1, got {color}")
-    if not t.rows:
-        return None
-    low, _ = _unmatched(row_word(t), color)
-    if not low:
-        return None
-    return _replace(t, _word_cells(t)[low[-1]], color + 1)
+    return _operate(t, color, raising=False)
 
 
 def raising_operator(t: Tableau, color: int) -> Tableau | None:
     """e_i: change the leftmost unmatched i+1 to i, or None if none exists."""
-    if color < 1:
-        raise ValueError(f"color must be >= 1, got {color}")
-    if not t.rows:
-        return None
-    _, high = _unmatched(row_word(t), color)
-    if not high:
-        return None
-    return _replace(t, _word_cells(t)[high[0]], color)
+    return _operate(t, color, raising=True)
 
 
 class QuasiCrystal(_Immutable):
@@ -249,49 +248,51 @@ def _word_label(rows: Rows, letters: tuple[str, ...]) -> str:
     return part.join(map(letters.__getitem__, chain.from_iterable(reversed(rows))))
 
 
-def to_dot(graph: CrystalGraph, inner_only: bool = False) -> str:
+def to_dot(graph: CrystalGraph, inner_only: bool = False) -> Iterator[str]:
     """Graphviz source: quasi-crystal clusters with colored crystal edges.
 
     Edges inside one cluster are solid; edges joining distinct clusters are
     dotted.  With `inner_only`, only the minimal-descent-length clusters and
-    the edges between their members are rendered.
+    the edges between their members are rendered.  Yields the text in blocks:
+    the header, each cluster, then each `_EDGE_BATCH` edges.
     """
     classes = inner_crystal(graph) if inner_only else graph.classes
     cluster: list[int | None] = [None] * len(graph.rows)
     letters = tuple(map(str, range(graph.bound + 1)))
-
-    lines = ["digraph crystal {", "  node [shape=box];"]
+    yield "digraph crystal {\n  node [shape=box];\n"
     for k, qc in enumerate(classes):
-        lines.append(f"  subgraph cluster_{k} {{")
-        lines.append(f'    label="des {format_comp(qc.descent)}";')
         for i in qc.indices:
             cluster[i] = k
-            lines.append(f'    v{i} [label="{_word_label(graph.rows[i], letters)}"];')
-        lines.append("  }")
-    for u, color, v in graph.edges:
-        if cluster[u] is None or cluster[v] is None:
-            continue
-        style = "" if cluster[u] == cluster[v] else ", style=dotted"
-        lines.append(f'  v{u} -> v{v} [label="{color}"{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "".join(
+            [f'  subgraph cluster_{k} {{\n    label="des {format_comp(qc.descent)}";\n']
+            + [f'    v{i} [label="{_word_label(graph.rows[i], letters)}"];\n' for i in qc.indices]
+            + ["  }\n"]
+        )
+    style = ("", ", style=dotted")  # by whether an edge joins two clusters
+    for start in range(0, len(graph.edges), _EDGE_BATCH):
+        yield "".join(
+            f'  v{u} -> v{v} [label="{color}"{style[cluster[u] != cluster[v]]}];\n'
+            for u, color, v in graph.edges[start : start + _EDGE_BATCH]
+            if cluster[u] is not None and cluster[v] is not None
+        )
+    yield "}\n"
 
 
 def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
-    """JSON-ready dict mirroring the graph fields plus the class partition."""
+    """The graph fields plus the class partition, for `cli._print_json`.
+
+    The vertices and edges are the graph's own tuples, the weights and classes
+    iterators (which `json.dumps` refuses), so the payload can be written only once.
+    """
     classes = inner_crystal(graph) if inner_only else graph.classes
     return {
-        "shape": list(graph.shape),
+        "shape": graph.shape,
         "bound": graph.bound,
-        "vertices": [list(map(list, rows)) for rows in graph.rows],
-        "weights": [list(weight(rows)) for rows in graph.rows],
-        "edges": list(map(list, graph.edges)),
-        "classes": [
-            {
-                "representative": qc.representative.to_json(),
-                "descent": list(qc.descent),
-                "members": list(qc.indices),
-            }
+        "vertices": graph.rows,
+        "weights": map(weight, graph.rows),
+        "edges": graph.edges,
+        "classes": (
+            {"representative": qc.representative.rows, "descent": qc.descent, "members": qc.indices}
             for qc in classes
-        ],
+        ),
     }

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import time
 import tracemalloc
 from itertools import product
 from math import factorial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,6 +20,7 @@ from skelpoly import (
     cli,
     compositions,
     graph_json,
+    inner_crystal,
     partitions,
     quasi_yamanouchi_tableaux,
     verify,
@@ -525,6 +528,79 @@ def test_crystal_pool_sized_pair_runs(capsys):
     assert out.startswith("shape 422 bound 7: 8820 vertices,")
 
 
+# Runs one command, then writes the peak resident set of its own process, VmHWM in kB.
+# Not `ru_maxrss`: Linux folds the high-water mark of the memory a process had before
+# exec into it, and a child spawned from this test process starts out with all of it.
+_PEAK_SCRIPT = (
+    "import os, sys; from skelpoly.cli import main;"
+    " code = main(sys.argv[1:]); sys.stdout.flush();"
+    " peak = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')];"
+    " os.write(2, peak[0].split()[1].encode()); sys.exit(code)"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_crystal_exports_peak_at_the_text_export():
+    # DOT and JSON stream from the graph's tuples, so each peaks within 3 MB of the
+    # text export, which prints a few lines; each runs in a fresh child
+    src = os.path.dirname(os.path.dirname(skelpoly.__file__))
+    peaks = {}
+    for flags in ((), ("--dot",), ("--format", "json")):
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_SCRIPT, "crystal", "4,2,2", "7", *flags],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            check=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        peaks[flags] = int(done.stderr)
+    text = peaks.pop(())
+    for flags, peak in peaks.items():
+        assert peak - text < 3 * 1024, (flags, peak, text)
+
+
+_EXPECTED = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text()
+)["digests"]
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        f"crystal {pair}{flags}"
+        for pair in ("5,3 6", "5,1 8")
+        for flags in ("", " --dot", " --format json", " --inner")
+    ],
+)
+def test_crystal_exports_match_the_benchmark_digests(capsys, key):
+    assert main(key.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXPECTED[key]
+
+
+BAD_SHAPE_ERRORS = {
+    "skeleton 10": "1,0 (each digit of 10 is a part; write 10, for one part)",
+    "crystal 10 3": "1,0 (each digit of 10 is a part; write 10, for one part)",
+    "tableaux 12 --syt": "1,2 (each digit of 12 is a part; write 12, for one part)",
+    "skeleton 3,0,1": "3,0,1 (each digit of 301 is a part; write 301, for one part)",
+    "skeleton 12,13": "12,13",  # a part of two digits: not read from a digit string
+    "skeleton 0": "0",  # one part: nothing to join
+}
+
+
+@pytest.mark.parametrize("command", BAD_SHAPE_ERRORS)
+def test_bad_shape_is_named_as_read(command):
+    # a digit string reads one part per digit; the error names the parts as read
+    # and, when each is one digit, the spelling of the one part, which is accepted
+    argv = command.split()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == f"error: not a partition: {BAD_SHAPE_ERRORS[command]}"
+    if argv[1].isdigit() and len(argv[1]) > 1:
+        assert main([argv[0], argv[1] + ",", *argv[2:]]) == 0
+
+
 def test_import_loads_neither_dataclasses_nor_fractions():
     # each command imports skelpoly.cli in a fresh interpreter, so what the import
     # adds to a bare interpreter's sys.modules is paid on every run
@@ -624,15 +700,28 @@ def test_json_writer_matches_the_stdlib_layout(obj):
     "shape", [()] + [lam for n in range(1, 6) for lam in partitions(n)]
 )
 def test_crystal_json_matches_the_stdlib_layout(shape):
+    # the reference is built from the graph's tableaux, apart from the streamed payload
     for bound in range(len(shape), 6):
         graph = build_crystal(shape, bound)
+        position = {t: i for i, t in enumerate(graph.vertices)}
         for inner_only in (False, True):
-            payload = graph_json(graph, inner_only)
-            expected = json.dumps(payload, indent=2)
-            assert _written(payload) == expected
-        payload = json.loads(expected)
-        assert payload["vertices"] == [t.to_json() for t in graph.vertices]
-        assert payload["weights"] == [list(weight(t)) for t in graph.vertices]
+            classes = inner_crystal(graph) if inner_only else graph.classes
+            reference = {
+                "shape": list(shape),
+                "bound": bound,
+                "vertices": [t.to_json() for t in graph.vertices],
+                "weights": [list(weight(t)) for t in graph.vertices],
+                "edges": [list(edge) for edge in graph.edges],
+                "classes": [
+                    {
+                        "representative": qc.representative.to_json(),
+                        "descent": list(qc.descent),
+                        "members": [position[t] for t in qc.members],
+                    }
+                    for qc in classes
+                ],
+            }
+            assert _written(graph_json(graph, inner_only)) == json.dumps(reference, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -710,7 +799,7 @@ def test_verify_env_bound(capsys, monkeypatch):
 
 
 SWEEPING_CHECKS = [
-    name for name, (_, _, _, largest) in verify._CHECKS.items() if largest is not None
+    name for name, (_, _, _, largest) in verify._CHECKS.items() if largest == verify._SWEEP_MAX_N
 ]
 
 
@@ -754,19 +843,40 @@ def test_verify_refuses_skeleton_rsk_above_the_sweep_limit(checks, n, monkeypatc
 @pytest.mark.parametrize("checks", [["mahonian"], ["bks", "schur-family", "mahonian"]])
 @pytest.mark.parametrize("n", ["100000", "5000000", "99999999999999999999"])
 def test_verify_refuses_a_huge_bound_at_once(checks, n, monkeypatch):
-    # the count is named as n!, never computed; a check queued before the refused
-    # one lists no partition
+    # the count is named as n!, never computed; the first check named is refused,
+    # and lists no partition
     def must_not_enumerate(n):
-        raise AssertionError("S_n enumeration reached for a refused size")
+        raise AssertionError("enumeration reached for a refused size")
 
     monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
+    monkeypatch.setattr(verify, "partitions", must_not_enumerate)
     started = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         main(["verify", *checks, "--max-n", n])
     assert time.perf_counter() - started < 1
     assert exc.value.code == (
         f"error: verify mahonian at n={n} has {n}! permutations, above the limit of 3628800"
+        if checks[0] == "mahonian"
+        else f"error: verify bks at n={n} is above its limit of n=12"
     )
+
+
+@pytest.mark.parametrize(
+    "check, largest",
+    [("hook-sum", 16), ("bks", 12), ("schur-family", 12), ("linear-independence", 12)],
+)
+def test_verify_refuses_a_table_check_above_its_limit(check, largest, monkeypatch):
+    # these checks sweep no S_n, so the refusal speaks of n alone
+    def must_not_enumerate(n):
+        raise AssertionError("enumeration reached for a refused size")
+
+    monkeypatch.setattr(verify, "partitions", must_not_enumerate)
+    monkeypatch.setattr(verify, "quasi_kostka_matrix", must_not_enumerate)
+    for n in (largest + 1, 40, 99999999999999999999):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", check, "--max-n", str(n)])
+        assert exc.value.code == f"error: verify {check} at n={n} is above its limit of n={largest}"
+        assert "permutation" not in exc.value.code
 
 
 def test_verify_huge_bound_exits_1_without_a_traceback():

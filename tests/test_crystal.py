@@ -1,3 +1,4 @@
+import json
 from math import comb
 
 import pytest
@@ -25,7 +26,13 @@ from skelpoly import (
     vertex_count,
     weight,
 )
+from skelpoly import crystal
+from skelpoly.cli import _json_chunks
 from skelpoly.poly import MultiPoly
+
+
+def _written(obj) -> str:
+    return "".join(_json_chunks(obj))
 
 # The bounded crystal on shape (3,2) with entries <= 3, edges keyed by rows.
 FIGURE_EDGES = {
@@ -250,10 +257,18 @@ def test_crystal_of_the_empty_shape(bound):
     )
     assert inner_crystal(graph) == fundamental_system(graph, ()) == graph.classes
     assert vertex_count((), bound) == 1
-    payload = graph_json(graph)
-    assert payload["vertices"] == [[]] and payload["weights"] == [[]]
-    assert payload["classes"] == [{"representative": [], "descent": [], "members": [0]}]
-    assert to_dot(graph).count('v0 [label=""]') == 1
+    assert _written(graph_json(graph)) == json.dumps(
+        {
+            "shape": [],
+            "bound": bound,
+            "vertices": [[]],
+            "weights": [[]],
+            "edges": [],
+            "classes": [{"representative": [], "descent": [], "members": [0]}],
+        },
+        indent=2,
+    )
+    assert "".join(to_dot(graph)).count('v0 [label=""]') == 1
     with pytest.raises(ValueError):
         row_word(Tableau(()))
 
@@ -394,23 +409,70 @@ def test_depth_equals_maj_of_evacuation():
 
 
 def test_dot_export():
-    dot = to_dot(build_crystal((2, 1), 2))
+    dot = "".join(to_dot(build_crystal((2, 1), 2)))
     assert dot.count("->") == 1
     assert 'label="1"' in dot
     assert "style=dotted" in dot  # the only edge joins two quasi-crystals
-    fig = to_dot(build_crystal((3, 2), 3))
+    fig = "".join(to_dot(build_crystal((3, 2), 3)))
     assert fig.count("subgraph cluster_") == 5
     assert fig.count("v0 ") + fig.count("v0 [") >= 1
     assert fig.count("->") == 18
-    inner = to_dot(build_crystal((3, 2), 3), inner_only=True)
+    inner = "".join(to_dot(build_crystal((3, 2), 3), inner_only=True))
     assert inner.count("subgraph cluster_") == 2
 
 
 def test_graph_json_round_trip_fields():
     graph = build_crystal((2, 1), 2)
-    payload = graph_json(graph)
+    written = _written(graph_json(graph))
+    assert written == json.dumps(
+        {
+            "shape": [2, 1],
+            "bound": 2,
+            "vertices": [t.to_json() for t in graph.vertices],
+            "weights": [list(weight(t)) for t in graph.vertices],
+            "edges": [list(edge) for edge in graph.edges],
+            "classes": [
+                {
+                    "representative": qc.representative.to_json(),
+                    "descent": list(qc.descent),
+                    "members": [graph.vertices.index(t) for t in qc.members],
+                }
+                for qc in graph.classes
+            ],
+        },
+        indent=2,
+    )
+    payload = json.loads(written)
     assert payload["shape"] == [2, 1]
     assert payload["bound"] == 2
     assert len(payload["vertices"]) == 2
     assert payload["edges"] == [[0, 1, 1]]
     assert len(payload["classes"]) == 2
+
+
+def test_exports_stream_from_the_graph_tuples():
+    # the JSON payload hands the writer the graph's own tuples, and the DOT text
+    # comes as an iterator of blocks, so neither export copies the graph whole
+    graph = build_crystal((3, 2), 3)
+    payload = graph_json(graph)
+    assert payload["vertices"] is graph.rows
+    assert payload["edges"] is graph.edges
+    assert iter(payload["weights"]) is payload["weights"]
+    assert iter(payload["classes"]) is payload["classes"]
+    dot = to_dot(graph)
+    assert iter(dot) is dot
+    blocks = list(dot)
+    # the header, one block per quasi-crystal, one batch of edges and the closing brace
+    assert len(blocks) == 1 + len(graph.classes) + 1 + 1
+    assert all(block.endswith("\n") for block in blocks)
+
+
+def test_dot_text_does_not_depend_on_the_edge_batch(monkeypatch):
+    graph = build_crystal((3, 2), 3)
+    for inner_only in (False, True):
+        whole = "".join(to_dot(graph, inner_only))
+        with monkeypatch.context() as patch:
+            patch.setattr(crystal, "_EDGE_BATCH", 5)
+            assert "".join(to_dot(graph, inner_only)) == whole
+    monkeypatch.setattr(crystal, "_EDGE_BATCH", 5)
+    assert len(list(to_dot(graph))) == 1 + 5 + 4 + 1  # 18 edges in batches of 5

@@ -284,11 +284,13 @@ def test_sweep_flags_match_the_checks_that_sweep(monkeypatch):
     for name in CHECK_NAMES:
         current.append(name)
         assert all(r.passed for r in run_checks([name], max_n=2))
-    # a check with a largest n sweeps S_n for each n up to its bound; s6-inversions
-    # sweeps S_6 whatever the bound, so it has none
+    # a check whose largest n is the sweep limit sweeps S_n for each n up to its bound;
+    # s6-inversions sweeps S_6 whatever the bound, so it has no largest n
     swept = {name for name, ns in sizes.items() if ns and max(ns) == 2}
     assert swept == {
-        name for name, (_, _, _, largest) in verify._CHECKS.items() if largest is not None
+        name
+        for name, (_, _, _, largest) in verify._CHECKS.items()
+        if largest == verify._SWEEP_MAX_N
     }
     assert sizes["s6-inversions"] == [6]
 
@@ -317,6 +319,23 @@ def test_skeleton_rsk_limit_admits_n10_and_refuses_n11(monkeypatch):
         "verify skeleton-rsk at n=11 has 39916800 permutations, above the limit of 3628800"
     )
     assert max(sizes) == 10
+
+
+@pytest.mark.parametrize("name", ["hook-sum", "bks", "schur-family", "linear-independence"])
+def test_table_check_limit_admits_its_largest_n_only(name, monkeypatch):
+    # each of these checks holds a table that grows with n; every other check but
+    # s6-inversions is held by the S_n sweep limit
+    sizes = []
+    check, kind, default, largest = verify._CHECKS[name]
+    record = (lambda shape: sizes.append(sum(shape))) if kind == "per_shape" else sizes.append
+    monkeypatch.setitem(verify._CHECKS, name, (record, kind, default, largest))
+    run_checks([name], max_n=largest)
+    assert max(sizes) == largest
+    with pytest.raises(ValueError) as exc:
+        run_checks([name], max_n=largest + 1)
+    assert str(exc.value) == f"verify {name} at n={largest + 1} is above its limit of n={largest}"
+    assert max(sizes) == largest
+    assert default < largest != verify._SWEEP_MAX_N
 
 
 def test_benchmark_copy_of_the_check_table_matches():
