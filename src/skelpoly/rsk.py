@@ -5,13 +5,14 @@ tuples of positive integers.  `rsk` returns the insertion and recording
 tableaux.  A `PermStats` row holds the descent compositions of w and of its
 inverse (its left descents), maj, depth, inversions, charge and whether w is
 an involution.  `perm_stats(w)` is the reference, one function per statistic
-on one word; `perm_table(n)` streams S_n with the same rows, reading maj,
-depth and charge off the descent and left-descent masks.
+on one word; `perm_table(n)` gives S_n with the same rows, reading maj, depth
+and charge off two descent masks, and sweeps each S_n with n <= 7 once per process.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cache
 from itertools import combinations, permutations as _permutations, starmap
 from operator import gt
 from typing import Iterable, Iterator, NamedTuple
@@ -21,6 +22,9 @@ from .compositions import depth as composition_depth
 from .tableaux import Tableau
 
 Word = tuple[int, ...]
+# Every n that the default `verify` checks sweep more than once; the PermStats of S_1..S_7
+# take about 0.6 MB.  S_8 (40,320 rows, about 5 MB) is swept once, by mahonian, so it streams.
+_SHARED_MAX_N = 7
 
 
 def is_permutation(word: Word) -> bool:
@@ -176,6 +180,16 @@ def _involutions(n: int) -> Iterator[Word]:
 
 
 def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
+    """The rows of `_sweep(n)`; S_n for n <= `_SHARED_MAX_N` is swept once per process."""
+    return _sweep(n) if n > _SHARED_MAX_N else zip(all_permutations(n), _shared_stats(n))
+
+
+@cache
+def _shared_stats(n: int) -> tuple[PermStats, ...]:
+    return tuple(stats for _, stats in _sweep(n))
+
+
+def _sweep(n: int) -> Iterator[tuple[Word, PermStats]]:
     """Each w of S_n with `perm_stats(w)`, in `all_permutations(n)` order.
 
     Each w joins a prefix (positions 1..m, m = ceil(n/2)), from a depth-first

@@ -5,18 +5,18 @@ canonical order when failing, and wall time.  Checks are deterministic and
 side-effect free.  A polynomial identity is checked as two tallies, each a
 `Counter` of term keys (x-exponents, p, q): on the skeleton side each shape
 contributes its coefficients f_(shape, alpha), read through `_skeleton_terms`;
-on the permutation side `perm_table(n)` streams S_n and only a few statistics
-of each w are counted.  No polynomial is added, multiplied or evaluated;
-`_witness` names the first key, in canonical term order, where the two
-tallies differ.  Both sides of `skeleton-rsk` are quasisymmetric in x, so it
-compares them only at the flat monomials x^alpha, one alpha at a time:
-Kostka numbers times skeleton polynomials on the left, built once per
-partition (the sorted parts of alpha), and the (Des(w), depth) tallies of
-every Des(w^-1) that alpha refines on the right.  `run_checks` is the single
-entry point used by the command line.  Each row of the `_CHECKS` table holds a
-check's function, its job kind, its default bound and the largest n it admits;
-`run_checks` builds the jobs of every selected row in one loop, and refuses a
-bound above that n before any job runs.
+on the permutation side only a few statistics of each w of `perm_table(n)` are
+counted, and the checks share one sweep of each S_n with n <= 7.  No polynomial
+is added, multiplied or evaluated; `_witness` names the first key, in canonical
+term order, where the two tallies differ.  Both sides of `skeleton-rsk` are
+quasisymmetric in x, so it compares them only at the flat monomials x^alpha,
+one alpha at a time: Kostka numbers times skeleton polynomials on the left,
+built once per partition (the sorted parts of alpha), and the (Des(w), depth)
+tallies of every Des(w^-1) that alpha refines on the right.  `run_checks` is
+the single entry point used by the command line.  Each row of the `_CHECKS`
+table holds a check's function, its job kind, its default bound and the largest
+n it admits; `run_checks` builds the jobs of every selected row in one loop,
+and refuses a bound above that n before any job runs.
 """
 
 from __future__ import annotations
@@ -246,21 +246,21 @@ def check_counting(n: int) -> CheckResult:
 def check_hook_sum(n: int) -> CheckResult:
     """The skeleton polynomials of hooks sum to all monomials x^alpha, alpha of n."""
     started = time.perf_counter()
-    hooks = {s: Counter({(alpha, 0, 0): c for alpha, _, c in _skeleton_terms(s, n, False)})
+    hooks = {len(s): Counter({(alpha, 0, 0): c for alpha, _, c in _skeleton_terms(s, n, False)})
              for s in partitions(n) if is_hook(s)}
-    lhs: Counter = Counter()
-    for terms in hooks.values():
-        lhs.update(terms)
-    rhs = Counter((_padded(a, n), 0, 0) for a in compositions(n))
-    witness = _witness(lhs, rhs)
-    if witness is None:
-        # refinement: the hook with k rows carries each length-k composition once
-        for k in range(1, n + 1):
-            hook = (n - k + 1,) + (1,) * (k - 1)
-            expected = Counter((_padded(a, n), 0, 0) for a in compositions(n) if len(a) == k)
-            if hooks[hook] != expected:
-                witness = {"hook": list(hook), "detail": "length-restricted sum differs"}
-                break
+    # the hook with k rows carries each alpha of length k once; bucketed by length, in order
+    by_length: defaultdict[int, Counter] = defaultdict(Counter)
+    for alpha in compositions(n):
+        by_length[len(alpha)][_padded(alpha, n), 0, 0] += 1
+    witness = None
+    if differing := [k for k, bucket in by_length.items() if hooks.get(k) != bucket]:
+        lhs, rhs = Counter(), Counter()
+        for tally, parts in ((lhs, hooks), (rhs, by_length)):
+            for part in parts.values():
+                tally.update(part)
+        k = differing[0]
+        witness = _witness(lhs, rhs) or {
+            "hook": [n - k + 1] + [1] * (k - 1), "detail": "length-restricted sum differs"}
     return _finish("hook-sum", {"n": n}, witness, started)
 
 
@@ -361,7 +361,8 @@ def check_schur_family(shape: Partition) -> CheckResult:
 
 
 def check_charge_depth(n: int) -> CheckResult:
-    """charge(w) equals the depth of the inverse for every permutation."""
+    """charge(w) = depth of Des(w^-1); `perm_table` reads both off one mask D, so this checks
+    only n*|D| - sum(D) = sum (i-1)*alpha_i of alpha = comp(D) (tests hold the charge oracle)."""
     started = time.perf_counter()
     witness = None
     depths = {des: depth(des) for des in compositions(n)}
@@ -477,11 +478,11 @@ def _is_prime(n: int) -> bool:
 
 # The largest S_n a sweeping check may walk, as n!, refused by `run_checks` before any
 # job runs; direct `check_*` calls are not limited.  Time holds the limit, not memory:
-# each sweep streams `perm_table(n)` into a tally, so at `--max-n 10` (10! = 3,628,800)
-# `verify counting` takes about 6 s at a 27 MB peak, `mahonian` 4.5 s at 22 MB,
-# `skeleton-rsk` 21 s at 45 MB (9: 3.2 s, 22 MB); the 252 tail tables and the 9,496
-# involutions of the S_10 sweep hold about 7 MB of those peaks.  11 would take eleven
-# times as long (CPython 3.11, 2 cores).
+# each sweep of n >= 8 streams `perm_table(n)` into a tally, so at `--max-n 10` (10! =
+# 3,628,800) `verify counting` takes about 5.4 s at a 27.8 MB peak, `mahonian` 5.6 s at
+# 23.7 MB, `skeleton-rsk` 27 s at 46 MB (9: 2.7 s, 22 MB); the S_10 sweep's tail tables
+# and involutions hold about 7 MB and the shared S_1..S_7 about 0.6 MB of those peaks.
+# 11 would take eleven times as long (CPython 3.11, 2 cores).
 _SWEEP_MAX_N = 10
 MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 
@@ -490,7 +491,7 @@ MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 # m = 1..n, `graded` at each m ungraded then graded, `per_shape` at each partition of
 # each m, `single` once with no argument and no bound.  The checks whose largest n is
 # `_SWEEP_MAX_N` sweep S_m for each m up to their bound.  At the other limits, and one
-# above, `verify hook-sum` takes 1.5 s at 78 MB and 2.9 s at 140 MB, `bks` 1.3 s at 63 MB
+# above, `verify hook-sum` takes 1.6 s at 72 MB and 2.7 s at 126 MB, `bks` 1.3 s at 63 MB
 # and 3.2 s at 204 MB, `schur-family` 3.3 s at 76 MB and 15 s at 241 MB, and
 # `linear-independence` 1.7 s at 78 MB and 5.6 s at 247 MB (CPython 3.11, 2 cores).
 # `all` runs the checks in this order.

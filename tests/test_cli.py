@@ -2,11 +2,12 @@ import csv
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 from math import factorial
 from pathlib import Path
 from unittest import mock
@@ -27,6 +28,7 @@ from skelpoly import (
     weight,
 )
 from skelpoly.cli import format_comp, main, parse_parts
+from skelpoly.rsk import _shared_stats
 
 
 def run_cli(capsys, *argv):
@@ -560,9 +562,10 @@ def test_crystal_exports_peak_at_the_text_export():
         assert peak - text < 3 * 1024, (flags, peak, text)
 
 
-_EXPECTED = json.loads(
+_BENCHMARK_OUTPUT = json.loads(
     (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text()
-)["digests"]
+)
+_EXPECTED = _BENCHMARK_OUTPUT["digests"]
 
 
 @pytest.mark.parametrize(
@@ -577,6 +580,30 @@ def test_crystal_exports_match_the_benchmark_digests(capsys, key):
     assert main(key.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _EXPECTED[key]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_in_a_shuffled_check_order_prints_the_benchmark_blocks(capsys, seed):
+    # the checks share one sweep of each small S_n, whichever check sweeps it first;
+    # the order is drawn as the benchmark's `verify` workload draws it
+    _shared_stats.cache_clear()
+    checks = list(verify.CHECK_NAMES)
+    random.Random(f"verify:{seed}").shuffle(checks)
+    assert main(["verify", *checks]) == 0
+    blocks = _BENCHMARK_OUTPUT["verify_blocks"]
+    lines = iter(capsys.readouterr().out.splitlines(keepends=True))
+    for check in checks:
+        block = blocks[check]
+        assert "".join(islice(lines, block.count("\n"))) == block
+    assert list(lines) == ["189/189 checks passed\n"]
+
+
+@pytest.mark.parametrize("check", ["mahonian", "charge-depth", "bifactorial"])
+def test_s8_sweeps_match_the_benchmark_digests(capsys, check):
+    # the benchmark's `perms` ops: S_1..S_7 from the shared sweeps, S_8 streamed
+    key = f"verify {check} --max-n 8"
+    assert main(key.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _EXPECTED[key]
 
 
 BAD_SHAPE_ERRORS = {

@@ -2,6 +2,7 @@ import inspect
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterator
 from itertools import islice, product
 from math import factorial
 
@@ -31,7 +32,7 @@ from skelpoly import (
     standard_tableaux,
     word_descent_composition,
 )
-from skelpoly.rsk import _involutions
+from skelpoly.rsk import _SHARED_MAX_N, _involutions, _sweep
 
 # RS images and descent compositions for all of S_4.
 S4_TABLE = {
@@ -260,7 +261,9 @@ def lehmer_inversions(w):
 
 
 def test_perm_table_against_single_permutation_oracles():
-    assert inspect.isgeneratorfunction(perm_table)
+    # every call gives an iterator; past the shared sizes it is a fresh generator
+    assert all(isinstance(perm_table(n), Iterator) for n in range(10))
+    assert inspect.isgenerator(perm_table(8)) and inspect.isgenerator(perm_table(9))
     for n in range(0, 8):
         rows = list(perm_table(n))
         assert [w for w, _ in rows] == list(all_permutations(n))
@@ -275,6 +278,14 @@ def test_perm_table_against_single_permutation_oracles():
             assert row.charge == inductive_charge(w) == charge(w)
             assert row.inversions == lehmer_inversions(w)
             assert perm_stats(w) == perm_stats(list(w)) == row
+
+
+def test_perm_table_calls_agree_with_a_fresh_sweep_across_the_shared_sizes():
+    # n <= 7 is served from statistics swept once per process, n >= 8 is swept per call
+    assert _SHARED_MAX_N == 7
+    for n in range(10):
+        for first, second, fresh in zip(perm_table(n), perm_table(n), _sweep(n), strict=True):
+            assert first == second == fresh
 
 
 def test_perm_stats_rejects_non_permutations():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skelpoly import MultiPoly, verify
+from skelpoly.rsk import _shared_stats
 from skelpoly.verify import (
     CHECK_NAMES,
     check_bifactorial,
@@ -349,6 +350,33 @@ def test_benchmark_copy_of_the_check_table_matches():
 def test_run_checks_unknown_name():
     with pytest.raises(ValueError):
         run_checks(["no-such-check"])
+
+
+def test_default_checks_sweep_each_small_s_n_once():
+    # every check at default bounds reads S_1..S_7 from one shared sweep each; S_8,
+    # swept by mahonian alone, streams and is never stored
+    _shared_stats.cache_clear()
+    assert all(r.passed for r in run_checks(["all"]))
+    info = _shared_stats.cache_info()
+    assert info.misses == info.currsize == 7
+    assert info.hits > 0
+
+
+def test_hook_sum_names_the_hook_when_only_a_length_bucket_differs(monkeypatch):
+    # x^(1,3) moved from the two-row hook to the three-row one: the full sums agree,
+    # so the witness is the first hook, by rows, whose terms are not its length bucket
+    def moved(shape):
+        poly = skeleton_poly(shape)
+        if shape == (3, 1):
+            return MultiPoly(poly.arity, {k: c for k, c in poly.terms.items() if k[0] != (1, 3)})
+        if shape == (2, 1, 1):
+            return MultiPoly(poly.arity, {**poly.terms, ((1, 3, 0), 0, 0): 1})
+        return poly
+
+    monkeypatch.setattr(verify, "skeleton_poly", moved)
+    result = check_hook_sum(4)
+    assert not result.passed
+    assert result.witness == {"hook": [3, 1], "detail": "length-restricted sum differs"}
 
 
 def test_check_result_json_excludes_timing_by_default():
