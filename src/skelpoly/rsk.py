@@ -6,12 +6,14 @@ tableaux.  A `PermStats` row holds the descent compositions of w and of its
 inverse (its left descents), maj, depth, inversions, charge and whether w is
 an involution.  `perm_stats(w)` is the reference, one function per statistic
 on one word; `perm_table(n)` gives S_n with the same rows, reading maj, depth
-and charge off two descent masks, and sweeps each S_n with n <= 7 once per process.
+and charge off two descent masks.  `rsk_tally(n)`, kept per process, counts S_n
+by those masks and by inversions from the same halves, without a row per w.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from functools import cache
 from itertools import combinations, permutations as _permutations, starmap
 from operator import gt
@@ -22,9 +24,6 @@ from .compositions import depth as composition_depth
 from .tableaux import Tableau
 
 Word = tuple[int, ...]
-# Every n that the default `verify` checks sweep more than once; the PermStats of S_1..S_7
-# take about 0.6 MB.  S_8 (40,320 rows, about 5 MB) is swept once, by mahonian, so it streams.
-_SHARED_MAX_N = 7
 
 
 def is_permutation(word: Word) -> bool:
@@ -179,44 +178,35 @@ def _involutions(n: int) -> Iterator[Word]:
     return match(0)
 
 
-def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
-    """The rows of `_sweep(n)`; S_n for n <= `_SHARED_MAX_N` is swept once per process."""
-    return _sweep(n) if n > _SHARED_MAX_N else zip(all_permutations(n), _shared_stats(n))
-
-
 @cache
-def _shared_stats(n: int) -> tuple[PermStats, ...]:
-    return tuple(stats for _, stats in _sweep(n))
-
-
-def _sweep(n: int) -> Iterator[tuple[Word, PermStats]]:
-    """Each w of S_n with `perm_stats(w)`, in `all_permutations(n)` order.
-
-    Each w joins a prefix (positions 1..m, m = ceil(n/2)), from a depth-first
-    search that tries the unplaced values in increasing order, to a tail, an
-    ordering of the values the prefix leaves, from a table built once per
-    remaining set.  Each half carries its descents and left descents (i with
-    i+1 placed before i) as bitmasks, bit d for d, and its inversions; the one
-    coupling is the descent at m of every tail that starts below the last
-    prefix value.  One table per n maps each mask to its composition, its
-    maj (sum of D) and its depth (n*|D| - sum of D); charge is that depth of
-    the left-descent mask.  An involution passes the prefix test w(v) = i for
-    each v = w(i) < i, then is looked up among the `_involutions(n)`.
-    """
-    stats_of = [None] * (1 << n)  # descent mask -> (composition, maj, depth)
+def mask_stats(n: int) -> tuple:
+    """Descent mask D of S_n (bit d for d) -> (composition, maj = sum D, depth = n*|D| - sum D),
+    or None for a mask with bit 0 or bit n; charge is the depth of the left-descent mask."""
+    stats_of = [None] * (1 << n)
     for alpha in compositions(n):
         ds = comp_to_set(alpha).members
         stats_of[sum(1 << d for d in ds)] = alpha, sum(ds), n * len(ds) - sum(ds)
-    involutions = frozenset(_involutions(n))
+    return tuple(stats_of)
+
+
+def _halves(n: int):
+    """(m, prefixes, tail_table): the halves that each w of S_n joins, in lex order.
+
+    A prefix (prefix, rest, split, D, L, inversions) fills positions 1..m, m = ceil(n/2);
+    `tail_table(rest)` lists the orderings (tail, D, inversions, L) of the values `rest`
+    it leaves.  D and L mask the descents and the left descents (i with i+1 placed
+    before i); the first `split` tails start below the prefix's last value: a descent at m.
+    """
     values = ((1 << (n + 1)) - 1) ^ 1  # bit v for each value v of [n]
     m = (n + 1) // 2  # prefix length; the tail holds the other t positions
     t = n - m
-    make = tuple.__new__
 
-    def prefixes(i, prefix, used, des_mask, left_mask, inv, involution):
+    def prefixes(i, prefix, used, des_mask, left_mask, inv):
         # every way to fill positions i..m after `prefix`, with its statistics
         if i > m:
-            yield prefix, used, des_mask, left_mask, inv, involution
+            rest = values ^ used
+            split = (rest & ((1 << (prefix[-1] if prefix else 0)) - 1)).bit_count() * block
+            yield prefix, rest, split, des_mask, left_mask, inv
             return
         prev = prefix[-1] if prefix else 0
         free = values & ~used
@@ -230,7 +220,6 @@ def _sweep(n: int) -> Iterator[tuple[Word, PermStats]]:
                 des_mask | 1 << (i - 1) if prev > v else des_mask,
                 left_mask | 1 << v if placed >> (v + 1) & 1 else left_mask,
                 inv + (used >> (v + 1)).bit_count(),
-                involution and (v >= i or prefix[v - 1] == i),
             )
 
     # the orderings of range(t), lexicographic: the descents they put at positions
@@ -241,6 +230,7 @@ def _sweep(n: int) -> Iterator[tuple[Word, PermStats]]:
         where = sorted(range(t), key=order.__getitem__)
         patterns.append((order, sum(1 << d for d in steps), inversions(order),
                          [k for k in range(t - 1) if where[k + 1] < where[k]]))
+    block = len(patterns) // max(t, 1)  # tails per first value
 
     def tail_table(rest):
         # every ordering of the values in `rest`, lexicographic, with its statistics;
@@ -255,19 +245,59 @@ def _sweep(n: int) -> Iterator[tuple[Word, PermStats]]:
             for order, mask, inv, after in patterns
         ]
 
+    return m, prefixes(1, (), 0, 0, 0, 0), tail_table
+
+
+def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
+    """Each w of S_n with `perm_stats(w)`, in `all_permutations(n)` order: a prefix and a
+    tail of `_halves(n)`, one table per remaining set, read off two masks by `mask_stats`."""
+    stats_of, involutions = mask_stats(n), frozenset(_involutions(n))
+    m, prefixes, tail_table = _halves(n)
     tables = {}
-    block = len(patterns) // max(t, 1)  # tails per first value
-    for prefix, used, mask, left, inv, involution in prefixes(1, (), 0, 0, 0, 0, True):
-        rest = values ^ used
-        table = tables.get(rest)
-        if table is None:
-            table = tables[rest] = tail_table(rest)
-        # the tails that start below the last prefix value add a descent at m
-        split = (rest & ((1 << (prefix[-1] if prefix else 0)) - 1)).bit_count() * block
+    for prefix, rest, split, mask, left, inv in prefixes:
+        table = tables.get(rest) or tables.setdefault(rest, tail_table(rest))
         for b_mask, entries in ((mask | 1 << m, table[:split]), (mask, table[split:])):
             for tail, t_mask, t_inv, t_left in entries:
                 w = prefix + tail
                 alpha, maj, dep = stats_of[b_mask | t_mask]
                 beta, _, charge = stats_of[left | t_left]
-                yield w, make(PermStats, (alpha, beta, maj, dep, inv + t_inv, charge,
-                                          involution and w in involutions))
+                yield w, PermStats(alpha, beta, maj, dep, inv + t_inv, charge, w in involutions)
+
+
+class RskTally(NamedTuple):
+    """S_n counted by descent masks and by inversions (masks as in `mask_stats`)."""
+
+    pairs: Counter  # D << n | L -> number of w with Des(w) = D and Des(w^-1) = L
+    inversions: list[int]  # k -> number of w with k inversions
+    involutions: Counter  # D -> number of involutions w (for which L = D) with Des(w) = D
+
+
+@cache
+def rsk_tally(n: int) -> RskTally:
+    """The `RskTally` of S_n from the halves of `perm_table`, without visiting each w.
+
+    A prefix and a tail set disjoint bits, so the key of w is the sum of theirs, plus
+    the descent at m below the split: the prefixes are counted by (remaining set,
+    split, key), and each group meets each tail key of its table once.
+    """
+    m, prefixes, tail_table = _halves(n)
+    groups = defaultdict(Counter)  # remaining set -> (split, key) -> prefixes
+    prefix_inversions = defaultdict(Counter)  # remaining set -> inversions -> prefixes
+    for _, rest, split, mask, left, inv in prefixes:
+        groups[rest][split, mask << n | left] += 1
+        prefix_inversions[rest][inv] += 1
+    pairs, counts = Counter(), [0] * (n * (n - 1) // 2 + 1)
+    for rest, group in groups.items():
+        table = tail_table(rest)
+        keys = [t_mask << n | t_left for _, t_mask, _, t_left in table]
+        sides = {}  # split -> tail key -> tails, with the descent at m below the split
+        for (split, key), count in group.items():
+            if split not in sides:
+                sides[split] = Counter(k | (i < split) << m + n for i, k in enumerate(keys))
+            for tail, c in sides[split].items():
+                pairs[key + tail] += count * c
+        for t_inv, c in Counter(entry[2] for entry in table).items():
+            for inv, d in prefix_inversions[rest].items():
+                counts[inv + t_inv] += c * d
+    return RskTally(pairs, counts, Counter(sum(1 << i for i in range(1, n) if w[i - 1] > w[i])
+                                           for w in _involutions(n)))

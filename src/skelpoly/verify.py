@@ -5,18 +5,18 @@ canonical order when failing, and wall time.  Checks are deterministic and
 side-effect free.  A polynomial identity is checked as two tallies, each a
 `Counter` of term keys (x-exponents, p, q): on the skeleton side each shape
 contributes its coefficients f_(shape, alpha), read through `_skeleton_terms`;
-on the permutation side only a few statistics of each w of `perm_table(n)` are
-counted, and the checks share one sweep of each S_n with n <= 7.  No polynomial
-is added, multiplied or evaluated; `_witness` names the first key, in canonical
-term order, where the two tallies differ.  Both sides of `skeleton-rsk` are
-quasisymmetric in x, so it compares them only at the flat monomials x^alpha,
-one alpha at a time: Kostka numbers times skeleton polynomials on the left,
-built once per partition (the sorted parts of alpha), and the (Des(w), depth)
-tallies of every Des(w^-1) that alpha refines on the right.  `run_checks` is
-the single entry point used by the command line.  Each row of the `_CHECKS`
-table holds a check's function, its job kind, its default bound and the largest
-n it admits; `run_checks` builds the jobs of every selected row in one loop,
-and refuses a bound above that n before any job runs.
+the permutation side reads `rsk_tally(n)`, S_n counted by the descent masks of
+(Des(w), Des(w^-1)) and by inversions, built once per n and process, so no check
+visits a permutation unless it names a failing w or lists the support.  No
+polynomial is added, multiplied or evaluated; `_witness` names the first key, in
+canonical term order, where the two tallies differ.  Both sides of `skeleton-rsk`
+are quasisymmetric in x, so it compares them only at the flat monomials x^alpha:
+Kostka numbers times skeleton polynomials, built once per partition (the sorted
+parts of alpha), against the (Des(w), depth) tallies of every Des(w^-1) inside
+Des(alpha), summed by a zeta transform.  `run_checks` is the single entry point
+used by the command line.  Each row of the `_CHECKS` table holds a check's
+function, its job kind, its default bound and the largest n it admits, and
+`run_checks` refuses a bound above that n before any job runs.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from collections import Counter, defaultdict
 from functools import partial
 from itertools import accumulate, product
 from math import comb, factorial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .compositions import (
-    Composition,
     Partition,
     compositions,
     conjugate,
@@ -40,7 +39,6 @@ from .compositions import (
     lambda_bar,
     partitions,
     raising_covers,
-    refinements,
     trim,
 )
 from .poly import (
@@ -55,7 +53,7 @@ from .poly import (
     quasi_kostka_matrix,
     skeleton_poly,
 )
-from .rsk import perm_table
+from .rsk import mask_stats, perm_table, rsk_tally
 from .tableaux import kostka
 
 
@@ -113,6 +111,12 @@ def _skeleton_terms(shape: Partition, n: int, graded: bool) -> list[tuple[tuple,
             for (exps, _, _), coeff in skeleton_poly(shape).terms.items()]
 
 
+def _pairs(n: int) -> Iterator[tuple[tuple, tuple, int]]:
+    """(`mask_stats` of Des(w), of Des(w^-1), number of such w) per key of `rsk_tally(n)`."""
+    stats, low = mask_stats(n), (1 << n) - 1
+    return ((stats[key >> n], stats[key & low], c) for key, c in rsk_tally(n).pairs.items())
+
+
 def check_skeleton_r(n: int, graded: bool = False) -> CheckResult:
     """Sum of skeleton polynomials over shapes of n = descent sum over involutions."""
     started = time.perf_counter()
@@ -120,18 +124,14 @@ def check_skeleton_r(n: int, graded: bool = False) -> CheckResult:
     for shape in partitions(n):
         for alpha, d, coeff in _skeleton_terms(shape, n, graded):
             lhs[alpha, d, 0] += coeff
-    rhs = Counter(
-        (_padded(row.descent_composition, n), row.depth if graded else 0, 0)
-        for _, row in perm_table(n) if row.is_involution
-    )
-    return _finish(
-        "skeleton-r", {"n": n, "graded": graded}, _witness(lhs, rhs), started
-    )
+    stats, rhs = mask_stats(n), Counter()
+    for des, count in rsk_tally(n).involutions.items():
+        alpha, _, dep = stats[des]
+        rhs[_padded(alpha, n), dep if graded else 0, 0] += count
+    return _finish("skeleton-r", {"n": n, "graded": graded}, _witness(lhs, rhs), started)
 
 
-def check_skeleton_rs(
-    n: int, graded: bool = False, report_support: bool = False
-) -> CheckResult:
+def check_skeleton_rs(n: int, graded: bool = False, report_support: bool = False) -> CheckResult:
     """Paired skeleton sum = two-sided descent sum over all permutations."""
     started = time.perf_counter()
     lhs: Counter = Counter()
@@ -141,25 +141,18 @@ def check_skeleton_rs(
             for beta, q, d in terms:
                 lhs[alpha + beta, p, q] += c * d
     rhs: Counter = Counter()
-    monomial_groups: dict[tuple[int, ...], list[list[int]]] = {}
-    depths = {des: depth(des) if graded else 0 for des in compositions(n)}
-    for w, row in perm_table(n):
-        des_inv = row.inverse_descent_composition
-        exps = _padded(des_inv, n) + _padded(row.descent_composition, n)
-        rhs[exps, depths[des_inv], row.depth if graded else 0] += 1
-        if report_support:
-            monomial_groups.setdefault(exps, []).append(list(w))
+    for (alpha, _, q), (beta, _, _), count in _pairs(n):
+        exps = _padded(beta, n) + _padded(alpha, n)
+        rhs[exps, depth(beta) if graded else 0, q if graded else 0] += count
     data = None
-    if report_support:
+    if report_support:  # the permutations of each monomial, from the rows
+        monomial_groups: dict[tuple[int, ...], list[list[int]]] = {}
+        for w, row in perm_table(n):
+            exps = _padded(row.inverse_descent_composition, n) + _padded(row.descent_composition, n)
+            monomial_groups.setdefault(exps, []).append(list(w))
         collisions = sorted(group for group in monomial_groups.values() if len(group) > 1)
         data = {"support_size": len(monomial_groups), "collisions": collisions}
-    return _finish(
-        "skeleton-rs",
-        {"n": n, "graded": graded},
-        _witness(lhs, rhs),
-        started,
-        data,
-    )
+    return _finish("skeleton-rs", {"n": n, "graded": graded}, _witness(lhs, rhs), started, data)
 
 
 def check_skeleton_rsk(n: int, graded: bool = False) -> CheckResult:
@@ -169,18 +162,18 @@ def check_skeleton_rsk(n: int, graded: bool = False) -> CheckResult:
     (alpha a composition of n) as y-tallies of (Des(w), depth or 0): K_(shape,
     alpha) times each skeleton polynomial = the tally of each Des(w^-1) alpha refines.
     K_(shape, alpha) = K_(shape, mu) for mu the parts of alpha sorted, so the left side
-    is built once per partition mu.
+    is built once per partition mu; the right side is a zeta transform over the masks.
     """
     started = time.perf_counter()
-    padded = {des: _padded(des, n) for des in compositions(n)}
-    y_sides: defaultdict[Composition, Counter] = defaultdict(Counter)
-    for _, row in perm_table(n):
-        y = padded[row.descent_composition], row.depth if graded else 0
-        y_sides[row.inverse_descent_composition][y] += 1
-    reached: defaultdict[Composition, list[Counter]] = defaultdict(list)
-    for des_inv, y_side in y_sides.items():
-        for alpha in refinements(des_inv):
-            reached[alpha].append(y_side)
+    stats = mask_stats(n)
+    ys = [stat and (_padded(stat[0], n), stat[2] if graded else 0) for stat in stats]
+    y_sides = [Counter() for _ in stats]  # by the mask L of Des(w^-1)
+    for key, count in rsk_tally(n).pairs.items():
+        y_sides[key & (1 << n) - 1][ys[key >> n]] += count
+    # a zeta transform, one pass per bit: each y_sides[S] becomes the sum over L inside S
+    for bit, mask in product([1 << d for d in range(1, n)], range(len(y_sides))):
+        if mask & bit:
+            y_sides[mask].update(y_sides[mask ^ bit])
     skeletons = {shape: _skeleton_terms(shape, n, graded) for shape in partitions(n)}
     left: dict[Partition, Counter] = {}
     for mu in skeletons:
@@ -190,12 +183,10 @@ def check_skeleton_rsk(n: int, graded: bool = False) -> CheckResult:
                 for des, q, coeff in terms:
                     at_mu[des, q] += count * coeff
     differing: tuple[Counter, Counter] = (Counter(), Counter())  # both sides where they differ
-    for alpha in compositions(n):
-        lhs, rhs = left[tuple(sorted(alpha, reverse=True))], Counter()
-        for y_side in reached[alpha]:
-            rhs.update(y_side)
-        if lhs != rhs:
-            x = _padded(alpha, n)
+    for stat, rhs in zip(stats, y_sides):
+        lhs = stat and left[tuple(sorted(stat[0], reverse=True))]
+        if stat and lhs != rhs:
+            x = _padded(stat[0], n)
             for tally, side in zip(differing, (lhs, rhs)):
                 tally.update({(x + des, 0, q): c for (des, q), c in side.items()})
     witness = _witness(*differing)
@@ -213,30 +204,30 @@ def check_counting(n: int) -> CheckResult:
         for alpha, _, coeff in _skeleton_terms(shape, n, False):
             by_parts[len(trim(alpha))] += coeff
         ones.append(list(accumulate(by_parts)))
-    # (len Des(w^-1), len Des(w), w is an involution) -> number of permutations w
-    lengths = Counter(
-        (len(row.inverse_descent_composition), len(row.descent_composition), row.is_involution)
-        for _, row in perm_table(n)
-    )
-    involutions = sum(c for (_, _, involution), c in lengths.items() if involution)
+    # (len Des(w^-1), len Des(w)) as compositions -> number of w; len Des(w) -> involutions
+    lengths, involution_lengths = Counter(), Counter()
+    for (alpha, _, _), (beta, _, _), count in _pairs(n):
+        lengths[len(beta), len(alpha)] += count
+    for des, count in rsk_tally(n).involutions.items():
+        involution_lengths[des.bit_count() + 1] += count
     witness = None
     for a in range(1, n + 1):
         lhs = sum(at[a] for at in ones)
-        rhs = sum(c for (_, lb, involution), c in lengths.items() if involution and lb <= a)
+        rhs = sum(c for lb, c in involution_lengths.items() if lb <= a)
         if lhs != rhs:
             witness = {"i": a, "lhs": lhs, "rhs": rhs}
             break
     if witness is None:
         for a, b in product(range(1, n + 1), repeat=2):
             lhs = sum(at[a] * at[b] for at in ones)
-            rhs = sum(c for (la, lb, _), c in lengths.items() if la <= a and lb <= b)
+            rhs = sum(c for (la, lb), c in lengths.items() if la <= a and lb <= b)
             if lhs != rhs:
                 witness = {"i": a, "j": b, "lhs": lhs, "rhs": rhs}
                 break
     if witness is None:
         total_f = sum(at[n] for at in ones)
         total_f2 = sum(at[n] ** 2 for at in ones)
-        if total_f != involutions:
+        if total_f != (involutions := sum(involution_lengths.values())):
             witness = {"identity": "sum f = involutions", "lhs": total_f, "rhs": involutions}
         elif total_f2 != factorial(n):
             witness = {"identity": "sum f^2 = n!", "lhs": total_f2, "rhs": factorial(n)}
@@ -269,22 +260,15 @@ def check_mahonian(n: int) -> CheckResult:
     started = time.perf_counter()
     target = q_factorial(n)
     # each statistic lies in 0..comb(n, 2): count by degree in one list per statistic
-    majs, depths, charges, inversions = ([0] * (comb(n, 2) + 1) for _ in range(4))
-    for _, (_, _, maj, dep, inv, ch, _) in perm_table(n):
-        majs[maj] += 1
-        depths[dep] += 1
-        charges[ch] += 1
-        inversions[inv] += 1
-    dists = {"maj": majs, "depth": depths, "charge": charges, "inversions": inversions}
-    witness = next(
-        (
-            {"statistic": key, "degree": d, "count": dist[d], "expected": target.coefficient(d)}
-            for key, dist in dists.items()
-            for d in range(target.degree() + 1)
-            if dist[d] != target.coefficient(d)
-        ),
-        None,
-    )
+    majs, depths, charges = ([0] * (comb(n, 2) + 1) for _ in range(3))
+    for (_, maj, dep), (_, _, ch), count in _pairs(n):
+        majs[maj] += count
+        depths[dep] += count
+        charges[ch] += count
+    dists = {"maj": majs, "depth": depths, "charge": charges, "inversions": rsk_tally(n).inversions}
+    witness = next(({"statistic": key, "degree": d, "count": dist[d], "expected": c}
+                    for key, dist in dists.items()
+                    for d, c in enumerate(target.coeffs) if dist[d] != c), None)
     return _finish("mahonian", {"n": n}, witness, started)
 
 
@@ -361,17 +345,22 @@ def check_schur_family(shape: Partition) -> CheckResult:
 
 
 def check_charge_depth(n: int) -> CheckResult:
-    """charge(w) = depth of Des(w^-1); `perm_table` reads both off one mask D, so this checks
-    only n*|D| - sum(D) = sum (i-1)*alpha_i of alpha = comp(D) (tests hold the charge oracle)."""
+    """charge(w) = n*|L| - sum(L) for L = Des(w^-1) is sum (i-1)*alpha_i of alpha = comp(L),
+    and, as w -> w^-1 permutes S_n, L is distributed as Des(w), which catches a wrong L.  A
+    failure names the first w whose charge differs, else the first set tallied differently."""
     started = time.perf_counter()
+    des, left = Counter(), Counter()  # `mask_stats` entry -> w with it as Des(w), as Des(w^-1)
+    for as_des, as_left, count in _pairs(n):
+        des[as_des] += count
+        left[as_left] += count
     witness = None
-    depths = {des: depth(des) for des in compositions(n)}
-    for w, row in perm_table(n):
-        lhs = row.charge
-        rhs = depths[row.inverse_descent_composition]
-        if lhs != rhs:
-            witness = {"w": list(w), "charge": lhs, "depth_of_inverse": rhs}
-            break
+    if des != left or any(charge != depth(beta) for beta, _, charge in left):
+        witness = next(({"w": list(w), "charge": row.charge, "depth_of_inverse": d}
+                        for w, row in perm_table(n)
+                        if row.charge != (d := depth(row.inverse_descent_composition))), None)
+    if witness is None and des != left:
+        key = min(key for key in des | left if des[key] != left[key])
+        witness = {"composition": list(key[0]), "as_des": des[key], "as_des_inverse": left[key]}
     return _finish("charge-depth", {"n": n}, witness, started)
 
 
@@ -379,7 +368,7 @@ def check_s6_inversion_count() -> CheckResult:
     """The 49 permutations of S_6 with four inversions, reproduced three ways."""
     started = time.perf_counter()
     witness = None
-    direct = sum(1 for _, row in perm_table(6) if row.inversions == 4)
+    direct = rsk_tally(6).inversions[4]
     from_q_factorial = q_factorial(6).coefficient(4)
     deep_targets = {(2, 4), (3, 2, 1)}
     expected_shapes = ((5, 1), (4, 2), (4, 1, 1), (3, 2, 1))
@@ -449,7 +438,9 @@ def check_bifactorial(n: int) -> CheckResult:
     """The two-variable factorial matches the (charge, depth) distribution."""
     started = time.perf_counter()
     bi = bifactorial(n)
-    observed = Counter((row.charge, row.depth) for _, row in perm_table(n))
+    observed: Counter = Counter()
+    for (_, _, dep), (_, _, charge), count in _pairs(n):
+        observed[charge, dep] += count
     expected = Counter({(p, q): c for ((_, p, q), c) in bi.terms.items()})
     witness = None
     if observed != expected:
@@ -476,13 +467,12 @@ def _is_prime(n: int) -> bool:
     return all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-# The largest S_n a sweeping check may walk, as n!, refused by `run_checks` before any
-# job runs; direct `check_*` calls are not limited.  Time holds the limit, not memory:
-# each sweep of n >= 8 streams `perm_table(n)` into a tally, so at `--max-n 10` (10! =
-# 3,628,800) `verify counting` takes about 5.4 s at a 27.8 MB peak, `mahonian` 5.6 s at
-# 23.7 MB, `skeleton-rsk` 27 s at 46 MB (9: 2.7 s, 22 MB); the S_10 sweep's tail tables
-# and involutions hold about 7 MB and the shared S_1..S_7 about 0.6 MB of those peaks.
-# 11 would take eleven times as long (CPython 3.11, 2 cores).
+# The largest S_n a check over S_n may read, as n!, refused by `run_checks` before any
+# job runs; direct `check_*` calls are not limited.  Each check reads `rsk_tally(m)` for
+# m up to its bound, each built once and kept: at `--max-n 10` (10! = 3,628,800) `verify
+# counting` takes about 1.0 s at a 36 MB peak, `mahonian` 0.9 s at 31 MB, `skeleton-rs`
+# 5.5 s at 150 MB (its paired skeleton side) and `skeleton-rsk` 2.4 s at 47 MB; the S_10
+# tally, 169,438 keys, takes 0.8 s and about 12 MB (CPython 3.11, 2 cores).
 _SWEEP_MAX_N = 10
 MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 
@@ -490,7 +480,7 @@ MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 # limited).  The kind names a check's jobs up to a bound n: `per_n` runs it at each
 # m = 1..n, `graded` at each m ungraded then graded, `per_shape` at each partition of
 # each m, `single` once with no argument and no bound.  The checks whose largest n is
-# `_SWEEP_MAX_N` sweep S_m for each m up to their bound.  At the other limits, and one
+# `_SWEEP_MAX_N` read S_m for each m up to their bound.  At the other limits, and one
 # above, `verify hook-sum` takes 1.6 s at 72 MB and 2.7 s at 126 MB, `bks` 1.3 s at 63 MB
 # and 3.2 s at 204 MB, `schur-family` 3.3 s at 76 MB and 15 s at 241 MB, and
 # `linear-independence` 1.7 s at 78 MB and 5.6 s at 247 MB (CPython 3.11, 2 cores).

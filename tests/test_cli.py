@@ -28,7 +28,7 @@ from skelpoly import (
     weight,
 )
 from skelpoly.cli import format_comp, main, parse_parts
-from skelpoly.rsk import _shared_stats
+from skelpoly.rsk import rsk_tally
 
 
 def run_cli(capsys, *argv):
@@ -584,9 +584,9 @@ def test_crystal_exports_match_the_benchmark_digests(capsys, key):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_verify_in_a_shuffled_check_order_prints_the_benchmark_blocks(capsys, seed):
-    # the checks share one sweep of each small S_n, whichever check sweeps it first;
+    # the checks share one tally of each S_n, whichever check builds it first;
     # the order is drawn as the benchmark's `verify` workload draws it
-    _shared_stats.cache_clear()
+    rsk_tally.cache_clear()
     checks = list(verify.CHECK_NAMES)
     random.Random(f"verify:{seed}").shuffle(checks)
     assert main(["verify", *checks]) == 0
@@ -600,7 +600,7 @@ def test_verify_in_a_shuffled_check_order_prints_the_benchmark_blocks(capsys, se
 
 @pytest.mark.parametrize("check", ["mahonian", "charge-depth", "bifactorial"])
 def test_s8_sweeps_match_the_benchmark_digests(capsys, check):
-    # the benchmark's `perms` ops: S_1..S_7 from the shared sweeps, S_8 streamed
+    # the benchmark's `perms` ops: each S_n read from its tally, up to S_8
     key = f"verify {check} --max-n 8"
     assert main(key.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _EXPECTED[key]
@@ -795,6 +795,17 @@ def test_verify_report_support(capsys):
     assert '"support_size": 22' in out
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ([], "a351ec34c7cb20378f54e249d5d936a31f40ff93f63fd83a2fdc4d8b779b63ec"),
+    (["--format", "json"], "6c98bf488bbe0171f475c992cd65c29746218491dc09ddc9aa1a011ddcd3069d"),
+])
+def test_verify_report_support_lists_the_rows_as_before(capsys, fmt, digest):
+    # the support and its collisions come from the rows, swept only when asked for;
+    # the digests are of the output that the check printed when it swept every S_n
+    assert main(["verify", "skeleton-rs", "--max-n", "5", "--report-support", *fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "checks", [["mahonian"], ["skeleton-r", "skeleton-rsk"], ["s6-inversions", "counting"]]
 )
@@ -840,6 +851,7 @@ def test_verify_refuses_runaway_permutation_sweep(checks, first, monkeypatch):
         raise AssertionError("S_n enumeration reached for a refused size")
 
     monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
+    monkeypatch.setattr(verify, "rsk_tally", must_not_enumerate)
     expected = (
         f"error: verify {first} at n=11 has 39916800 permutations,"
         f" above the limit of {verify.MAX_PERMUTATIONS}"
@@ -856,6 +868,7 @@ def test_verify_refuses_skeleton_rsk_above_the_sweep_limit(checks, n, monkeypatc
         raise AssertionError("S_n enumeration reached for a refused size")
 
     monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
+    monkeypatch.setattr(verify, "rsk_tally", must_not_enumerate)
     # `all`, named or by default, is refused at its first check, which sweeps too
     first = "skeleton-rsk" if checks == ["skeleton-rsk"] else "skeleton-r"
     expected = (
@@ -876,6 +889,7 @@ def test_verify_refuses_a_huge_bound_at_once(checks, n, monkeypatch):
         raise AssertionError("enumeration reached for a refused size")
 
     monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
+    monkeypatch.setattr(verify, "rsk_tally", must_not_enumerate)
     monkeypatch.setattr(verify, "partitions", must_not_enumerate)
     started = time.perf_counter()
     with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import inspect
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterator
+from functools import cache
 from itertools import islice, product
 from math import factorial
 
@@ -32,7 +32,7 @@ from skelpoly import (
     standard_tableaux,
     word_descent_composition,
 )
-from skelpoly.rsk import _SHARED_MAX_N, _involutions, _sweep
+from skelpoly.rsk import _involutions, mask_stats, rsk_tally
 
 # RS images and descent compositions for all of S_4.
 S4_TABLE = {
@@ -261,9 +261,8 @@ def lehmer_inversions(w):
 
 
 def test_perm_table_against_single_permutation_oracles():
-    # every call gives an iterator; past the shared sizes it is a fresh generator
-    assert all(isinstance(perm_table(n), Iterator) for n in range(10))
-    assert inspect.isgenerator(perm_table(8)) and inspect.isgenerator(perm_table(9))
+    # every call gives a fresh generator
+    assert all(inspect.isgenerator(perm_table(n)) for n in range(10))
     for n in range(0, 8):
         rows = list(perm_table(n))
         assert [w for w, _ in rows] == list(all_permutations(n))
@@ -280,12 +279,48 @@ def test_perm_table_against_single_permutation_oracles():
             assert perm_stats(w) == perm_stats(list(w)) == row
 
 
-def test_perm_table_calls_agree_with_a_fresh_sweep_across_the_shared_sizes():
-    # n <= 7 is served from statistics swept once per process, n >= 8 is swept per call
-    assert _SHARED_MAX_N == 7
+@cache
+def _mask(composition):
+    return sum(1 << d for d in comp_to_set(composition).members)
+
+
+def _tally_of(rows, n):
+    """(Des, Des^-1) key tally, inversion histogram and involution descent tally of `rows`."""
+    pairs, inversions, involutions = Counter(), [0] * (n * (n - 1) // 2 + 1), Counter()
+    for row in rows:
+        pairs[_mask(row.descent_composition) << n | _mask(row.inverse_descent_composition)] += 1
+        inversions[row.inversions] += 1
+        involutions[_mask(row.descent_composition)] += row.is_involution
+    return pairs, inversions, +involutions
+
+
+def test_rsk_tally_matches_the_perm_table_rows():
     for n in range(10):
-        for first, second, fresh in zip(perm_table(n), perm_table(n), _sweep(n), strict=True):
-            assert first == second == fresh
+        tally = rsk_tally(n)
+        rows = (row for _, row in perm_table(n))
+        assert (tally.pairs, tally.inversions, tally.involutions) == _tally_of(rows, n)
+        assert sum(tally.pairs.values()) == factorial(n)
+        assert rsk_tally(n) is tally  # kept once per process
+
+
+def test_rsk_tally_matches_perm_stats():
+    for n in range(8):
+        tally = rsk_tally(n)
+        rows = map(perm_stats, all_permutations(n))
+        assert (tally.pairs, tally.inversions, tally.involutions) == _tally_of(rows, n)
+
+
+def test_rsk_tally_at_n8_keys_and_mask_stats():
+    # 8,724 (Des, Des^-1) pairs occur among the 40,320 permutations of S_8
+    assert len(rsk_tally(8).pairs) == 8724
+    for n in range(1, 9):
+        stats = mask_stats(n)
+        assert sum(stat is not None for stat in stats) == 2 ** (n - 1)
+        for mask, stat in enumerate(stats):
+            if stat is not None:
+                alpha, maj, dep = stat
+                assert _mask(alpha) == mask and maj == sum(comp_to_set(alpha).members)
+                assert dep == depth(alpha)
 
 
 def test_perm_stats_rejects_non_permutations():

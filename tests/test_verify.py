@@ -1,4 +1,6 @@
+import hashlib
 import runpy
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skelpoly import MultiPoly, verify
-from skelpoly.rsk import _shared_stats
+from skelpoly.cli import main
+from skelpoly.rsk import RskTally, mask_stats, rsk_tally
 from skelpoly.verify import (
     CHECK_NAMES,
     check_bifactorial,
@@ -27,6 +30,7 @@ from skelpoly.verify import (
 )
 from skelpoly import (
     deep_skeleton,
+    depth,
     is_regular,
     partitions,
     perm_table,
@@ -277,11 +281,11 @@ def test_sweep_flags_match_the_checks_that_sweep(monkeypatch):
     sizes = {name: [] for name in CHECK_NAMES}
     current = []
 
-    def recording_table(n):
+    def recording_tally(n):
         sizes[current[-1]].append(n)
-        return perm_table(n)
+        return rsk_tally(n)
 
-    monkeypatch.setattr(verify, "perm_table", recording_table)
+    monkeypatch.setattr(verify, "rsk_tally", recording_tally)
     for name in CHECK_NAMES:
         current.append(name)
         assert all(r.passed for r in run_checks([name], max_n=2))
@@ -301,6 +305,7 @@ def test_run_checks_refuses_runaway_sweep_before_any_work(monkeypatch):
         raise AssertionError("S_n enumeration reached for a refused size")
 
     monkeypatch.setattr(verify, "perm_table", must_not_enumerate)
+    monkeypatch.setattr(verify, "rsk_tally", must_not_enumerate)
     message = "verify mahonian at n=11 has 39916800 permutations, above the limit of 3628800"
     with pytest.raises(ValueError) as exc:
         run_checks(["mahonian"], max_n=11)
@@ -352,14 +357,25 @@ def test_run_checks_unknown_name():
         run_checks(["no-such-check"])
 
 
-def test_default_checks_sweep_each_small_s_n_once():
-    # every check at default bounds reads S_1..S_7 from one shared sweep each; S_8,
-    # swept by mahonian alone, streams and is never stored
-    _shared_stats.cache_clear()
+def test_default_checks_build_each_tally_once():
+    # every check at default bounds reads S_1..S_8 from one tally each; S_8 is mahonian's
+    rsk_tally.cache_clear()
     assert all(r.passed for r in run_checks(["all"]))
-    info = _shared_stats.cache_info()
-    assert info.misses == info.currsize == 7
+    info = rsk_tally.cache_info()
+    assert info.misses == info.currsize == 8
     assert info.hits > 0
+
+
+def test_passing_checks_read_no_permutation_rows(monkeypatch):
+    # the rows are read only to name a failing w or to report the support
+    def must_not_sweep(n):
+        raise AssertionError("perm_table read by a passing check")
+
+    monkeypatch.setattr(verify, "perm_table", must_not_sweep)
+    assert all(r.passed for r in run_checks(["all"]))
+    over_s_n = [name for name, (*_, largest) in verify._CHECKS.items()
+                if largest == verify._SWEEP_MAX_N]
+    assert all(r.passed for r in run_checks(over_s_n, max_n=8))
 
 
 def test_hook_sum_names_the_hook_when_only_a_length_bucket_differs(monkeypatch):
@@ -408,8 +424,49 @@ def _with_one_row_changed(table, field):
     return changed_table
 
 
+def _changed_tally(n, field):
+    """`rsk_tally(n)` and `mask_stats(n)` with the longest permutation w0 = n..1 changed in `field`.
+
+    Only w0 has the full mask as Des(w) or as Des(w^-1).  A change of its descent or
+    left-descent set moves its count to another key (w0 is an involution, so its descent
+    set moves among the involutions too): to the empty set, or, for charge, to the full
+    set without n-1, whose depth is one less.  A change of maj or depth changes that
+    statistic of the full mask in `mask_stats(n)`, so depth moves charge too.
+    """
+    tally, stats, full = rsk_tally(n), list(mask_stats(n)), (1 << n) - 2
+    pairs, involutions = Counter(tally.pairs), Counter(tally.involutions)
+    inversions = list(tally.inversions)
+    moved = {"descent_composition": (0, full), "inverse_descent_composition": (full, 0),
+             "charge": (full, full ^ 1 << n - 1)}
+    if field in moved:
+        des, left = moved[field]
+        pairs[full << n | full] -= 1
+        pairs[des << n | left] += 1
+        involutions[full] -= des != full
+        involutions[des] += des != full
+    elif field == "is_involution":
+        involutions[full] -= 1
+    elif field == "inversions":
+        inversions[-1] -= 1
+        inversions[-2] += 1
+    else:
+        alpha, maj, dep = stats[full]
+        stats[full] = (alpha, maj - 1, dep) if field == "maj" else (alpha, maj, dep - 1)
+    return RskTally(+pairs, inversions, +involutions), tuple(stats)
+
+
+def _change_one_permutation(monkeypatch, field, *sizes):
+    """Change w0 of each S_n, n in `sizes`, in `field`: in the tally and the mask table
+    that the checks read, and in its row."""
+    changed = {n: _changed_tally(n, field) for n in sizes}
+    for k, real in enumerate((rsk_tally, mask_stats)):
+        monkeypatch.setattr(verify, real.__name__,
+                            lambda n, k=k, real=real: changed[n][k] if n in changed else real(n))
+    monkeypatch.setattr(verify, "perm_table", _with_one_row_changed(perm_table, field))
+
+
 # Each check that sweeps S_n, with each field of a `perm_table` row it reads.
-# Changing that field in one row must fail the check with the pinned witness.
+# Changing that field of one permutation must fail the check with the pinned witness.
 SWEEP_MUTANTS = [
     (check, graded, field)
     for check in ("skeleton-r", "skeleton-rs", "skeleton-rsk")
@@ -438,7 +495,10 @@ SWEEP_CHECKS = {
     "bifactorial": lambda n, _: check_bifactorial(n),
 }
 
-# Pinned from the per-permutation sums that the tallies replaced.
+# Pinned from the per-permutation sums that the tallies replaced, but for a changed
+# descent set in a graded check and a changed depth in bifactorial: a descent mask
+# carries its depth, and charge is the depth of the left-descent mask, so those
+# changes move the depth, or the charge, of w0 with them.
 PINNED_WITNESSES = {
     ("skeleton-r", False, "is_involution"):
         {"exponents": [1, 1, 1, 1], "p": 0, "q": 0, "lhs": 1, "rhs": 0},
@@ -447,7 +507,7 @@ PINNED_WITNESSES = {
     ("skeleton-r", True, "is_involution"):
         {"exponents": [1, 1, 1, 1], "p": 6, "q": 0, "lhs": 1, "rhs": 0},
     ("skeleton-r", True, "descent_composition"):
-        {"exponents": [4, 0, 0, 0], "p": 6, "q": 0, "lhs": 0, "rhs": 1},
+        {"exponents": [4, 0, 0, 0], "p": 0, "q": 0, "lhs": 1, "rhs": 2},
     ("skeleton-r", True, "depth"):
         {"exponents": [1, 1, 1, 1], "p": 5, "q": 0, "lhs": 0, "rhs": 1},
     ("skeleton-rs", False, "inverse_descent_composition"):
@@ -457,7 +517,7 @@ PINNED_WITNESSES = {
     ("skeleton-rs", True, "inverse_descent_composition"):
         {"exponents": [4, 0, 0, 0, 1, 1, 1, 1], "p": 0, "q": 6, "lhs": 0, "rhs": 1},
     ("skeleton-rs", True, "descent_composition"):
-        {"exponents": [1, 1, 1, 1, 4, 0, 0, 0], "p": 6, "q": 6, "lhs": 0, "rhs": 1},
+        {"exponents": [1, 1, 1, 1, 4, 0, 0, 0], "p": 6, "q": 0, "lhs": 0, "rhs": 1},
     ("skeleton-rs", True, "depth"):
         {"exponents": [1, 1, 1, 1, 1, 1, 1, 1], "p": 6, "q": 5, "lhs": 0, "rhs": 1},
     ("skeleton-rsk", False, "inverse_descent_composition"):
@@ -467,7 +527,7 @@ PINNED_WITNESSES = {
     ("skeleton-rsk", True, "inverse_descent_composition"):
         {"exponents": [4, 0, 0, 0, 1, 1, 1, 1], "p": 0, "q": 6, "lhs": 0, "rhs": 1},
     ("skeleton-rsk", True, "descent_composition"):
-        {"exponents": [1, 1, 1, 1, 4, 0, 0, 0], "p": 0, "q": 6, "lhs": 0, "rhs": 1},
+        {"exponents": [1, 1, 1, 1, 4, 0, 0, 0], "p": 0, "q": 0, "lhs": 1, "rhs": 2},
     ("skeleton-rsk", True, "depth"):
         {"exponents": [1, 1, 1, 1, 1, 1, 1, 1], "p": 0, "q": 5, "lhs": 0, "rhs": 1},
     ("counting", False, "inverse_descent_composition"):
@@ -491,13 +551,13 @@ PINNED_WITNESSES = {
     ("bifactorial", False, "charge"):
         {"p": 5, "q": 6, "observed": 1, "expected": 0},
     ("bifactorial", False, "depth"):
-        {"p": 6, "q": 5, "observed": 1, "expected": 0},
+        {"p": 5, "q": 5, "observed": 2, "expected": 1},
 }
 
 
 @pytest.mark.parametrize("check, graded, field", SWEEP_MUTANTS)
 def test_changed_permutation_row_fails_each_sweeping_check(check, graded, field, monkeypatch):
-    monkeypatch.setattr(verify, "perm_table", _with_one_row_changed(verify.perm_table, field))
+    _change_one_permutation(monkeypatch, field, 4)
     result = SWEEP_CHECKS[check](4, graded)
     assert not result.passed
     assert result.witness == PINNED_WITNESSES[check, graded, field]
@@ -554,9 +614,10 @@ def _first_difference(lhs, rhs):
             "lhs": lhs.coefficient(exps, p, q), "rhs": rhs.coefficient(exps, p, q)}
 
 
-def _expanded_rsk_witness(n, k, graded, table):
+def _expanded_rsk_witness(n, k, graded, tally, stats):
     """The first differing term of the two sides of skeleton-rsk in full: every Schur
-    and fundamental polynomial expanded over all weak compositions with k parts."""
+    and fundamental polynomial expanded over all weak compositions with k parts, the
+    fundamental ones read off the (Des(w), Des(w^-1)) keys of `tally`."""
 
     arity = k + n
 
@@ -568,26 +629,80 @@ def _expanded_rsk_witness(n, k, graded, table):
 
     lhs = MultiPoly.sum((product(schur_poly(s, k), skeleton(s)) for s in partitions(n)), arity)
     y_sides = {}
-    for _, row in table(n):
-        des = row.descent_composition
-        key = (des + (0,) * (n - len(des)), 0, row.depth if graded else 0)
-        y_sides.setdefault(row.inverse_descent_composition, Counter())[key] += 1
+    for key, count in tally.pairs.items():
+        (des, _, dep), (inverse_des, _, _) = stats[key >> n], stats[key & (1 << n) - 1]
+        y_key = (des + (0,) * (n - len(des)), 0, dep if graded else 0)
+        y_sides.setdefault(inverse_des, Counter())[y_key] += count
     rhs = MultiPoly.sum(
         (product(qsym_fundamental(d, k), MultiPoly(n, y)) for d, y in y_sides.items()), arity
     )
     return _first_difference(lhs, rhs)
 
 
-# The check takes the Schur and fundamental polynomials in k = n variables.
+# The check takes the Schur and fundamental polynomials in k = n variables; its zeta
+# transform over the left-descent masks must name the first term of the full expansion.
 @pytest.mark.parametrize("n, k", [(4, 4)])
 @pytest.mark.parametrize("graded", [False, True])
 def test_flat_skeleton_rsk_witness_matches_the_full_expansion(n, k, graded, monkeypatch):
     fields = ["inverse_descent_composition", "descent_composition"] + (["depth"] if graded else [])
     assert check_skeleton_rsk(n, graded).witness is None
-    assert _expanded_rsk_witness(n, k, graded, perm_table) is None
+    assert _expanded_rsk_witness(n, k, graded, rsk_tally(n), mask_stats(n)) is None
     for field in fields:
-        changed = _with_one_row_changed(perm_table, field)
-        monkeypatch.setattr(verify, "perm_table", changed)
+        _change_one_permutation(monkeypatch, field, n)
         result = check_skeleton_rsk(n, graded)
         assert not result.passed
-        assert result.witness == _expanded_rsk_witness(n, k, graded, changed)
+        assert result.witness == _expanded_rsk_witness(n, k, graded, *_changed_tally(n, field))
+
+
+def test_charge_depth_catches_a_wrong_left_descent_mask(monkeypatch):
+    # one tail of S_4, (3, 4) after {1, 2}, gets the left descent 3 it does not have;
+    # the rows and the tally both read the wrong mask, so charge still equals the depth
+    # of Des(w^-1) on every row, but the masks of Des(w^-1) no longer tally as Des(w)
+    module = sys.modules["skelpoly.rsk"]  # `skelpoly.rsk` is the function
+    halves = module._halves
+
+    def flipped(n):
+        m, prefixes, tail_table = halves(n)
+
+        def table(rest):
+            tails = tail_table(rest)
+            if rest == 0b11000:
+                tail, mask, inv, left = tails[0]
+                tails[0] = tail, mask, inv, left | 1 << 3
+            return tails
+
+        return m, prefixes, table
+
+    monkeypatch.setattr(module, "_halves", flipped)
+    tally = rsk_tally.__wrapped__(4)  # built afresh, past the cache
+    assert tally.pairs != rsk_tally(4).pairs
+    assert all(row.charge == depth(row.inverse_descent_composition) for _, row in perm_table(4))
+    monkeypatch.setattr(verify, "rsk_tally", lambda n: tally)
+    result = check_charge_depth(4)
+    assert not result.passed
+    assert result.witness == {"composition": [1, 2, 1], "as_des": 5, "as_des_inverse": 6}
+
+
+# Printed by the former row-sweeping check for the same change of w0 at each n.
+FORCED_CHARGE_DEPTH = """\
+PASS charge-depth [n=1]
+FAIL charge-depth [n=2]
+  witness: {"w": [2, 1], "charge": 1, "depth_of_inverse": 0}
+FAIL charge-depth [n=3]
+  witness: {"w": [3, 2, 1], "charge": 3, "depth_of_inverse": 0}
+FAIL charge-depth [n=4]
+  witness: {"w": [4, 3, 2, 1], "charge": 6, "depth_of_inverse": 0}
+1/4 checks passed
+"""
+
+
+def test_forced_charge_depth_failure_prints_the_row_witnesses(capsys, monkeypatch):
+    outputs = []
+    for fmt in ([], ["--format", "json"]):
+        with monkeypatch.context() as patch:
+            _change_one_permutation(patch, "inverse_descent_composition", 1, 2, 3, 4)
+            assert main(["verify", "charge-depth", "--max-n", "4", *fmt]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == FORCED_CHARGE_DEPTH
+    assert hashlib.sha256(outputs[1].encode()).hexdigest() == (
+        "84fbc8f746b54ff5aa5d55f82b781d0cd68f301d3b95d4264b14e4dc15f5510a")
