@@ -15,8 +15,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from functools import cache
-from itertools import combinations, permutations as _permutations, starmap
-from operator import gt
+from itertools import combinations, permutations as _permutations, product, starmap
+from operator import add, gt
 from typing import Iterable, Iterator, NamedTuple
 
 from .compositions import Composition, IndexSet, comp_to_set, compositions, set_to_comp
@@ -274,30 +274,29 @@ class RskTally(NamedTuple):
 
 @cache
 def rsk_tally(n: int) -> RskTally:
-    """The `RskTally` of S_n from the halves of `perm_table`, without visiting each w.
+    """The `RskTally` of S_n from the halves of `perm_table`, without building its rows.
 
     A prefix and a tail set disjoint bits, so the key of w is the sum of theirs, plus
-    the descent at m below the split: the prefixes are counted by (remaining set,
-    split, key), and each group meets each tail key of its table once.
+    the descent at m for the tails below the split: the prefix keys are listed by
+    (remaining set, split), and their sums with the tail keys of that table are
+    counted in C.  Each table is dropped once joined.
     """
     m, prefixes, tail_table = _halves(n)
-    groups = defaultdict(Counter)  # remaining set -> (split, key) -> prefixes
+    groups = defaultdict(lambda: defaultdict(list))  # remaining set -> split -> prefix keys
     prefix_inversions = defaultdict(Counter)  # remaining set -> inversions -> prefixes
     for _, rest, split, mask, left, inv in prefixes:
-        groups[rest][split, mask << n | left] += 1
+        groups[rest][split].append(mask << n | left)
         prefix_inversions[rest][inv] += 1
     pairs, counts = Counter(), [0] * (n * (n - 1) // 2 + 1)
-    for rest, group in groups.items():
+    for rest, by_split in groups.items():
         table = tail_table(rest)
         keys = [t_mask << n | t_left for _, t_mask, _, t_left in table]
-        sides = {}  # split -> tail key -> tails, with the descent at m below the split
-        for (split, key), count in group.items():
-            if split not in sides:
-                sides[split] = Counter(k | (i < split) << m + n for i, k in enumerate(keys))
-            for tail, c in sides[split].items():
-                pairs[key + tail] += count * c
+        for split, prefix_keys in by_split.items():
+            tails = [k | (i < split) << m + n for i, k in enumerate(keys)]
+            pairs.update(starmap(add, product(prefix_keys, tails)))
         for t_inv, c in Counter(entry[2] for entry in table).items():
             for inv, d in prefix_inversions[rest].items():
                 counts[inv + t_inv] += c * d
-    return RskTally(pairs, counts, Counter(sum(1 << i for i in range(1, n) if w[i - 1] > w[i])
-                                           for w in _involutions(n)))
+    involutions = Counter(sum(1 << i for i in range(1, n) if w[i - 1] > w[i])
+                          for w in _involutions(n))
+    return RskTally(pairs, counts, involutions)

@@ -470,9 +470,9 @@ def _is_prime(n: int) -> bool:
 # The largest S_n a check over S_n may read, as n!, refused by `run_checks` before any
 # job runs; direct `check_*` calls are not limited.  Each check reads `rsk_tally(m)` for
 # m up to its bound, each built once and kept: at `--max-n 10` (10! = 3,628,800) `verify
-# counting` takes about 1.0 s at a 36 MB peak, `mahonian` 0.9 s at 31 MB, `skeleton-rs`
-# 5.5 s at 150 MB (its paired skeleton side) and `skeleton-rsk` 2.4 s at 47 MB; the S_10
-# tally, 169,438 keys, takes 0.8 s and about 12 MB (CPython 3.11, 2 cores).
+# counting` takes 1.0-1.6 s at a 36 MB peak, `mahonian` 0.9-1.0 s at 31 MB, `skeleton-rs`
+# 5.5-8.7 s at 149 MB (its paired skeleton side) and `skeleton-rsk` 2.4-3.2 s at 47 MB; the
+# S_10 tally has 169,438 keys, and the kept tallies add about 8 MB (CPython 3.11, 2 cores).
 _SWEEP_MAX_N = 10
 MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 
