@@ -17,7 +17,15 @@ from itertools import chain, groupby, islice, starmap
 from typing import Iterator
 
 from .compositions import Composition, format_comp, is_partition, is_strong, partitions
-from .crystal import build_crystal, graph_json, inner_crystal, to_dot, vertex_count
+from .crystal import (
+    build_crystal,
+    crystal_skeleton,
+    edge_count,
+    graph_json,
+    inner_classes,
+    to_dot,
+    vertex_count,
+)
 from .poly import deep_skeleton, skeleton_poly, skeleton_poly_i
 from .rsk import is_permutation, perm_stats, rsk
 from .tableaux import (
@@ -33,12 +41,13 @@ from .verify import CHECK_NAMES, run_checks
 
 gc.freeze()  # keep the import-time objects out of every collection a command triggers
 
-# The largest crystal `skelpoly crystal` builds, counted before any work by the
+# The largest crystal `skelpoly crystal` exports, counted before any work by the
 # hook-content formula.  `crystal 3,2 100` has 424,957,500 vertices, over a
-# thousand times the 365,904 of `crystal 4,4,2 9`.  That crystal peaks at 0.26 GB
-# in every format, as the build does, since DOT and JSON stream from the graph's
-# tuples: in 4.5 s as text, 9 s as DOT and 10.5 s as JSON (CPython 3.11, 2 cores).
-# So one limit fits every format.  Library calls to `build_crystal` are not limited.
+# thousand times the 365,904 of `crystal 4,4,2 9`.  DOT and JSON build the graph
+# and stream from its tuples, so they peak as the build does: 0.26 GB for that
+# crystal, in 7.5-9 s as DOT and 11.5 s as JSON (CPython 3.11, 2 cores).  The
+# text builds no graph and prints it in 0.05 s at 16 MB, but one limit still
+# holds for every format.  Library calls to `build_crystal` are not limited.
 MAX_CRYSTAL_VERTICES = 1_000_000
 
 # The most tableaux `skeleton` and `tableaux` list, counted before any work: f^lambda,
@@ -365,23 +374,26 @@ def _cmd_crystal(args: argparse.Namespace) -> int:
     if args.bound < len(shape):
         raise SystemExit(f"error: bound {args.bound} is below the number of rows {len(shape)}")
     subject = f"crystal {format_comp(shape)} {args.bound}"
-    _refuse_over(vertex_count(shape, args.bound), subject, "vertices", MAX_CRYSTAL_VERTICES)
-    graph = build_crystal(shape, args.bound)
+    vertices = vertex_count(shape, args.bound)
+    _refuse_over(vertices, subject, "vertices", MAX_CRYSTAL_VERTICES)
     if args.format == "dot":
-        sys.stdout.writelines(to_dot(graph, inner_only=args.inner))
+        sys.stdout.writelines(to_dot(build_crystal(shape, args.bound), inner_only=args.inner))
         return 0
     if args.format == "json":
-        _print_json(graph_json(graph, inner_only=args.inner))
+        _print_json(graph_json(build_crystal(shape, args.bound), inner_only=args.inner))
         return 0
-    classes = inner_crystal(graph) if args.inner else graph.classes
+    # the text needs no graph: its counts are closed forms, its classes the skeleton's
+    classes = crystal_skeleton(shape, args.bound)
+    if args.inner:
+        classes = inner_classes(classes, shape)
     print(
         f"shape {format_comp(shape)} bound {args.bound}:"
-        f" {len(graph.rows)} vertices, {len(graph.edges)} edges,"
+        f" {vertices} vertices, {edge_count(shape, args.bound)} edges,"
         f" {len(classes)} quasi-crystals"
     )
     for qc in classes:
         print(
-            f"  des={format_comp(qc.descent)} size={len(qc.indices)}"
+            f"  des={format_comp(qc.descent)} size={qc.size}"
             f" representative={qc.representative.to_json()}"
         )
     return 0

@@ -7,25 +7,32 @@ rightmost unmatched i into i+1; the raising operator e_i turns the leftmost
 unmatched i+1 into i.  Vertices standardizing to the same SYT form a
 quasi-crystal; the common standardizations make up the crystal skeleton.
 
+The skeleton needs no graph: `crystal_skeleton` builds one class per SYT
+whose descent composition alpha has at most `bound` parts, with
+F_alpha(1^bound) members, and walks no other SYT.  `vertex_count` and
+`edge_count` count the graph by closed forms, so a caller can print or size
+a crystal without building it.
+
 `build_crystal` takes the vertices as tuples of rows from the row-by-row
 SSYT fill of `tableaux`, in lexicographic order of their rows.  It finds
 every f-edge of a vertex in one left-to-right scan of its row word, all
 colors at once: a letter x first closes an open bracket of color x, or else
 becomes the rightmost unmatched x so far; it then opens a bracket of color
-x-1.  The same pass groups the vertices into quasi-crystals by their
-standardized row word, so the classes are computed once, at build time, and
-stored on the graph.  The graph keeps each vertex as its tuple of rows:
-`vertices` and `QuasiCrystal.members` build `Tableau` objects only when
-read, and the exports read the rows.
+x-1.  The same pass sorts each vertex into its class of `crystal_skeleton`
+by its standardized row word, so the classes have one route and are stored
+on the graph.  The graph keeps each vertex as its tuple of rows: `vertices`
+and `QuasiCrystal.members` build `Tableau` objects only when read, and the
+exports read the rows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
-from itertools import chain
-from math import prod
+from itertools import chain, product
+from math import comb, factorial, perm, prod
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .compositions import (
     Composition,
@@ -34,9 +41,10 @@ from .compositions import (
     _require_partition,
     format_comp,
     hook_product,
+    trim,
 )
 from .rsk import rsk
-from .tableaux import Rows, Tableau, _fill, descent_composition, weight
+from .tableaux import Rows, Tableau, _fill, kostka, weight
 
 _EDGE_BATCH = 4096  # the most edges written as one block of `to_dot`
 
@@ -148,14 +156,111 @@ def vertex_count(shape: Partition, bound: int) -> int:
     return contents // hook_product(shape)
 
 
-def _from_row_word(word: tuple[int, ...], shape: Partition) -> Tableau:
-    """The tableau of `shape` whose row word is `word`."""
-    rows = []
-    end = len(word)
-    for length in shape:  # the top row closes the word
-        rows.append(word[end - length : end])
-        end -= length
-    return Tableau(tuple(rows))
+def _partitions_within(total: int, length: int, largest: int) -> Iterator[Partition]:
+    """The partitions of `total` with at most `length` parts, each at most `largest`."""
+    if total == 0:
+        yield ()
+        return
+    if length > 0:
+        for part in range(min(total, largest), 0, -1):
+            for rest in _partitions_within(total - part, length - 1, part):
+                yield (part, *rest)
+
+
+def edge_count(shape: Partition, bound: int) -> int:
+    """The number of f-edges of the crystal on SSYT of `shape` with entries <= `bound`.
+
+    Each i-string holds exactly one vertex whose weight mu has mu_i - mu_(i+1)
+    in {0, 1}, so color i has s_shape(1^bound) - S edges, S the number of those
+    vertices; Kostka numbers are symmetric in mu, so S is the same for every
+    color.  S sums K_(shape, mu) over mu = (t + d, t, ...) with d in {0, 1},
+    the other bound - 2 entries a rearrangement of a partition nu of
+    n - 2t - d, which has perm(bound - 2, len(nu)) / prod(mult!) of them.  An
+    entry above shape[0] makes K zero, so no part of mu goes past it.
+    """
+    if bound < 2:
+        return 0
+    n = sum(shape)
+    top = shape[0] if shape else 0
+    strings = 0
+    for d in (0, 1):
+        for t in range(min(top - d, (n - d) // 2) + 1):
+            for nu in _partitions_within(n - 2 * t - d, bound - 2, top):
+                ways = perm(bound - 2, len(nu)) // prod(map(factorial, Counter(nu).values()))
+                strings += ways * kostka(shape, trim(tuple(sorted((t + d, t, *nu), reverse=True))))
+    return (bound - 1) * (vertex_count(shape, bound) - strings)
+
+
+class SkeletonClass(NamedTuple):
+    """One quasi-crystal of the crystal skeleton, read off its SYT."""
+
+    representative: Tableau
+    descent: Composition
+    size: int  # F_descent(1^bound), its number of members
+
+
+def crystal_skeleton(shape: Partition, bound: int) -> tuple[SkeletonClass, ...]:
+    """The quasi-crystals of the crystal on SSYT of `shape` with entries <= `bound`.
+
+    One class per SYT whose descent composition alpha has at most `bound`
+    parts, with F_alpha(1^bound) = C(bound + n - len(alpha), n) members;
+    sorted by the representative's row word, as `CrystalGraph.classes` are.
+
+    The SYT are built one run of alpha at a time.  A run is a horizontal strip
+    numbered left to right, which is bottom row first; the next run opens with
+    a descent exactly when its bottom row lies below the top row of the last
+    one.  So only the SYT with at most `bound` runs are walked, not all of
+    them, and neither the vertices nor the SYT table is built.
+    """
+    _require_partition(shape)
+    n = sum(shape)
+    rows: list[list[int]] = [[] for _ in shape]  # the SYT so far
+    runs: list[int] = []  # its descent composition so far
+    found = []
+
+    def next_run(filled: int, last_top: int) -> None:
+        """Every way to finish the SYT, the last run having ended in row `last_top`."""
+        if filled == n:
+            rep = Tableau(tuple(map(tuple, rows)))
+            found.append(SkeletonClass(rep, tuple(runs), comb(bound + n - len(runs), n)))
+            return
+        if len(runs) == bound:  # the prune below leaves no cell here unless bound < len(shape)
+            return
+        ranges = []  # the cells the run may add to each row
+        for r, row in enumerate(rows):
+            # a horizontal strip stays under the row above as it was
+            end = min(shape[r], len(rows[r - 1]) if r else shape[0])
+            # a column with a cell left for each run left takes one in this run
+            low = r + bound - len(runs) - 1
+            need = max(min(shape[low] if low < len(shape) else 0, end) - len(row), 0)
+            ranges.append(range(need, end - len(row) + 1))
+        below = product(*ranges[last_top + 1 :])
+        if not any(added.start for added in ranges[last_top + 1 :]):
+            next(below)  # the run opens below `last_top`, so not with no cell there
+        for above, under in product(product(*ranges[: last_top + 1]), below):
+            counts = above + under
+            label = filled
+            for row, added in zip(reversed(rows), reversed(counts)):
+                row.extend(range(label + 1, label + added + 1))
+                label += added
+            runs.append(label - filled)
+            next_run(label, next(r for r, added in enumerate(counts) if added))
+            runs.pop()
+            for row, added in zip(rows, counts):
+                del row[len(row) - added :]
+
+    next_run(0, -1)
+    found.sort(key=lambda qc: _word(qc.representative.rows))
+    return tuple(found)
+
+
+def _standard_key(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The stable argsort of a row word, shared by a vertex and its standardization.
+
+    Equal entries of an SSYT form a horizontal strip, which the row word reads
+    left to right, so this order numbers the cells as standardization does.
+    """
+    return tuple(sorted(range(len(word)), key=word.__getitem__))
 
 
 def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
@@ -164,15 +269,13 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
     Empty when the bound is below the number of rows.  The empty shape has one
     vertex, the empty tableau, and one quasi-crystal, with descent ().
     """
-    _require_partition(shape)
+    skeleton = crystal_skeleton(shape, bound)  # checks the shape
+    position = {_standard_key(_word(qc.representative.rows)): k for k, qc in enumerate(skeleton)}
+    members: list[list[int]] = [[] for _ in skeleton]
     vertices = tuple(_fill(shape, bound, None))
     words = list(map(_word, vertices))
     index = {word: i for i, word in enumerate(words)}
     edges = []
-    # Equal entries of an SSYT form a horizontal strip, which the row word
-    # reads left to right, so the stable argsort of the row word orders the
-    # cells as standardization numbers them.
-    groups: dict[tuple[int, ...], list[int]] = {}
     # Shared by all words, so the work per word grows with its letters, not with
     # the bound: each word resets the entries it touched.
     opened = [0] * (bound + 1)  # unmatched letters x+1 seen so far, by color x
@@ -193,20 +296,12 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
                 letters[p] = color
             rightmost[color] = -1
             opened[color - 1] = 0
-        groups.setdefault(tuple(sorted(range(len(word)), key=word.__getitem__)), []).append(u)
-    classes = []
-    for order, members in groups.items():
-        standard = [0] * len(order)
-        for label, p in enumerate(order, start=1):
-            standard[p] = label
-        rep = _from_row_word(tuple(standard), shape)
-        classes.append(
-            QuasiCrystal(
-                rep, tuple(vertices[i] for i in members), descent_composition(rep), tuple(members)
-            )
-        )
-    classes.sort(key=lambda qc: _word(qc.representative.rows))
-    return CrystalGraph(tuple(shape), bound, vertices, tuple(edges), tuple(classes))
+        members[position[_standard_key(word)]].append(u)
+    classes = tuple(
+        QuasiCrystal(qc.representative, tuple(vertices[i] for i in group), qc.descent, tuple(group))
+        for qc, group in zip(skeleton, members)
+    )
+    return CrystalGraph(tuple(shape), bound, vertices, tuple(edges), classes)
 
 
 def fundamental_system(graph: CrystalGraph, alpha: Composition) -> tuple[QuasiCrystal, ...]:
@@ -221,7 +316,12 @@ def inner_crystal(graph: CrystalGraph) -> tuple[QuasiCrystal, ...]:
     With the entry bound at least the maximal descent length, there are as
     many of these as SSYT with entries bounded by the number of rows.
     """
-    return tuple(qc for qc in graph.classes if len(qc.descent) == len(graph.shape))
+    return inner_classes(graph.classes, graph.shape)
+
+
+def inner_classes(classes: tuple, shape: Partition) -> tuple:
+    """The classes, of a graph or of the skeleton, with one descent part per row of `shape`."""
+    return tuple(qc for qc in classes if len(qc.descent) == len(shape))
 
 
 def evacuation(t: Tableau) -> Tableau:

@@ -506,6 +506,55 @@ def test_crystal_of_the_empty_shape(capsys, flags):
         ]
 
 
+def _crystal_text(graph, inner_only):
+    """The text export, rendered from the built graph."""
+    classes = inner_crystal(graph) if inner_only else graph.classes
+    head = (
+        f"shape {format_comp(graph.shape)} bound {graph.bound}: {len(graph.rows)} vertices,"
+        f" {len(graph.edges)} edges, {len(classes)} quasi-crystals\n"
+    )
+    return head + "".join(
+        f"  des={format_comp(qc.descent)} size={len(qc.indices)}"
+        f" representative={[list(row) for row in qc.representative.rows]}\n"
+        for qc in classes
+    )
+
+
+@pytest.mark.parametrize("shape", [lam for n in range(9) for lam in partitions(n)])
+def test_crystal_text_matches_the_built_graph(capsys, shape):
+    # the text reads closed forms and the skeleton; the graph is its oracle
+    for bound in range(len(shape), 9):
+        graph = build_crystal(shape, bound)
+        for inner_only in (False, True):
+            flags = ["--inner"] if inner_only else []
+            code, out = run_cli(capsys, "crystal", format_comp(shape), str(bound), *flags)
+            assert code == 0
+            assert out == _crystal_text(graph, inner_only)
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["", "0"], "shape  bound 0: 1 vertices, 0 edges, 1 quasi-crystals"),
+        (["", "0", "--inner"], "shape  bound 0: 1 vertices, 0 edges, 1 quasi-crystals"),
+        (["4,2,2", "7"], "shape 422 bound 7: 8820 vertices, 27510 edges, 56 quasi-crystals"),
+        (
+            ["4,2,2", "7", "--inner"],
+            "shape 422 bound 7: 8820 vertices, 27510 edges, 6 quasi-crystals",
+        ),
+        (["4,4,2", "9"], "shape 442 bound 9: 365904 vertices, 1527008 edges, 252 quasi-crystals"),
+    ],
+)
+def test_crystal_text_builds_no_graph(capsys, monkeypatch, argv, head):
+    def must_not_build(shape, bound):
+        raise AssertionError("build_crystal called for a text export")
+
+    monkeypatch.setattr(cli, "build_crystal", must_not_build)
+    code, out = run_cli(capsys, "crystal", *argv)
+    assert code == 0
+    assert out.splitlines()[0] == head
+
+
 def test_crystal_bound_too_small(capsys):
     with pytest.raises(SystemExit):
         main(["crystal", "2,2", "1"])
@@ -530,36 +579,40 @@ def test_crystal_pool_sized_pair_runs(capsys):
     assert out.startswith("shape 422 bound 7: 8820 vertices,")
 
 
-# Runs one command, then writes the peak resident set of its own process, VmHWM in kB.
+# Runs one statement, then writes the peak resident set of its own process, VmHWM in kB.
 # Not `ru_maxrss`: Linux folds the high-water mark of the memory a process had before
 # exec into it, and a child spawned from this test process starts out with all of it.
 _PEAK_SCRIPT = (
-    "import os, sys; from skelpoly.cli import main;"
-    " code = main(sys.argv[1:]); sys.stdout.flush();"
+    "import os, sys; from skelpoly.cli import main; from skelpoly.crystal import build_crystal;"
+    " {}; sys.stdout.flush();"
     " peak = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')];"
-    " os.write(2, peak[0].split()[1].encode()); sys.exit(code)"
+    " os.write(2, peak[0].split()[1].encode())"
 )
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-def test_crystal_exports_peak_at_the_text_export():
-    # DOT and JSON stream from the graph's tuples, so each peaks within 3 MB of the
-    # text export, which prints a few lines; each runs in a fresh child
+def test_crystal_exports_peak_at_the_build():
+    # DOT and JSON stream from the graph's tuples, so each peaks within 3 MB of a
+    # child that only builds the graph; each runs in a fresh child
     src = os.path.dirname(os.path.dirname(skelpoly.__file__))
     peaks = {}
-    for flags in ((), ("--dot",), ("--format", "json")):
+    for statement in (
+        "build_crystal((4, 2, 2), 7)",
+        "main(['crystal', '4,2,2', '7', '--dot'])",
+        "main(['crystal', '4,2,2', '7', '--format', 'json'])",
+    ):
         done = subprocess.run(
-            [sys.executable, "-c", _PEAK_SCRIPT, "crystal", "4,2,2", "7", *flags],
+            [sys.executable, "-c", _PEAK_SCRIPT.format(statement)],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
             check=True,
             timeout=60,
             env={**os.environ, "PYTHONPATH": src},
         )
-        peaks[flags] = int(done.stderr)
-    text = peaks.pop(())
-    for flags, peak in peaks.items():
-        assert peak - text < 3 * 1024, (flags, peak, text)
+        peaks[statement] = int(done.stderr)
+    build = peaks.pop("build_crystal((4, 2, 2), 7)")
+    for statement, peak in peaks.items():
+        assert peak - build < 3 * 1024, (statement, peak, build)
 
 
 _BENCHMARK_OUTPUT = json.loads(

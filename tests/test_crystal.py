@@ -6,8 +6,10 @@ import pytest
 from skelpoly import (
     Tableau,
     build_crystal,
+    crystal_skeleton,
     descent_composition,
     descent_set,
+    edge_count,
     evacuation,
     fundamental_system,
     graph_json,
@@ -22,6 +24,7 @@ from skelpoly import (
     standard_tableaux,
     standardize,
     tableau_stats,
+    tableaux_from_table,
     to_dot,
     vertex_count,
     weight,
@@ -221,17 +224,57 @@ def test_build_crystal_checks_the_shape():
 
 def test_crystal_of_a_tall_rectangle():
     # the rows under a row are drawn with room for the rows below, so the
-    # fill does no work beyond the 455 vertices
+    # fill does no work beyond the 455 vertices; the skeleton walks only the
+    # SYT with at most 4 runs, 419 of the 2.9e12 SYT of the shape
     graph = build_crystal((12, 12, 12), 4)
     assert len(graph.rows) == vertex_count((12, 12, 12), 4) == 455
     assert sorted(i for qc in graph.classes for i in qc.indices) == list(range(455))
     assert all(t.is_semistandard() for t in graph.vertices)
+    assert len(graph.classes) == 419
+    assert len(graph.edges) == edge_count((12, 12, 12), 4) == 1092
 
 
 def test_crystal_of_one_box_at_a_large_bound():
     # a vertex costs the letters of its row word, not the bound: one letter each here
     graph = build_crystal((1,), 20_000)
     assert graph.edges == tuple((x - 1, x, x) for x in range(1, 20_000))
+
+
+def test_closed_forms_of_one_box_at_a_huge_bound():
+    # one string x -> x + 1 through all 10**6 vertices, in one class
+    assert edge_count((1,), 10**6) == 999_999
+    assert crystal_skeleton((1,), 10**6) == ((Tableau.of([[1]]), (1,), 10**6),)
+
+
+def test_skeleton_of_a_long_column_and_a_long_row():
+    # the walk recurses once per run, not once per cell: 40 runs of one cell,
+    # then one run of 1,000 cells, both far inside the recursion limit
+    column = Tableau.of([i] for i in range(1, 41))
+    assert crystal_skeleton((1,) * 40, 40) == ((column, (1,) * 40, 1),)
+    assert crystal_skeleton((1000,), 2) == ((Tableau.of([range(1, 1001)]), (1000,), 1001),)
+    assert edge_count((1000,), 2) == 1000
+
+
+@pytest.mark.parametrize("lam", [lam for n in range(9) for lam in partitions(n)])
+def test_skeleton_and_edge_count_match_the_built_crystal(lam):
+    # every bound from the number of rows to 8: the closed forms against the
+    # built graph, and the skeleton's walk against the SYT table
+    n = sum(lam)
+    table = tableaux_from_table(lam)
+    for bound in range(len(lam), 9):
+        graph = build_crystal(lam, bound)
+        skeleton = crystal_skeleton(lam, bound)
+        assert edge_count(lam, bound) == len(graph.edges)
+        assert skeleton == tuple(
+            (qc.representative, qc.descent, len(qc.indices)) for qc in graph.classes
+        )
+        few_runs = [(t, row.descent_composition) for t, row in table
+                    if len(row.descent_composition) <= bound]
+        # among SYT of one shape, the reversed rows order as the row words do
+        assert sorted(few_runs, key=lambda pair: pair[0].rows[::-1]) == [
+            (qc.representative, qc.descent) for qc in skeleton
+        ]
+        assert all(qc.size == comb(bound + n - len(qc.descent), n) for qc in skeleton)
 
 
 def test_build_crystal_small_cases():
@@ -244,6 +287,7 @@ def test_build_crystal_small_cases():
     assert len(column.vertices) == 1
 
     assert build_crystal((2, 1), 1).vertices == ()
+    assert build_crystal((2, 1), 1).classes == crystal_skeleton((2, 1), 1) == ()
 
 
 @pytest.mark.parametrize("bound", [0, 1, 3])
