@@ -203,10 +203,13 @@ def _fill(shape: Partition, max_entry: int, counts: tuple[int, ...] | None) -> l
 
     Row by row, top down: each row is a weakly increasing word whose entries
     sit strictly below those of the row above and leave room for the rows
-    under it, so every partial filling completes.  With `counts`, a value v
-    fills at most counts[v - 1] cells, and is tried in a row only while the
-    values from v up have cells enough left for the rest of that row.  The
-    rows that fit under a row are found once per row above and counts left.
+    under it, so every partial filling completes.  A row grows one column per
+    pass, each prefix extended in order by every value its cell admits, so
+    rows come out in lexicographic order with no recursion per cell.  With
+    `counts`, a value v fills at most counts[v - 1] cells, and is tried in a
+    row only while the values from v up have cells enough left for the rest
+    of that row.  The rows that fit under a row are found once per row above
+    and counts left.
     """
     if not shape:
         return [()]
@@ -219,20 +222,21 @@ def _fill(shape: Partition, max_entry: int, counts: tuple[int, ...] | None) -> l
     out: list[Rows] = []
 
     def rows_under(
-        k: int, above: tuple[int, ...], left: tuple[int, ...] | None, row: tuple[int, ...]
+        k: int, above: tuple[int, ...], left: tuple[int, ...] | None
     ) -> list[tuple[int, ...]]:
-        """The rows k under `above` that extend `row`."""
-        c = len(row)
-        if c == shape[k]:
-            return [row]
-        found = []
-        for value in range(max(row[-1] if row else 1, above[c] + 1), caps[k][c] + 1):
-            if left is None or (
-                (used := row.count(value)) < left[value - 1]
-                and sum(left[value - 1 :]) - used >= shape[k] - c  # cells for the rest of the row
-            ):
-                found += rows_under(k, above, left, row + (value,))
-        return found
+        """The rows k under `above`, each pass extending every prefix by one column."""
+        rows: list[tuple[int, ...]] = [()]
+        for c, cap in enumerate(caps[k]):
+            rows = [
+                row + (value,)
+                for row in rows
+                for value in range(max(row[-1] if row else 1, above[c] + 1), cap + 1)
+                if left is None or (
+                    (used := row.count(value)) < left[value - 1]
+                    and sum(left[value - 1 :]) - used >= shape[k] - c
+                )
+            ]
+        return rows
 
     def extend(rows: Rows, above: tuple[int, ...], left: tuple[int, ...] | None) -> None:
         k = len(rows)
@@ -241,7 +245,7 @@ def _fill(shape: Partition, max_entry: int, counts: tuple[int, ...] | None) -> l
             return
         fits = under.get((k, above, left))
         if fits is None:
-            fits = under[k, above, left] = rows_under(k, above, left, ())
+            fits = under[k, above, left] = rows_under(k, above, left)
         for row in fits:
             rest = left and tuple(n - row.count(v) for v, n in enumerate(left, start=1))
             extend(rows + (row,), row, rest)

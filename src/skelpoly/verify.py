@@ -50,7 +50,6 @@ from .poly import (
     internal_zeros,
     q_factorial,
     quasi_kostka_coefficient,
-    quasi_kostka_matrix,
     skeleton_poly,
 )
 from .rsk import mask_stats, perm_table, rsk_tally
@@ -394,43 +393,20 @@ def check_s6_inversion_count() -> CheckResult:
     return _finish("s6-inversions", {}, witness, started, {"count": direct})
 
 
-def _rank_over_rationals(matrix: list[list[int]]) -> int:
-    """Rank of an integer matrix over Q, by fraction-free (Bareiss) elimination.
-
-    After each pivot every entry of the rows below is a minor of `matrix`, on the pivot
-    rows and columns and its own, so the division by the previous pivot is exact and
-    every entry stays an integer; that holds only if every row below is rescaled, also
-    one with a 0 in the pivot column.
-    """
-    rows = [list(row) for row in matrix if any(row)]
-    rank = 0
-    previous = 1
-    ncols = len(matrix[0]) if matrix else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead_row = rows[rank]
-        lead = lead_row[col]
-        for r in range(rank + 1, len(rows)):
-            row, scale = rows[r], rows[r][col]
-            rows[r] = [(lead * a - scale * b) // previous for a, b in zip(row, lead_row)]
-        previous = lead
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def check_linear_independence(n: int) -> CheckResult:
-    """The skeleton coefficient matrix over shapes of n has full row rank."""
+    """The skeleton coefficient matrix over shapes of n has full row rank.
+
+    Its minor on the partition columns is unitriangular: f_(shape, shape) = 1, and
+    f_(shape, mu) = 0 unless mu is dominated by `shape`, so at every mu listed before
+    `shape` in `partitions(n)`: each is lexicographically greater, hence not dominated.
+    That certifies the rank with no elimination, from those p(n)(p(n)+1)/2 entries; the
+    witness is the first entry that breaks the pattern.
+    """
     started = time.perf_counter()
-    shapes, _, matrix = quasi_kostka_matrix(n)
-    rank = _rank_over_rationals(matrix)
-    witness = None
-    if rank != len(shapes):
-        witness = {"rank": rank, "rows": len(shapes)}
+    shapes = partitions(n)
+    witness = next(({"shape": list(shape), "alpha": list(mu), "coefficient": coeff}
+                    for i, shape in enumerate(shapes) for mu in shapes[:i + 1]
+                    if (coeff := quasi_kostka_coefficient(shape, mu)) != int(mu == shape)), None)
     return _finish("linear-independence", {"n": n}, witness, started)
 
 
@@ -483,7 +459,8 @@ MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 # `_SWEEP_MAX_N` read S_m for each m up to their bound.  At the other limits, and one
 # above, `verify hook-sum` takes 1.6 s at 72 MB and 2.7 s at 126 MB, `bks` 1.3 s at 63 MB
 # and 3.2 s at 204 MB, `schur-family` 3.3 s at 76 MB and 15 s at 241 MB, and
-# `linear-independence` 1.7 s at 78 MB and 5.6 s at 247 MB (CPython 3.11, 2 cores).
+# `linear-independence` 1.0-1.3 s at 75 MB and 4.2-4.4 s at 240 MB, most of it in
+# building the skeleton polynomials its minor reads (CPython 3.11, 2 cores).
 # `all` runs the checks in this order.
 _CHECKS: dict[str, tuple[Callable[..., CheckResult], str, int | None, int | None]] = {
     "skeleton-r": (check_skeleton_r, "graded", 6, _SWEEP_MAX_N),

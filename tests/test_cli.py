@@ -316,6 +316,13 @@ def test_tableaux_weight(capsys):
     assert "total: 2" in out
 
 
+def test_tableaux_weight_of_a_row_longer_than_the_recursion_limit(capsys):
+    # each row is grown one column per pass, so 995 cells in one row recurse nowhere
+    code, out = run_cli(capsys, "tableaux", "995,", "--weight", "500,495")
+    assert code == 0
+    assert out.endswith("total: 1\n")
+
+
 def test_tableaux_weight_refuses_runaway_listing(capsys, monkeypatch):
     def must_not_list(shape, weight_vec):
         raise AssertionError("SSYT listed for a refused weight")
@@ -961,11 +968,11 @@ def test_verify_refuses_a_huge_bound_at_once(checks, n, monkeypatch):
 )
 def test_verify_refuses_a_table_check_above_its_limit(check, largest, monkeypatch):
     # these checks sweep no S_n, so the refusal speaks of n alone
-    def must_not_enumerate(n):
+    def must_not_enumerate(*args):
         raise AssertionError("enumeration reached for a refused size")
 
     monkeypatch.setattr(verify, "partitions", must_not_enumerate)
-    monkeypatch.setattr(verify, "quasi_kostka_matrix", must_not_enumerate)
+    monkeypatch.setattr(verify, "quasi_kostka_coefficient", must_not_enumerate)
     for n in (largest + 1, 40, 99999999999999999999):
         with pytest.raises(SystemExit) as exc:
             main(["verify", check, "--max-n", str(n)])

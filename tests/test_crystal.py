@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -253,6 +256,26 @@ def test_skeleton_of_a_long_column_and_a_long_row():
     assert crystal_skeleton((1,) * 40, 40) == ((column, (1,) * 40, 1),)
     assert crystal_skeleton((1000,), 2) == ((Tableau.of([range(1, 1001)]), (1000,), 1001),)
     assert edge_count((1000,), 2) == 1000
+
+
+def test_built_crystal_of_a_row_longer_than_the_recursion_limit():
+    # the rows of the vertices grow one column per pass, so a child whose recursion
+    # limit is below the row's 200 cells builds the whole graph
+    statement = (
+        "import sys; sys.setrecursionlimit(150)\n"
+        "from skelpoly.crystal import build_crystal\n"
+        "graph = build_crystal((200,), 2)\n"
+        "print(len(graph.vertices), len(graph.edges))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", statement],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crystal.__file__))},
+    )
+    assert done.stdout == f"{vertex_count((200,), 2)} {edge_count((200,), 2)}\n" == "201 200\n"
 
 
 @pytest.mark.parametrize("lam", [lam for n in range(9) for lam in partitions(n)])

@@ -6,7 +6,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from skelpoly import MultiPoly, verify
 from skelpoly.cli import main
@@ -174,7 +173,7 @@ def test_linear_independence():
 
 
 def _rank_by_fractions(matrix):
-    """Gaussian elimination over Fraction: the oracle for the integer rank."""
+    """Gaussian elimination over Fraction: the oracle for the rank certificate."""
     rows = [[Fraction(x) for x in row] for row in matrix]
     rank = 0
     for col in range(len(matrix[0]) if matrix else 0):
@@ -189,46 +188,39 @@ def _rank_by_fractions(matrix):
     return rank
 
 
-@st.composite
-def _integer_matrices(draw):
-    ncols = draw(st.integers(1, 6))
-    entry = st.one_of(st.just(0), st.integers(-9, 9))  # zeros below a pivot skip no row
-    row = st.lists(entry, min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(row, max_size=7))
-    # zero rows, repeated rows and integer combinations of earlier rows lower the rank
-    for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["zero", "repeat", "combine"]))
-        if kind == "zero" or not rows:
-            new = [0] * ncols
-        elif kind == "repeat":
-            new = list(draw(st.sampled_from(rows)))
-        else:
-            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            x, y = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
-            new = [x * u + y * v for u, v in zip(a, b)]
-        rows.insert(draw(st.integers(0, len(rows))), new)
-    return rows
-
-
-@settings(max_examples=400)
-@given(_integer_matrices())
-@example([[0, 0, 3, 3], [0, 1, 3, 2], [3, -5, 3, 3], [0, -5, 0, 7]])
-@example([[7, 0, 7, -1, 0, 0], [0, 1, 1, 0, 0, 2], [0, -1, 0, 0, 1, 0], [0, 1, 0, 3, 1, 0]])
-def test_integer_rank_matches_fraction_elimination(matrix):
-    assert verify._rank_over_rationals(matrix) == _rank_by_fractions(matrix)
-
-
-def test_rank_examples():
-    assert verify._rank_over_rationals([]) == 0
-    assert verify._rank_over_rationals([[0, 0], [0, 0]]) == 0
-    assert verify._rank_over_rationals([[2, 4, 6], [1, 2, 3], [0, 0, 1]]) == 2
-    assert verify._rank_over_rationals([[0, 3], [5, 7], [1, 1]]) == 2
-
-
 def test_quasi_kostka_matrix_has_full_row_rank():
+    # elimination over the whole matrix, the oracle for the unitriangular certificate
     for n in range(1, 9):
         shapes, _, matrix = quasi_kostka_matrix(n)
-        assert verify._rank_over_rationals(matrix) == len(shapes) == _rank_by_fractions(matrix)
+        assert _rank_by_fractions(matrix) == len(shapes)
+        assert check_linear_independence(n).passed
+
+
+@pytest.mark.parametrize("shape, alpha", [((3, 1), (3, 1)), ((3, 1), (4,)), ((2, 1, 1), (2, 2))])
+def test_linear_independence_names_the_entry_that_breaks_the_minor(shape, alpha, monkeypatch):
+    # a diagonal entry other than 1, or a nonzero entry left of the diagonal
+    true_coefficient = verify.quasi_kostka_coefficient
+
+    def patched(lam, mu):
+        return 5 if (lam, mu) == (shape, alpha) else true_coefficient(lam, mu)
+
+    monkeypatch.setattr(verify, "quasi_kostka_coefficient", patched)
+    result = check_linear_independence(4)
+    assert not result.passed
+    assert result.witness == {"shape": list(shape), "alpha": list(alpha), "coefficient": 5}
+
+
+def test_linear_independence_reads_only_the_partition_columns(monkeypatch):
+    read, true_coefficient = [], verify.quasi_kostka_coefficient
+
+    def recorded(lam, mu):
+        read.append((lam, mu))
+        return true_coefficient(lam, mu)
+
+    monkeypatch.setattr(verify, "quasi_kostka_coefficient", recorded)
+    assert check_linear_independence(7).passed
+    shapes = partitions(7)
+    assert read == [(lam, mu) for i, lam in enumerate(shapes) for mu in shapes[: i + 1]]
 
 
 def test_bifactorial_check():
