@@ -69,19 +69,22 @@ def compositions(n: int) -> tuple[Composition, ...]:
     return tuple(sorted(out, key=lambda a: (len(a), tuple(-x for x in a))))
 
 
+def partitions_within(total: int, length: int, largest: int) -> Iterator[Partition]:
+    """The partitions of `total` with at most `length` parts, each at most `largest`,
+    in descending lexicographic order."""
+    if total == 0:
+        yield ()
+        return
+    if length > 0:
+        for part in range(min(total, largest), 0, -1):
+            for rest in partitions_within(total - part, length - 1, part):
+                yield (part, *rest)
+
+
 @cache
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in descending lexicographic order."""
-
-    def gen(remaining: int, biggest: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, biggest), 0, -1):
-            for rest in gen(remaining - part, part):
-                yield (part, *rest)
-
-    return tuple(gen(n, n))
+    return tuple(partitions_within(n, n, n))
 
 
 def refinements(alpha: Composition) -> set[Composition]:

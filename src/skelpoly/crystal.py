@@ -41,6 +41,7 @@ from .compositions import (
     _require_partition,
     format_comp,
     hook_product,
+    partitions_within,
     trim,
 )
 from .rsk import rsk
@@ -156,17 +157,6 @@ def vertex_count(shape: Partition, bound: int) -> int:
     return contents // hook_product(shape)
 
 
-def _partitions_within(total: int, length: int, largest: int) -> Iterator[Partition]:
-    """The partitions of `total` with at most `length` parts, each at most `largest`."""
-    if total == 0:
-        yield ()
-        return
-    if length > 0:
-        for part in range(min(total, largest), 0, -1):
-            for rest in _partitions_within(total - part, length - 1, part):
-                yield (part, *rest)
-
-
 def edge_count(shape: Partition, bound: int) -> int:
     """The number of f-edges of the crystal on SSYT of `shape` with entries <= `bound`.
 
@@ -185,7 +175,7 @@ def edge_count(shape: Partition, bound: int) -> int:
     strings = 0
     for d in (0, 1):
         for t in range(min(top - d, (n - d) // 2) + 1):
-            for nu in _partitions_within(n - 2 * t - d, bound - 2, top):
+            for nu in partitions_within(n - 2 * t - d, bound - 2, top):
                 ways = perm(bound - 2, len(nu)) // prod(map(factorial, Counter(nu).values()))
                 strings += ways * kostka(shape, trim(tuple(sorted((t + d, t, *nu), reverse=True))))
     return (bound - 1) * (vertex_count(shape, bound) - strings)

@@ -5,9 +5,9 @@ tuples of positive integers.  `rsk` returns the insertion and recording
 tableaux.  A `PermStats` row holds the descent compositions of w and of its
 inverse (its left descents), maj, depth, inversions, charge and whether w is
 an involution.  `perm_stats(w)` is the reference, one function per statistic
-on one word; `perm_table(n)` gives S_n with the same rows, reading maj, depth
-and charge off two descent masks.  `rsk_tally(n)`, kept per process, counts S_n
-by those masks and by inversions from the same halves, without a row per w.
+on one word, and `perm_table(n)` sweeps S_n with it.  `rsk_tally(n)`, kept per
+process, counts S_n by the masks of Des(w) and Des(w^-1) and by inversions,
+joining prefixes and tails of the one-line words, without a row per w.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import combinations, permutations as _permutations, product, star
 from operator import add, gt
 from typing import Iterable, Iterator, NamedTuple
 
-from .compositions import Composition, IndexSet, comp_to_set, compositions, set_to_comp
+from .compositions import Composition, IndexSet, comp_to_set, compositions
 from .compositions import depth as composition_depth
 from .tableaux import Tableau
 
@@ -102,8 +102,13 @@ def descents(w: Word) -> IndexSet:
 
 
 def word_descent_composition(w: Word) -> Composition:
-    """Descent composition of a permutation (that of its recording tableau)."""
-    return set_to_comp(descents(w))
+    """Descent composition of a permutation (that of its recording tableau): its runs."""
+    runs, start = [], 0
+    for i in range(1, len(w)):
+        if w[i - 1] > w[i]:
+            runs.append(i - start)
+            start = i
+    return (*runs, len(w) - start) if w else ()
 
 
 def left_descents(w: Word) -> tuple[int, ...]:
@@ -192,23 +197,22 @@ def mask_stats(n: int) -> tuple:
 def _halves(n: int):
     """(m, prefixes, tail_table): the halves that each w of S_n joins, in lex order.
 
-    A prefix (prefix, rest, split, D, L, inversions) fills positions 1..m, m = ceil(n/2);
-    `tail_table(rest)` lists the orderings (tail, D, inversions, L) of the values `rest`
-    it leaves.  D and L mask the descents and the left descents (i with i+1 placed
-    before i); the first `split` tails start below the prefix's last value: a descent at m.
+    A prefix (rest, split, key, inversions) fills positions 1..m, m = ceil(n/2), and
+    leaves the values `rest`; `tail_table(rest)` lists the orderings of `rest` as
+    (key, inversions).  A key is D << n | L, D and L masking the descents and the left
+    descents (i with i+1 placed before i); the first `split` tails start below the
+    prefix's last value: a descent at m.
     """
     values = ((1 << (n + 1)) - 1) ^ 1  # bit v for each value v of [n]
     m = (n + 1) // 2  # prefix length; the tail holds the other t positions
     t = n - m
 
-    def prefixes(i, prefix, used, des_mask, left_mask, inv):
-        # every way to fill positions i..m after `prefix`, with its statistics
+    def prefixes(i, last, used, key, inv):
+        # every way to fill positions i..m after a prefix ending in `last`
         if i > m:
             rest = values ^ used
-            split = (rest & ((1 << (prefix[-1] if prefix else 0)) - 1)).bit_count() * block
-            yield prefix, rest, split, des_mask, left_mask, inv
+            yield rest, (rest & ((1 << last) - 1)).bit_count() * block, key, inv
             return
-        prev = prefix[-1] if prefix else 0
         free = values & ~used
         while free:
             bit = free & -free
@@ -216,19 +220,18 @@ def _halves(n: int):
             v = bit.bit_length() - 1
             placed = used | bit
             yield from prefixes(
-                i + 1, prefix + (v,), placed,
-                des_mask | 1 << (i - 1) if prev > v else des_mask,
-                left_mask | 1 << v if placed >> (v + 1) & 1 else left_mask,
+                i + 1, v, placed,
+                key | (last > v) << (n + i - 1) | (placed >> (v + 1) & 1) << v,
                 inv + (used >> (v + 1)).bit_count(),
             )
 
     # the orderings of range(t), lexicographic: the descents they put at positions
-    # m+1..n-1, their inversions, and each k that comes after k+1
+    # m+1..n-1 (shifted into D), their inversions, and each k that comes after k+1
     patterns = []
     for order in _permutations(range(t)):
         steps = [m + j for j in range(1, t) if order[j - 1] > order[j]]
         where = sorted(range(t), key=order.__getitem__)
-        patterns.append((order, sum(1 << d for d in steps), inversions(order),
+        patterns.append((sum(1 << d + n for d in steps), inversions(order),
                          [k for k in range(t - 1) if where[k + 1] < where[k]]))
     block = len(patterns) // max(t, 1)  # tails per first value
 
@@ -240,28 +243,16 @@ def _halves(n: int):
         cross = sum((placed >> (v + 1)).bit_count() for v in r)
         fixed_left = sum(1 << v for v in r if placed >> (v + 1) & 1)
         return [
-            (tuple([r[k] for k in order]), mask, cross + inv,
-             fixed_left | sum(1 << r[k] for k in after if r[k + 1] == r[k] + 1))
-            for order, mask, inv, after in patterns
+            (des | fixed_left | sum(1 << r[k] for k in after if r[k + 1] == r[k] + 1), cross + inv)
+            for des, inv, after in patterns
         ]
 
-    return m, prefixes(1, (), 0, 0, 0, 0), tail_table
+    return m, prefixes(1, 0, 0, 0, 0), tail_table
 
 
 def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
-    """Each w of S_n with `perm_stats(w)`, in `all_permutations(n)` order: a prefix and a
-    tail of `_halves(n)`, one table per remaining set, read off two masks by `mask_stats`."""
-    stats_of, involutions = mask_stats(n), frozenset(_involutions(n))
-    m, prefixes, tail_table = _halves(n)
-    tables = {}
-    for prefix, rest, split, mask, left, inv in prefixes:
-        table = tables.get(rest) or tables.setdefault(rest, tail_table(rest))
-        for b_mask, entries in ((mask | 1 << m, table[:split]), (mask, table[split:])):
-            for tail, t_mask, t_inv, t_left in entries:
-                w = prefix + tail
-                alpha, maj, dep = stats_of[b_mask | t_mask]
-                beta, _, charge = stats_of[left | t_left]
-                yield w, PermStats(alpha, beta, maj, dep, inv + t_inv, charge, w in involutions)
+    """Each w of S_n with `perm_stats(w)`, in `all_permutations(n)` order: the reference sweep."""
+    return ((w, perm_stats(w)) for w in all_permutations(n))
 
 
 class RskTally(NamedTuple):
@@ -274,7 +265,7 @@ class RskTally(NamedTuple):
 
 @cache
 def rsk_tally(n: int) -> RskTally:
-    """The `RskTally` of S_n from the halves of `perm_table`, without building its rows.
+    """The `RskTally` of S_n from the halves of `_halves(n)`, without a row per w.
 
     A prefix and a tail set disjoint bits, so the key of w is the sum of theirs, plus
     the descent at m for the tails below the split: the prefix keys are listed by
@@ -284,17 +275,16 @@ def rsk_tally(n: int) -> RskTally:
     m, prefixes, tail_table = _halves(n)
     groups = defaultdict(lambda: defaultdict(list))  # remaining set -> split -> prefix keys
     prefix_inversions = defaultdict(Counter)  # remaining set -> inversions -> prefixes
-    for _, rest, split, mask, left, inv in prefixes:
-        groups[rest][split].append(mask << n | left)
+    for rest, split, key, inv in prefixes:
+        groups[rest][split].append(key)
         prefix_inversions[rest][inv] += 1
     pairs, counts = Counter(), [0] * (n * (n - 1) // 2 + 1)
     for rest, by_split in groups.items():
         table = tail_table(rest)
-        keys = [t_mask << n | t_left for _, t_mask, _, t_left in table]
         for split, prefix_keys in by_split.items():
-            tails = [k | (i < split) << m + n for i, k in enumerate(keys)]
+            tails = [key | (i < split) << m + n for i, (key, _) in enumerate(table)]
             pairs.update(starmap(add, product(prefix_keys, tails)))
-        for t_inv, c in Counter(entry[2] for entry in table).items():
+        for t_inv, c in Counter(inv for _, inv in table).items():
             for inv, d in prefix_inversions[rest].items():
                 counts[inv + t_inv] += c * d
     involutions = Counter(sum(1 << i for i in range(1, n) if w[i - 1] > w[i])

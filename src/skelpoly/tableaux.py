@@ -18,6 +18,7 @@ tableau at a time and are the reference the table is tested against.
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from itertools import accumulate, chain, repeat
 from math import factorial
@@ -306,10 +307,19 @@ def yamanouchi_table(shape: Partition) -> tuple[YamanouchiRow, ...]:
     the run lengths are the descent composition, the descent set is their
     proper prefix sums, and the number of runs so far is the label of step i
     in the quasi-Yamanouchi tableau.  Rows come in walk order (words in
-    lexicographic order).
+    lexicographic order).  The walk recurses once per cell, so a shape with more
+    cells than the recursion limit leaves it, past the frames in use, is refused.
     """
     _require_partition(shape)
     n = sum(shape)
+    frame, in_use = sys._getframe(), 0
+    while frame:
+        frame, in_use = frame.f_back, in_use + 1
+    # the walk takes n + 1 frames and a few more to build each row; every frame in
+    # use may count twice, once more for the C call that entered it
+    if n > (room := sys.getrecursionlimit() - 2 * in_use - 5):
+        raise ValueError(f"shape of {n} cells is above the limit of {room} cells"
+                         f" that the recursion limit of {sys.getrecursionlimit()} leaves")
     lengths = [0] * len(shape)
     word = [0] * n
     runs: list[int] = []

@@ -1,29 +1,31 @@
 """Named, exhaustively checked identities over desk-scale ranges.
 
-Every check returns a `CheckResult`: pass/fail, the first counterexample in
-canonical order when failing, and wall time.  Checks are deterministic and
-side-effect free.  A polynomial identity is checked as two tallies, each a
-`Counter` of term keys (x-exponents, p, q): on the skeleton side each shape
-contributes its coefficients f_(shape, alpha), read through `_skeleton_terms`;
-the permutation side reads `rsk_tally(n)`, S_n counted by the descent masks of
-(Des(w), Des(w^-1)) and by inversions, built once per n and process, so no check
-visits a permutation unless it names a failing w or lists the support.  No
-polynomial is added, multiplied or evaluated; `_witness` names the first key, in
-canonical term order, where the two tallies differ.  Both sides of `skeleton-rsk`
-are quasisymmetric in x, so it compares them only at the flat monomials x^alpha:
-Kostka numbers times skeleton polynomials, built once per partition (the sorted
-parts of alpha), against the (Des(w), depth) tallies of every Des(w^-1) inside
-Des(alpha), summed by a zeta transform.  `run_checks` is the single entry point
-used by the command line.  Each row of the `_CHECKS` table holds a check's
-function, its job kind, its default bound and the largest n it admits, and
-`run_checks` refuses a bound above that n before any job runs.
+Every check returns a `CheckResult`: pass/fail and the first counterexample in
+canonical order when failing.  Checks are deterministic and side-effect free.
+`run_checks` times each job into its `elapsed`; a direct `check_*` call reports
+0.0.  A polynomial identity is checked as two tallies, each a `Counter` of term
+keys (x-exponents, p, q): on the skeleton side each shape contributes its
+coefficients f_(shape, alpha), read through `_skeleton_terms`; the permutation
+side reads `rsk_tally(n)`, S_n counted by the descent masks of (Des(w),
+Des(w^-1)) and by inversions, built once per n and process, so no check visits
+a permutation unless it names a failing w or lists the support.  No polynomial
+is added, multiplied or evaluated; `_witness` names the first key, in canonical
+term order, where the two tallies differ.  `skeleton-rs` keys both sides by the
+tally's own masks and spells out exponents only for the keys that differ.  Both
+sides of `skeleton-rsk` are quasisymmetric in x, so it compares them only at the
+flat monomials x^alpha: Kostka numbers times skeleton polynomials, built once
+per partition (the sorted parts of alpha), against the (Des(w), depth) tallies
+of every Des(w^-1) inside Des(alpha), summed by a zeta transform.  `run_checks`
+is the single entry point used by the command line.  Each row of the `_CHECKS`
+table holds a check's function, its job kind, its default bound and the largest
+n it admits, and `run_checks` refuses a bound above that n before any job runs.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter, defaultdict
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, product
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -52,7 +54,8 @@ from .poly import (
     quasi_kostka_coefficient,
     skeleton_poly,
 )
-from .rsk import mask_stats, perm_table, rsk_tally
+from .rsk import all_permutations, left_descents, mask_stats, perm_table, rsk_tally
+from .rsk import word_descent_composition
 from .tableaux import kostka
 
 
@@ -78,29 +81,18 @@ class CheckResult(NamedTuple):
         return out
 
 
-def _finish(
-    name: str,
-    params: dict,
-    witness: object | None,
-    started: float,
-    data: dict | None = None,
-) -> CheckResult:
-    return CheckResult(
-        name=name,
-        params=params,
-        passed=witness is None,
-        witness=witness,
-        elapsed=time.perf_counter() - started,
-        data=data,
-    )
+def _finish(name: str, params: dict, witness: object, data: dict | None = None) -> CheckResult:
+    return CheckResult(name, params, witness is None, witness, 0.0, data)
 
 
-def _witness(lhs: Counter, rhs: Counter) -> dict | None:
-    """The first term key, in canonical term order, where two tallies differ, or None."""
+def _witness(lhs: Counter, rhs: Counter, term: Callable = lambda key: key) -> dict | None:
+    """The first key, in canonical order of its term (exponents, p, q) = `term(key)`,
+    where two tallies differ, or None."""
     differing = [key for key in lhs.keys() | rhs.keys() if lhs[key] != rhs[key]]
     if not differing:
         return None
-    exps, p, q = key = min(differing, key=_term_sort_key)
+    key = min(differing, key=lambda key: _term_sort_key(term(key)))
+    exps, p, q = term(key)
     return {"exponents": list(exps), "p": p, "q": q, "lhs": lhs[key], "rhs": rhs[key]}
 
 
@@ -118,7 +110,6 @@ def _pairs(n: int) -> Iterator[tuple[tuple, tuple, int]]:
 
 def check_skeleton_r(n: int, graded: bool = False) -> CheckResult:
     """Sum of skeleton polynomials over shapes of n = descent sum over involutions."""
-    started = time.perf_counter()
     lhs: Counter = Counter()
     for shape in partitions(n):
         for alpha, d, coeff in _skeleton_terms(shape, n, graded):
@@ -127,31 +118,47 @@ def check_skeleton_r(n: int, graded: bool = False) -> CheckResult:
     for des, count in rsk_tally(n).involutions.items():
         alpha, _, dep = stats[des]
         rhs[_padded(alpha, n), dep if graded else 0, 0] += count
-    return _finish("skeleton-r", {"n": n, "graded": graded}, _witness(lhs, rhs), started)
+    return _finish("skeleton-r", {"n": n, "graded": graded}, _witness(lhs, rhs))
 
 
 def check_skeleton_rs(n: int, graded: bool = False, report_support: bool = False) -> CheckResult:
-    """Paired skeleton sum = two-sided descent sum over all permutations."""
-    started = time.perf_counter()
+    """Paired skeleton sum = two-sided descent sum over all permutations.
+
+    Each side is keyed as `rsk_tally(n)` keys w: x^alpha y^beta, with alpha = Des(w^-1)
+    and beta = Des(w), is (mask(beta) << n | mask(alpha), p, q), p and q their depths
+    when graded, else 0.
+    """
+    stats, low = mask_stats(n), (1 << n) - 1
+    mask_of = {stat[0]: mask for mask, stat in enumerate(stats) if stat}
     lhs: Counter = Counter()
     for shape in partitions(n):
-        terms = _skeleton_terms(shape, n, graded)
+        terms = [(mask_of[trim(exps)], depth(exps) if graded else 0, coeff)
+                 for (exps, _, _), coeff in skeleton_poly(shape).terms.items()]
         for alpha, p, c in terms:
             for beta, q, d in terms:
-                lhs[alpha + beta, p, q] += c * d
+                lhs[beta << n | alpha, p, q] += c * d
     rhs: Counter = Counter()
-    for (alpha, _, q), (beta, _, _), count in _pairs(n):
-        exps = _padded(beta, n) + _padded(alpha, n)
-        rhs[exps, depth(beta) if graded else 0, q if graded else 0] += count
-    data = None
-    if report_support:  # the permutations of each monomial, from the rows
-        monomial_groups: dict[tuple[int, ...], list[list[int]]] = {}
-        for w, row in perm_table(n):
-            exps = _padded(row.inverse_descent_composition, n) + _padded(row.descent_composition, n)
-            monomial_groups.setdefault(exps, []).append(list(w))
-        collisions = sorted(group for group in monomial_groups.values() if len(group) > 1)
-        data = {"support_size": len(monomial_groups), "collisions": collisions}
-    return _finish("skeleton-rs", {"n": n, "graded": graded}, _witness(lhs, rhs), started, data)
+    for key, count in rsk_tally(n).pairs.items():
+        (_, _, q), (beta, _, _) = stats[key >> n], stats[key & low]
+        rhs[(key, depth(beta), q) if graded else (key, 0, 0)] += count
+
+    def term(key: tuple) -> tuple:
+        packed, p, q = key
+        return _padded(stats[packed & low][0], n) + _padded(stats[packed >> n][0], n), p, q
+
+    data = _support(n) if report_support else None
+    return _finish("skeleton-rs", {"n": n, "graded": graded}, _witness(lhs, rhs, term), data)
+
+
+@lru_cache(maxsize=1)  # the graded job of n follows the ungraded one and attaches the same
+def _support(n: int) -> dict:
+    """The number of paired monomials x^Des(w^-1) y^Des(w) of S_n, and the groups of w
+    (in lexicographic order) that share one, from one sweep of the descent sets."""
+    groups: dict[tuple, list[list[int]]] = {}
+    for w in all_permutations(n):
+        groups.setdefault((word_descent_composition(w), left_descents(w)), []).append(list(w))
+    collisions = sorted(group for group in groups.values() if len(group) > 1)
+    return {"support_size": len(groups), "collisions": collisions}
 
 
 def check_skeleton_rsk(n: int, graded: bool = False) -> CheckResult:
@@ -163,7 +170,6 @@ def check_skeleton_rsk(n: int, graded: bool = False) -> CheckResult:
     K_(shape, alpha) = K_(shape, mu) for mu the parts of alpha sorted, so the left side
     is built once per partition mu; the right side is a zeta transform over the masks.
     """
-    started = time.perf_counter()
     stats = mask_stats(n)
     ys = [stat and (_padded(stat[0], n), stat[2] if graded else 0) for stat in stats]
     y_sides = [Counter() for _ in stats]  # by the mask L of Des(w^-1)
@@ -189,12 +195,11 @@ def check_skeleton_rsk(n: int, graded: bool = False) -> CheckResult:
             for tally, side in zip(differing, (lhs, rhs)):
                 tally.update({(x + des, 0, q): c for (des, q), c in side.items()})
     witness = _witness(*differing)
-    return _finish("skeleton-rsk", {"n": n, "k": n, "graded": graded}, witness, started)
+    return _finish("skeleton-rsk", {"n": n, "k": n, "graded": graded}, witness)
 
 
 def check_counting(n: int) -> CheckResult:
     """Prefix-of-ones skeleton evaluations count descent-length-bounded permutations."""
-    started = time.perf_counter()
     # ones[a] of a shape: its skeleton polynomial at x_1 = .. = x_a = 1, later x = 0,
     # the sum of f_(shape, alpha) over alpha of at most a parts
     ones = []
@@ -230,12 +235,11 @@ def check_counting(n: int) -> CheckResult:
             witness = {"identity": "sum f = involutions", "lhs": total_f, "rhs": involutions}
         elif total_f2 != factorial(n):
             witness = {"identity": "sum f^2 = n!", "lhs": total_f2, "rhs": factorial(n)}
-    return _finish("counting", {"n": n, "i": None, "j": None}, witness, started)
+    return _finish("counting", {"n": n, "i": None, "j": None}, witness)
 
 
 def check_hook_sum(n: int) -> CheckResult:
     """The skeleton polynomials of hooks sum to all monomials x^alpha, alpha of n."""
-    started = time.perf_counter()
     hooks = {len(s): Counter({(alpha, 0, 0): c for alpha, _, c in _skeleton_terms(s, n, False)})
              for s in partitions(n) if is_hook(s)}
     # the hook with k rows carries each alpha of length k once; bucketed by length, in order
@@ -251,12 +255,11 @@ def check_hook_sum(n: int) -> CheckResult:
         k = differing[0]
         witness = _witness(lhs, rhs) or {
             "hook": [n - k + 1] + [1] * (k - 1), "detail": "length-restricted sum differs"}
-    return _finish("hook-sum", {"n": n}, witness, started)
+    return _finish("hook-sum", {"n": n}, witness)
 
 
 def check_mahonian(n: int) -> CheckResult:
     """maj, depth, charge, and inversions all distribute as the q-factorial."""
-    started = time.perf_counter()
     target = q_factorial(n)
     # each statistic lies in 0..comb(n, 2): count by degree in one list per statistic
     majs, depths, charges = ([0] * (comb(n, 2) + 1) for _ in range(3))
@@ -268,12 +271,11 @@ def check_mahonian(n: int) -> CheckResult:
     witness = next(({"statistic": key, "degree": d, "count": dist[d], "expected": c}
                     for key, dist in dists.items()
                     for d, c in enumerate(target.coeffs) if dist[d] != c), None)
-    return _finish("mahonian", {"n": n}, witness, started)
+    return _finish("mahonian", {"n": n}, witness)
 
 
 def check_bks(shape: Partition) -> CheckResult:
     """Internal-zero dichotomy of the fake degree polynomial of one shape."""
-    started = time.perf_counter()
     n = sum(shape)
     f = fake_degree(shape)
     lo = depth(shape)
@@ -300,7 +302,7 @@ def check_bks(shape: Partition) -> CheckResult:
                 break
         if witness is None and not 1 <= internal_zeros(f).count <= 2:
             witness = {"detail": "internal zero count", "count": internal_zeros(f).count}
-    return _finish("bks", {"shape": list(shape)}, witness, started)
+    return _finish("bks", {"shape": list(shape)}, witness)
 
 
 def check_schur_family(shape: Partition) -> CheckResult:
@@ -309,7 +311,6 @@ def check_schur_family(shape: Partition) -> CheckResult:
     Also reports whether the support induces a connected subgraph of the
     dominance Hasse diagram; disconnectedness is asserted for rectangles.
     """
-    started = time.perf_counter()
     poly = skeleton_poly(shape)
     support = sorted(poly.support())
     lbar = lambda_bar(shape)
@@ -334,20 +335,14 @@ def check_schur_family(shape: Partition) -> CheckResult:
     connected = seen == support_set
     if witness is None and not is_regular(shape) and connected:
         witness = {"detail": "rectangle support should be disconnected"}
-    return _finish(
-        "schur-family",
-        {"shape": list(shape)},
-        witness,
-        started,
-        {"support_size": len(support), "connected": connected},
-    )
+    data = {"support_size": len(support), "connected": connected}
+    return _finish("schur-family", {"shape": list(shape)}, witness, data)
 
 
 def check_charge_depth(n: int) -> CheckResult:
     """charge(w) = n*|L| - sum(L) for L = Des(w^-1) is sum (i-1)*alpha_i of alpha = comp(L),
     and, as w -> w^-1 permutes S_n, L is distributed as Des(w), which catches a wrong L.  A
     failure names the first w whose charge differs, else the first set tallied differently."""
-    started = time.perf_counter()
     des, left = Counter(), Counter()  # `mask_stats` entry -> w with it as Des(w), as Des(w^-1)
     for as_des, as_left, count in _pairs(n):
         des[as_des] += count
@@ -360,12 +355,11 @@ def check_charge_depth(n: int) -> CheckResult:
     if witness is None and des != left:
         key = min(key for key in des | left if des[key] != left[key])
         witness = {"composition": list(key[0]), "as_des": des[key], "as_des_inverse": left[key]}
-    return _finish("charge-depth", {"n": n}, witness, started)
+    return _finish("charge-depth", {"n": n}, witness)
 
 
 def check_s6_inversion_count() -> CheckResult:
     """The 49 permutations of S_6 with four inversions, reproduced three ways."""
-    started = time.perf_counter()
     witness = None
     direct = rsk_tally(6).inversions[4]
     from_q_factorial = q_factorial(6).coefficient(4)
@@ -390,7 +384,7 @@ def check_s6_inversion_count() -> CheckResult:
         witness = {"detail": "admitting shapes", "shapes": sorted(map(list, admitting))}
     elif [f_values[s] for s in expected_shapes] != [5, 9, 10, 16]:
         witness = {"detail": "f values", "values": {str(k): v for k, v in f_values.items()}}
-    return _finish("s6-inversions", {}, witness, started, {"count": direct})
+    return _finish("s6-inversions", {}, witness, {"count": direct})
 
 
 def check_linear_independence(n: int) -> CheckResult:
@@ -402,17 +396,15 @@ def check_linear_independence(n: int) -> CheckResult:
     That certifies the rank with no elimination, from those p(n)(p(n)+1)/2 entries; the
     witness is the first entry that breaks the pattern.
     """
-    started = time.perf_counter()
     shapes = partitions(n)
     witness = next(({"shape": list(shape), "alpha": list(mu), "coefficient": coeff}
                     for i, shape in enumerate(shapes) for mu in shapes[:i + 1]
                     if (coeff := quasi_kostka_coefficient(shape, mu)) != int(mu == shape)), None)
-    return _finish("linear-independence", {"n": n}, witness, started)
+    return _finish("linear-independence", {"n": n}, witness)
 
 
 def check_bifactorial(n: int) -> CheckResult:
     """The two-variable factorial matches the (charge, depth) distribution."""
-    started = time.perf_counter()
     bi = bifactorial(n)
     observed: Counter = Counter()
     for (_, _, dep), (_, _, charge), count in _pairs(n):
@@ -434,7 +426,7 @@ def check_bifactorial(n: int) -> CheckResult:
             if internal_zeros(slice_p).count != 0:
                 witness = {"detail": "prime-slice internal zero", "k": k}
                 break
-    return _finish("bifactorial", {"n": n}, witness, started)
+    return _finish("bifactorial", {"n": n}, witness)
 
 
 def _is_prime(n: int) -> bool:
@@ -447,7 +439,7 @@ def _is_prime(n: int) -> bool:
 # job runs; direct `check_*` calls are not limited.  Each check reads `rsk_tally(m)` for
 # m up to its bound, each built once and kept: at `--max-n 10` (10! = 3,628,800) `verify
 # counting` takes 1.0-1.6 s at a 36 MB peak, `mahonian` 0.9-1.0 s at 31 MB, `skeleton-rs`
-# 5.5-8.7 s at 149 MB (its paired skeleton side) and `skeleton-rsk` 2.4-3.2 s at 47 MB; the
+# 3.0-5.3 s at 86 MB (its paired skeleton side) and `skeleton-rsk` 2.4-3.2 s at 47 MB; the
 # S_10 tally has 169,438 keys, and the kept tallies add about 8 MB (CPython 3.11, 2 cores).
 _SWEEP_MAX_N = 10
 MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
@@ -489,7 +481,7 @@ def run_checks(
 
     One pass over the selected names refuses an unknown name or a bound above a
     check's largest n, and otherwise queues the check's jobs; no job runs until
-    every name has passed.
+    every name has passed.  Each result's `elapsed` is the wall time of its job.
     """
     selected = list(names)
     if "all" in selected or not selected:
@@ -522,4 +514,10 @@ def run_checks(
         else:  # per_shape, lazy: a name refused later in the loop lists no partition
             arguments = ((shape,) for m in sizes for shape in partitions(m))
         queued.append((check, arguments))
-    return [check(*args) for check, arguments in queued for args in arguments]
+    results = []
+    for check, arguments in queued:
+        for args in arguments:
+            started = time.perf_counter()
+            result = check(*args)
+            results.append(result._replace(elapsed=time.perf_counter() - started))
+    return results

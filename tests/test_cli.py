@@ -323,6 +323,35 @@ def test_tableaux_weight_of_a_row_longer_than_the_recursion_limit(capsys):
     assert out.endswith("total: 1\n")
 
 
+def test_syt_walk_longer_than_the_recursion_limit_is_refused():
+    # the SYT walk recurses once per cell: in a child whose recursion limit is 150, a
+    # row of 200 cells is refused with an error line, and one of 100 is still walked
+    src = os.path.dirname(os.path.dirname(skelpoly.__file__))
+    statement = (
+        "import sys; sys.setrecursionlimit(150)\n"
+        "from skelpoly.cli import main\n"
+        "main(['skeleton', '100,'])\n"
+        "for mode in ([], ['--syt'], ['--qy']):\n"
+        "    try:\n"
+        "        main(['tableaux' if mode else 'skeleton', '200,', *mode])\n"
+        "    except SystemExit as exc:\n"
+        "        print(exc.code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", statement],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    first, *refusals = done.stdout.splitlines()
+    assert first == "x1^100" and len(refusals) == 3
+    for line in refusals:
+        assert line.startswith("error: shape of 200 cells is above the limit of ")
+        assert line.endswith(" cells that the recursion limit of 150 leaves")
+
+
 def test_tableaux_weight_refuses_runaway_listing(capsys, monkeypatch):
     def must_not_list(shape, weight_vec):
         raise AssertionError("SSYT listed for a refused weight")

@@ -1,9 +1,11 @@
 import pickle
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 from math import comb
 
+from skelpoly.compositions import is_partition, partitions_within
 from skelpoly import (
     IndexSet,
     comp_to_set,
@@ -264,6 +266,18 @@ def test_lambda_bar_depth_identity():
         for lam in partitions(n):
             assert depth(lambda_bar(lam)) == comb(n, 2) - depth(conjugate(lam))
             assert sum(lambda_bar(lam)) == n
+
+
+def test_partitions_within_bounds_length_and_parts():
+    # p(n) for n = 0..12, each partition once, in descending lexicographic order
+    assert [len(partitions(n)) for n in range(13)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    for n in range(13):
+        assert list(partitions(n)) == sorted(set(partitions(n)), reverse=True)
+        assert all(is_partition(lam) and sum(lam) == n for lam in partitions(n))
+    for total, length, largest in product(range(9), repeat=3):
+        assert list(partitions_within(total, length, largest)) == [
+            lam for lam in partitions(total) if len(lam) <= length and lam[:1] <= (largest,)
+        ]
 
 
 def test_hook_and_regular_flags():

@@ -12,6 +12,7 @@ from skelpoly.cli import main
 from skelpoly.rsk import RskTally, mask_stats, rsk_tally
 from skelpoly.verify import (
     CHECK_NAMES,
+    CheckResult,
     check_bifactorial,
     check_bks,
     check_charge_depth,
@@ -307,7 +308,8 @@ def test_run_checks_refuses_runaway_sweep_before_any_work(monkeypatch):
 
 def test_skeleton_rsk_limit_admits_n10_and_refuses_n11(monkeypatch):
     sizes = []
-    fake = (lambda n, graded: sizes.append(n), *verify._CHECKS["skeleton-rsk"][1:])
+    passed = CheckResult("skeleton-rsk", {}, True, None, 0.0)
+    fake = (lambda n, graded: sizes.append(n) or passed, *verify._CHECKS["skeleton-rsk"][1:])
     monkeypatch.setitem(verify._CHECKS, "skeleton-rsk", fake)
     run_checks(["skeleton-rsk"], max_n=10)
     assert max(sizes) == 10
@@ -325,7 +327,11 @@ def test_table_check_limit_admits_its_largest_n_only(name, monkeypatch):
     # s6-inversions is held by the S_n sweep limit
     sizes = []
     check, kind, default, largest = verify._CHECKS[name]
-    record = (lambda shape: sizes.append(sum(shape))) if kind == "per_shape" else sizes.append
+
+    def record(arg):
+        sizes.append(sum(arg) if kind == "per_shape" else arg)
+        return CheckResult(name, {}, True, None, 0.0)
+
     monkeypatch.setitem(verify._CHECKS, name, (record, kind, default, largest))
     run_checks([name], max_n=largest)
     assert max(sizes) == largest
@@ -392,6 +398,10 @@ def test_check_result_json_excludes_timing_by_default():
     payload = result.to_json()
     assert "elapsed" not in payload
     assert "elapsed" in result.to_json(include_timing=True)
+    # `run_checks` times each job; a direct call is not timed
+    assert result.elapsed == 0.0
+    assert run_checks(["s6-inversions"])[0]._replace(elapsed=0.0) == result
+    assert all(r.elapsed > 0 for r in run_checks(["mahonian"], max_n=3))
 
 
 def _changed(value, n):
@@ -648,8 +658,9 @@ def test_flat_skeleton_rsk_witness_matches_the_full_expansion(n, k, graded, monk
 
 def test_charge_depth_catches_a_wrong_left_descent_mask(monkeypatch):
     # one tail of S_4, (3, 4) after {1, 2}, gets the left descent 3 it does not have;
-    # the rows and the tally both read the wrong mask, so charge still equals the depth
-    # of Des(w^-1) on every row, but the masks of Des(w^-1) no longer tally as Des(w)
+    # charge is the depth of the tallied mask, so it cannot tell, and the rows of the
+    # reference sweep hold no wrong charge: but the masks of Des(w^-1) no longer tally
+    # as Des(w)
     module = sys.modules["skelpoly.rsk"]  # `skelpoly.rsk` is the function
     halves = module._halves
 
@@ -659,8 +670,8 @@ def test_charge_depth_catches_a_wrong_left_descent_mask(monkeypatch):
         def table(rest):
             tails = tail_table(rest)
             if rest == 0b11000:
-                tail, mask, inv, left = tails[0]
-                tails[0] = tail, mask, inv, left | 1 << 3
+                key, inv = tails[0]
+                tails[0] = key | 1 << 3, inv
             return tails
 
         return m, prefixes, table
