@@ -13,7 +13,8 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain, groupby, islice, starmap
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .compositions import Composition, format_comp, is_partition, is_strong, partitions
@@ -44,10 +45,11 @@ gc.freeze()  # keep the import-time objects out of every collection a command tr
 # The largest crystal `skelpoly crystal` exports, counted before any work by the
 # hook-content formula.  `crystal 3,2 100` has 424,957,500 vertices, over a
 # thousand times the 365,904 of `crystal 4,4,2 9`.  DOT and JSON build the graph
-# and stream from its tuples, so they peak as the build does: 0.26 GB for that
-# crystal, in 7.5-9 s as DOT and 11.5 s as JSON (CPython 3.11, 2 cores).  The
-# text builds no graph and prints it in 0.05 s at 16 MB, but one limit still
-# holds for every format.  Library calls to `build_crystal` are not limited.
+# and stream from its rows and flat edge array, so they peak as the build does:
+# 0.13 GB for that crystal, in 4.6 s as DOT and 6.5 s as JSON (0.27 GB, 4.9 s
+# and 8.2 s with a tuple per edge; CPython 3.11, 2 cores).  The text builds no
+# graph and prints it in 0.05 s at 16 MB, but one limit still holds for every
+# format.  Library calls to `build_crystal` are not limited.
 MAX_CRYSTAL_VERTICES = 1_000_000
 
 # The most tableaux `skeleton` and `tableaux` list, counted before any work: f^lambda,
@@ -102,7 +104,7 @@ def _table_count(max_size: int) -> int:
 _INTS = frozenset({int})
 _ARRAYS = frozenset({list, tuple})
 _BATCHED = _INTS | _ARRAYS
-_BATCH = 4096  # the most array items read, and written as one chunk, at a time
+_BATCH = 256  # the most array items read, and written as one chunk, at a time
 
 
 def _print_json(obj) -> None:
@@ -116,13 +118,14 @@ def _json_chunks(obj, pad: str = "") -> Iterator[str]:
 
     An object is written an entry at a time, and an array a batch of items at
     a time, so either may be an iterator, read once.  Array items are written
-    by `_format_batch` when it takes the whole batch, else one by one here.
+    by `_batch_text` when they are ints or arrays, else one by one here.
     """
     inner = pad + "  "
     if isinstance(obj, dict):
         start = "{\n" + inner
         for key, value in obj.items():
-            yield start + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+            text = key if isinstance(key, str) else json.dumps(key)
+            yield start + encode_basestring_ascii(text) + ": "
             yield from _json_chunks(value, inner)
             start = ",\n" + inner
         yield "\n" + pad + "}" if obj else "{}"
@@ -132,38 +135,37 @@ def _json_chunks(obj, pad: str = "") -> Iterator[str]:
         start = "[\n" + inner
         items = iter(obj)
         for item in items:
-            batch = [item, *islice(items, _BATCH - 1)] if type(item) in _BATCHED else [item]
-            texts = _format_batch(batch, inner) or (
-                "".join(_json_chunks(value, inner)) for value in batch
-            )
-            yield start + (",\n" + inner).join(texts)
+            yield start
+            if type(item) in _BATCHED:
+                yield _batch_text([item, *islice(items, _BATCH - 1)], inner)
+            else:
+                yield "".join(_json_chunks(item, inner))
             start = ",\n" + inner
         yield "\n" + pad + "]" if start[0] == "," else "[]"
 
 
-def _format_batch(batch: list, pad: str) -> Iterator[str] | None:
-    """The texts, at `pad`, of a batch of ints, of int lists or of lists of int lists.
+def _batch_text(batch: list, pad: str) -> str:
+    """The text, at `pad`, of a batch of array items, with the commas between them.
 
-    Each array is filled into the template of its row lengths.  None for any
-    other batch; bools are not ints here.
+    A batch of ints, of int arrays or of arrays of int arrays fills one `%`
+    template of its items' lengths; any other batch is written item by item.
+    Bools are not ints here.
     """
+    sep = ",\n" + pad
     kinds = set(map(type, batch))
     if kinds == _INTS:
-        return map(str, batch)
-    if not kinds <= _ARRAYS:
-        return None
-    cells = list(chain.from_iterable(batch))
-    kinds = set(map(type, cells))
-    if kinds <= _INTS:
-        return chain.from_iterable(
-            starmap(_template(length, pad).format, run) for length, run in groupby(batch, len)
-        )
-    if kinds <= _ARRAYS and set(map(type, chain.from_iterable(cells))) <= _INTS:
-        return (
-            _rows_template(tuple(map(len, item)), pad).format(*chain.from_iterable(item))
-            for item in batch
-        )
-    return None
+        return sep.join(map(str, batch))
+    if kinds <= _ARRAYS:
+        cells = tuple(chain.from_iterable(batch))
+        kinds = set(map(type, cells))
+        if kinds <= _INTS:
+            return sep.join([_template(len(item), pad) for item in batch]) % cells
+        if kinds <= _ARRAYS:
+            ints = tuple(chain.from_iterable(cells))
+            if set(map(type, ints)) <= _INTS:
+                templates = [_rows_template(tuple(map(len, item)), pad) for item in batch]
+                return sep.join(templates) % ints
+    return sep.join("".join(_json_chunks(item, pad)) for item in batch)
 
 
 def _array(texts: list[str], pad: str) -> str:
@@ -174,13 +176,13 @@ def _array(texts: list[str], pad: str) -> str:
 
 @cache
 def _template(length: int, pad: str) -> str:
-    """The int array of this length at `pad`, with "{}" for each int."""
-    return _array(["{}"] * length, pad)
+    """The int array of this length at `pad`, with "%d" for each int."""
+    return _array(["%d"] * length, pad)
 
 
 @cache
 def _rows_template(lengths: tuple[int, ...], pad: str) -> str:
-    """The array of int arrays of these lengths at `pad`, with "{}" for each int."""
+    """The array of int arrays of these lengths at `pad`, with "%d" for each int."""
     return _array([_template(length, pad + "  ") for length in lengths], pad)
 
 

@@ -20,19 +20,24 @@ colors at once: a letter x first closes an open bracket of color x, or else
 becomes the rightmost unmatched x so far; it then opens a bracket of color
 x-1.  The same pass sorts each vertex into its class of `crystal_skeleton`
 by its standardized row word, so the classes have one route and are stored
-on the graph.  The graph keeps each vertex as its tuple of rows: `vertices`
-and `QuasiCrystal.members` build `Tableau` objects only when read, and the
-exports read the rows.
+on the graph.  The build finds a vertex by its row word packed into one int,
+a fixed number of bytes per letter, so raising the letter at position p adds
+a fixed step to the key, and no word is kept per vertex or built per edge.
+The graph keeps each vertex as its tuple of rows and its edges in one flat
+array of (from, color, to): `vertices`, `edges` and `QuasiCrystal.members`
+build their tuples only when read, and the exports read the rows and the
+array.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import comb, factorial, perm, prod
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from struct import Struct
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .compositions import (
     Composition,
@@ -47,6 +52,9 @@ from .compositions import (
 from .rsk import rsk
 from .tableaux import Rows, Tableau, _fill, kostka, weight
 
+if TYPE_CHECKING:
+    from array import array
+
 _EDGE_BATCH = 4096  # the most edges written as one block of `to_dot`
 
 
@@ -59,7 +67,7 @@ def row_word(t: Tableau) -> tuple[int, ...]:
 
 def _word(rows: Rows) -> tuple[int, ...]:
     """`row_word` of the rows, and () for the empty tableau, the one vertex of the empty crystal."""
-    return tuple(chain.from_iterable(reversed(rows)))
+    return sum(reversed(rows), ())
 
 
 def _word_cells(t: Tableau) -> list[tuple[int, int]]:
@@ -135,15 +143,27 @@ class CrystalGraph(_Immutable):
         shape: Partition,
         bound: int,
         rows: tuple[Rows, ...],  # the vertices, in lexicographic order
-        edges: tuple[tuple[int, int, int], ...],  # (from, color, to)
+        edge_array: array,  # from, color, to of each edge in turn
         classes: tuple[QuasiCrystal, ...],  # by standardization, sorted by representative word
     ) -> None:
-        vars(self).update(shape=shape, bound=bound, rows=rows, edges=edges, classes=classes)
+        vars(self).update(
+            shape=shape, bound=bound, rows=rows, edge_array=edge_array, classes=classes
+        )
 
     @cached_property
     def vertices(self) -> tuple[Tableau, ...]:
         """The vertices as tableaux, built on the first read."""
         return tuple(map(Tableau, self.rows))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The edges as (from, color, to) triples, built on the first read."""
+        return tuple(_triples(self.edge_array))
+
+
+def _triples(flat: array) -> Iterator[tuple[int, int, int]]:
+    """The items of `flat` three at a time."""
+    return zip(*[iter(flat)] * 3)
 
 
 def vertex_count(shape: Partition, bound: int) -> int:
@@ -259,31 +279,38 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
     Empty when the bound is below the number of rows.  The empty shape has one
     vertex, the empty tableau, and one quasi-crystal, with descent ().
     """
+    from array import array  # loaded by a build only, not by every command's import
+
     skeleton = crystal_skeleton(shape, bound)  # checks the shape
     position = {_standard_key(_word(qc.representative.rows)): k for k, qc in enumerate(skeleton)}
     members: list[list[int]] = [[] for _ in skeleton]
     vertices = tuple(_fill(shape, bound, None))
-    words = list(map(_word, vertices))
-    index = {word: i for i, word in enumerate(words)}
-    edges = []
+    # a row word packs into one int of `size` little-endian bytes per letter
+    code, size = ("B", 1) if bound < 1 << 8 else ("H", 2) if bound < 1 << 16 else ("Q", 8)
+    cells = sum(shape)
+    pack = Struct(f"<{cells}{code}").pack
+    step = [1 << 8 * size * p for p in range(cells)]  # raises the letter at p by one
+    index = {int.from_bytes(pack(*_word(rows)), "little"): i for i, rows in enumerate(vertices)}
+    edges = array("I")
+    add = edges.append
     # Shared by all words, so the work per word grows with its letters, not with
     # the bound: each word resets the entries it touched.
     opened = [0] * (bound + 1)  # unmatched letters x+1 seen so far, by color x
     rightmost = [-1] * (bound + 1)  # the rightmost unmatched letter x so far
-    for u, word in enumerate(words):
+    for key, u in index.items():  # the classes share the index's ints
+        word = _word(vertices[u])
         for p, x in enumerate(word):
             if opened[x]:
                 opened[x] -= 1
             else:
                 rightmost[x] = p
             opened[x - 1] += 1
-        letters = list(word)  # each f-image is this word with one letter raised
         for color in sorted(set(word)):
             p = rightmost[color]
             if p >= 0 and color < bound:
-                letters[p] = color + 1
-                edges.append((u, color, index[tuple(letters)]))
-                letters[p] = color
+                add(u)
+                add(color)
+                add(index[key + step[p]])
             rightmost[color] = -1
             opened[color - 1] = 0
         members[position[_standard_key(word)]].append(u)
@@ -291,7 +318,7 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
         QuasiCrystal(qc.representative, tuple(vertices[i] for i in group), qc.descent, tuple(group))
         for qc, group in zip(skeleton, members)
     )
-    return CrystalGraph(tuple(shape), bound, vertices, tuple(edges), classes)
+    return CrystalGraph(tuple(shape), bound, vertices, edges, classes)
 
 
 def fundamental_system(graph: CrystalGraph, alpha: Composition) -> tuple[QuasiCrystal, ...]:
@@ -359,10 +386,11 @@ def to_dot(graph: CrystalGraph, inner_only: bool = False) -> Iterator[str]:
             + ["  }\n"]
         )
     style = ("", ", style=dotted")  # by whether an edge joins two clusters
-    for start in range(0, len(graph.edges), _EDGE_BATCH):
+    edges = _triples(graph.edge_array)
+    for _ in range(0, len(graph.edge_array), 3 * _EDGE_BATCH):
         yield "".join(
             f'  v{u} -> v{v} [label="{color}"{style[cluster[u] != cluster[v]]}];\n'
-            for u, color, v in graph.edges[start : start + _EDGE_BATCH]
+            for u, color, v in islice(edges, _EDGE_BATCH)
             if cluster[u] is not None and cluster[v] is not None
         )
     yield "}\n"
@@ -371,8 +399,9 @@ def to_dot(graph: CrystalGraph, inner_only: bool = False) -> Iterator[str]:
 def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
     """The graph fields plus the class partition, for `cli._print_json`.
 
-    The vertices and edges are the graph's own tuples, the weights and classes
-    iterators (which `json.dumps` refuses), so the payload can be written only once.
+    The vertices are the graph's own tuple; the weights, the edges (read from
+    the graph's flat array) and the classes are iterators, which `json.dumps`
+    refuses, so the payload can be written only once.
     """
     classes = inner_crystal(graph) if inner_only else graph.classes
     return {
@@ -380,7 +409,7 @@ def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
         "bound": graph.bound,
         "vertices": graph.rows,
         "weights": map(weight, graph.rows),
-        "edges": graph.edges,
+        "edges": _triples(graph.edge_array),
         "classes": (
             {"representative": qc.representative.rows, "descent": qc.descent, "members": qc.indices}
             for qc in classes

@@ -121,6 +121,11 @@ def charge(w: Word) -> int:
     """Sum of the inductive labels c_i, where c_i grows by 1 at each left descent."""
     if not is_permutation(w):
         raise ValueError(f"not a permutation: {w}")
+    return _charge(w)
+
+
+def _charge(w: Word) -> int:
+    """`charge` of a word known to be a permutation."""
     # c_i counts the left descents d < i, so each d adds 1 to c_(d+1..n)
     return sum(len(w) - d for d in left_descents(w))
 
@@ -143,8 +148,9 @@ def perm_stats(w: Word) -> PermStats:
     """All permutation statistics used by the polynomial identities, for one word.
 
     The reference route: each statistic comes from its own function on the
-    one-line word.  The descent composition is the one of the recording
-    tableau; by the Schensted correspondence it can be read off the word.
+    one-line word, which is checked once.  The descent composition is the one
+    of the recording tableau; by the Schensted correspondence it can be read
+    off the word.
     """
     w = tuple(w)
     inv = inverse(w)  # raises on a non-permutation
@@ -152,10 +158,10 @@ def perm_stats(w: Word) -> PermStats:
     return PermStats(
         descent_composition=alpha,
         inverse_descent_composition=word_descent_composition(inv),
-        maj=sum(descents(w).members),
+        maj=sum(i for i in range(1, len(w)) if w[i - 1] > w[i]),
         depth=composition_depth(alpha),
         inversions=inversions(w),
-        charge=charge(w),
+        charge=_charge(w),
         is_involution=inv == w,
     )
 

@@ -628,11 +628,14 @@ _PEAK_SCRIPT = (
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_crystal_exports_peak_at_the_build():
-    # DOT and JSON stream from the graph's tuples, so each peaks within 3 MB of a
-    # child that only builds the graph; each runs in a fresh child
+    # DOT and JSON stream from the graph's rows and flat edge array, so each
+    # peaks within 3 MB of a child that only builds the graph, and the build
+    # peaks within 4 MB of the text, which builds no graph; each runs in a
+    # fresh child
     src = os.path.dirname(os.path.dirname(skelpoly.__file__))
     peaks = {}
     for statement in (
+        "main(['crystal', '4,2,2', '7'])",
         "build_crystal((4, 2, 2), 7)",
         "main(['crystal', '4,2,2', '7', '--dot'])",
         "main(['crystal', '4,2,2', '7', '--format', 'json'])",
@@ -646,7 +649,9 @@ def test_crystal_exports_peak_at_the_build():
             env={**os.environ, "PYTHONPATH": src},
         )
         peaks[statement] = int(done.stderr)
+    text = peaks.pop("main(['crystal', '4,2,2', '7'])")
     build = peaks.pop("build_crystal((4, 2, 2), 7)")
+    assert build - text < 4 * 1024, (build, text)
     for statement, peak in peaks.items():
         assert peak - build < 3 * 1024, (statement, peak, build)
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -237,6 +238,16 @@ def test_crystal_of_a_tall_rectangle():
     assert len(graph.edges) == edge_count((12, 12, 12), 4) == 1092
 
 
+@pytest.mark.parametrize("lam", [(2,), (1, 1)])
+def test_crystal_at_a_bound_past_one_byte_per_letter(lam):
+    # a bound of 256 or more packs each letter of a row word into two bytes;
+    # about 45,000 vertices and 89,000 edges, each against the operator
+    graph = build_crystal(lam, 300)
+    vertices = graph.vertices
+    assert all(lowering_operator(vertices[u], i) == vertices[v] for u, i, v in graph.edges)
+    assert len(graph.edges) == edge_count(lam, 300)
+
+
 def test_crystal_of_one_box_at_a_large_bound():
     # a vertex costs the letters of its row word, not the bound: one letter each here
     graph = build_crystal((1,), 20_000)
@@ -288,6 +299,10 @@ def test_skeleton_and_edge_count_match_the_built_crystal(lam):
         graph = build_crystal(lam, bound)
         skeleton = crystal_skeleton(lam, bound)
         assert edge_count(lam, bound) == len(graph.edges)
+        # three items of the flat array per edge, which the lazy triples read in order
+        flat = graph.edge_array
+        assert len(flat) == 3 * edge_count(lam, bound)
+        assert graph.edges == tuple(tuple(flat[k : k + 3]) for k in range(0, len(flat), 3))
         assert skeleton == tuple(
             (qc.representative, qc.descent, len(qc.indices)) for qc in graph.classes
         )
@@ -518,20 +533,30 @@ def test_graph_json_round_trip_fields():
 
 
 def test_exports_stream_from_the_graph_tuples():
-    # the JSON payload hands the writer the graph's own tuples, and the DOT text
-    # comes as an iterator of blocks, so neither export copies the graph whole
+    # the JSON payload hands the writer the graph's own rows and an iterator
+    # over its flat edge array, and the DOT text comes as an iterator of
+    # blocks, so neither export copies the graph whole
     graph = build_crystal((3, 2), 3)
     payload = graph_json(graph)
     assert payload["vertices"] is graph.rows
-    assert payload["edges"] is graph.edges
+    edges = payload["edges"]
+    assert iter(edges) is edges
+    # the iterator holds the array itself, not a copy (CPython's referents)
+    held = {id(source) for inner in gc.get_referents(edges) if type(inner) is tuple
+            for it in gc.get_referents(inner) for source in gc.get_referents(it)}
+    assert id(graph.edge_array) in held
     assert iter(payload["weights"]) is payload["weights"]
     assert iter(payload["classes"]) is payload["classes"]
+    written = _written(payload)
     dot = to_dot(graph)
     assert iter(dot) is dot
     blocks = list(dot)
     # the header, one block per quasi-crystal, one batch of edges and the closing brace
     assert len(blocks) == 1 + len(graph.classes) + 1 + 1
     assert all(block.endswith("\n") for block in blocks)
+    # neither export built the lazy tuple of edges
+    assert "edges" not in vars(graph)
+    assert json.loads(written)["edges"] == [list(edge) for edge in graph.edges]
 
 
 def test_dot_text_does_not_depend_on_the_edge_batch(monkeypatch):
