@@ -13,31 +13,29 @@ F_alpha(1^bound) members, and walks no other SYT.  `vertex_count` and
 `edge_count` count the graph by closed forms, so a caller can print or size
 a crystal without building it.
 
-`build_crystal` takes the vertices as tuples of rows from the row-by-row
-SSYT fill of `tableaux`, in lexicographic order of their rows.  It finds
-every f-edge of a vertex in one left-to-right scan of its row word, all
-colors at once: a letter x first closes an open bracket of color x, or else
-becomes the rightmost unmatched x so far; it then opens a bracket of color
-x-1.  The same pass sorts each vertex into its class of `crystal_skeleton`
-by its standardized row word, so the classes have one route and are stored
-on the graph.  The build finds a vertex by its row word packed into one int,
-a fixed number of bytes per letter, so raising the letter at position p adds
-a fixed step to the key, and no word is kept per vertex or built per edge.
-The graph keeps each vertex as its tuple of rows and its edges in one flat
-array of (from, color, to): `vertices`, `edges` and `QuasiCrystal.members`
-build their tuples only when read, and the exports read the rows and the
-array.
+`build_crystal` builds each class of `crystal_skeleton` from its SYT S:
+its members are v o S for the weakly increasing v that rise at each descent
+of S.  A vertex is keyed by its letters, rows top down, packed into one int
+with a fixed number of bytes per letter, so one sort puts the vertices in
+lexicographic order, and raising the letter at position p adds a fixed step
+to the key.  The build finds every f-edge of a vertex in one left-to-right
+scan of its row word, all colors at once: a letter x first closes an open
+bracket of color x, or else becomes the rightmost unmatched x so far; it
+then opens a bracket of color x-1.  The graph keeps the letters of its
+vertices and the (from, color, to) of its edges in two flat arrays, which
+the exports read; `rows`, `vertices`, `edges` and `QuasiCrystal.members`
+build their tuples only when read.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import cached_property
-from itertools import chain, islice, product
+from itertools import accumulate, chain, combinations_with_replacement, islice, product, repeat
 from math import comb, factorial, perm, prod
-from operator import itemgetter
-from struct import Struct
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from operator import mul
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .compositions import (
     Composition,
@@ -50,12 +48,13 @@ from .compositions import (
     trim,
 )
 from .rsk import rsk
-from .tableaux import Rows, Tableau, _fill, kostka, weight
+from .tableaux import Rows, Tableau, kostka
 
 if TYPE_CHECKING:
     from array import array
 
-_EDGE_BATCH = 4096  # the most edges written as one block of `to_dot`
+_BATCH = 4096  # the most edges or vertices an export or the build reads as one block
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # a letter below 10 as its digit
 
 
 def row_word(t: Tableau) -> tuple[int, ...]:
@@ -121,18 +120,19 @@ class QuasiCrystal(_Immutable):
     def __init__(
         self,
         representative: Tableau,
-        member_rows: tuple[Rows, ...],
         descent: Composition,
+        letters: array,  # the graph's `letters`
         indices: tuple[int, ...],  # positions of the members among the graph's vertices
     ) -> None:
         vars(self).update(
-            representative=representative, member_rows=member_rows, descent=descent, indices=indices
+            representative=representative, descent=descent, letters=letters, indices=indices
         )
 
     @cached_property
     def members(self) -> tuple[Tableau, ...]:
         """The members as tableaux, built on the first read."""
-        return tuple(map(Tableau, self.member_rows))
+        shape = self.representative.shape
+        return tuple(Tableau(_vertex_rows(self.letters, shape, i)) for i in self.indices)
 
 
 class CrystalGraph(_Immutable):
@@ -142,13 +142,19 @@ class CrystalGraph(_Immutable):
         self,
         shape: Partition,
         bound: int,
-        rows: tuple[Rows, ...],  # the vertices, in lexicographic order
+        letters: array,  # each vertex's entries, rows top down, vertex after vertex
         edge_array: array,  # from, color, to of each edge in turn
         classes: tuple[QuasiCrystal, ...],  # by standardization, sorted by representative word
     ) -> None:
         vars(self).update(
-            shape=shape, bound=bound, rows=rows, edge_array=edge_array, classes=classes
+            shape=shape, bound=bound, letters=letters, edge_array=edge_array, classes=classes
         )
+
+    @cached_property
+    def rows(self) -> tuple[Rows, ...]:
+        """The vertices as tuples of rows, in lexicographic order, built on the first read."""
+        count = vertex_count(self.shape, self.bound)
+        return tuple(_vertex_rows(self.letters, self.shape, i) for i in range(count))
 
     @cached_property
     def vertices(self) -> tuple[Tableau, ...]:
@@ -159,6 +165,13 @@ class CrystalGraph(_Immutable):
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """The edges as (from, color, to) triples, built on the first read."""
         return tuple(_triples(self.edge_array))
+
+
+def _vertex_rows(letters: Sequence[int], shape: Partition, i: int) -> Rows:
+    """The rows of vertex i, cut from the letters of all vertices."""
+    n = sum(shape)
+    entries = iter(letters[i * n : i * n + n])
+    return tuple(tuple(islice(entries, length)) for length in shape)
 
 
 def _triples(flat: array) -> Iterator[tuple[int, int, int]]:
@@ -264,15 +277,6 @@ def crystal_skeleton(shape: Partition, bound: int) -> tuple[SkeletonClass, ...]:
     return tuple(found)
 
 
-def _standard_key(word: tuple[int, ...]) -> tuple[int, ...]:
-    """The stable argsort of a row word, shared by a vertex and its standardization.
-
-    Equal entries of an SSYT form a horizontal strip, which the row word reads
-    left to right, so this order numbers the cells as standardization does.
-    """
-    return tuple(sorted(range(len(word)), key=word.__getitem__))
-
-
 def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
     """The crystal on SSYT of `shape` with entries <= `bound`, with its quasi-crystals.
 
@@ -282,23 +286,56 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
     from array import array  # loaded by a build only, not by every command's import
 
     skeleton = crystal_skeleton(shape, bound)  # checks the shape
-    position = {_standard_key(_word(qc.representative.rows)): k for k, qc in enumerate(skeleton)}
-    members: list[list[int]] = [[] for _ in skeleton]
-    vertices = tuple(_fill(shape, bound, None))
-    # a row word packs into one int of `size` little-endian bytes per letter
+    n = sum(shape)
+    # A vertex's key is its letters, rows top down, as one big-endian int of
+    # `size` bytes per letter: keys order as the rows do, and raising the
+    # letter at position q adds step[q].
     code, size = ("B", 1) if bound < 1 << 8 else ("H", 2) if bound < 1 << 16 else ("Q", 8)
-    cells = sum(shape)
-    pack = Struct(f"<{cells}{code}").pack
-    step = [1 << 8 * size * p for p in range(cells)]  # raises the letter at p by one
-    index = {int.from_bytes(pack(*_word(rows)), "little"): i for i, rows in enumerate(vertices)}
+    step = [1 << 8 * size * q for q in range(n - 1, -1, -1)]
+    keys: list[int] = []  # class by class
+    for qc in skeleton:
+        # The members are v o S for S the representative and 1 <= v(1) <= ... <=
+        # v(n) <= bound rising at each descent of S.  A cut at k in 0..n raises v
+        # past entry k and adds tail[k] to the key: one cut is at 0, one at each
+        # descent, and `free` more anywhere.  A key sums its free cuts or, with
+        # fewer entries than free cuts, w(e) * scale[e] over the entries, for
+        # w(e) = 1 + (the free cuts below e).
+        scale = [0] * n  # the step of the cell holding each entry of S
+        for q, entry in enumerate(chain.from_iterable(qc.representative.rows)):
+            scale[entry - 1] = step[q]
+        tail = list(accumulate(reversed(scale), initial=0))[::-1]
+        base = sum(map(tail.__getitem__, accumulate(qc.descent, initial=0)))
+        free = bound - len(qc.descent)
+        if free <= n:
+            cuts = combinations_with_replacement(range(n + 1), free)
+            keys.extend(sum(map(tail.__getitem__, cut), base) for cut in cuts)
+        else:
+            lower = combinations_with_replacement(range(1, free + 2), n)
+            keys.extend(sum(map(mul, w, scale), base - tail[0]) for w in lower)
+    index = dict(zip(sorted(keys), range(len(keys))))  # in lexicographic order
+    letters, ordered = array(code), iter(index)
+    for _ in range(0, len(index), _BATCH):  # not a bytes object per vertex held at once
+        batch = islice(ordered, _BATCH)
+        letters.frombytes(b"".join(map(int.to_bytes, batch, repeat(n * size), repeat("big"))))
+    if size > 1 and sys.byteorder == "little":
+        letters.byteswap()
+    generated = iter(keys)
+    classes = tuple(
+        QuasiCrystal(qc.representative, qc.descent, letters,
+                     tuple(sorted(map(index.__getitem__, islice(generated, qc.size)))))
+        for qc in skeleton
+    )
+    del keys, generated
+    reading = _reading(letters, shape)
+    shift = _word(_vertex_rows(step, shape, 0))  # the steps by position in the row word
     edges = array("I")
     add = edges.append
     # Shared by all words, so the work per word grows with its letters, not with
     # the bound: each word resets the entries it touched.
     opened = [0] * (bound + 1)  # unmatched letters x+1 seen so far, by color x
     rightmost = [-1] * (bound + 1)  # the rightmost unmatched letter x so far
-    for key, u in index.items():  # the classes share the index's ints
-        word = _word(vertices[u])
+    for key, u in index.items():
+        word = reading[u * n : u * n + n]
         for p, x in enumerate(word):
             if opened[x]:
                 opened[x] -= 1
@@ -310,21 +347,19 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
             if p >= 0 and color < bound:
                 add(u)
                 add(color)
-                add(index[key + step[p]])
+                add(index[key + shift[p]])
             rightmost[color] = -1
             opened[color - 1] = 0
-        members[position[_standard_key(word)]].append(u)
-    classes = tuple(
-        QuasiCrystal(qc.representative, tuple(vertices[i] for i in group), qc.descent, tuple(group))
-        for qc, group in zip(skeleton, members)
-    )
-    return CrystalGraph(tuple(shape), bound, vertices, edges, classes)
+    return CrystalGraph(tuple(shape), bound, letters, edges, classes)
 
 
-def fundamental_system(graph: CrystalGraph, alpha: Composition) -> tuple[QuasiCrystal, ...]:
-    """All quasi-crystals with the given descent composition."""
-    alpha = tuple(alpha)
-    return tuple(qc for qc in graph.classes if qc.descent == alpha)
+def _reading(letters: array, shape: Partition) -> array:
+    """The letters of every vertex in row-word order, from the letters rows top down."""
+    n = sum(shape)
+    reading = letters[:]
+    for p, q in enumerate(_word(_vertex_rows(range(n), shape, 0))):
+        reading[p::n] = letters[q::n]
+    return reading
 
 
 def inner_crystal(graph: CrystalGraph) -> tuple[QuasiCrystal, ...]:
@@ -359,57 +394,72 @@ def evacuation(t: Tableau) -> Tableau:
     return p
 
 
-def _word_label(rows: Rows, letters: tuple[str, ...]) -> str:
-    """The row word, spelled with `letters`; "-" parts the letters when one is above 9."""
-    part = "" if max(map(itemgetter(-1), rows), default=0) <= 9 else "-"
-    return part.join(map(letters.__getitem__, chain.from_iterable(reversed(rows))))
-
-
 def to_dot(graph: CrystalGraph, inner_only: bool = False) -> Iterator[str]:
     """Graphviz source: quasi-crystal clusters with colored crystal edges.
 
     Edges inside one cluster are solid; edges joining distinct clusters are
     dotted.  With `inner_only`, only the minimal-descent-length clusters and
     the edges between their members are rendered.  Yields the text in blocks:
-    the header, each cluster, then each `_EDGE_BATCH` edges.
+    the header, each cluster, then each `_BATCH` edges.  A vertex is
+    labelled by its row word, with "-" between the letters when one is above 9.
     """
     classes = inner_crystal(graph) if inner_only else graph.classes
-    cluster: list[int | None] = [None] * len(graph.rows)
-    letters = tuple(map(str, range(graph.bound + 1)))
+    cluster: list[int | None] = [None] * vertex_count(graph.shape, graph.bound)
+    n = sum(graph.shape)
+    reading = _reading(graph.letters, graph.shape)
+    if graph.bound <= 9:  # a digit per letter, so the labels are slices of one string
+        words, spell = reading.tobytes().translate(_DIGITS).decode(), str
+    else:
+        words, spell = reading, _spelled
     yield "digraph crystal {\n  node [shape=box];\n"
     for k, qc in enumerate(classes):
         for i in qc.indices:
             cluster[i] = k
         yield "".join(
             [f'  subgraph cluster_{k} {{\n    label="des {format_comp(qc.descent)}";\n']
-            + [f'    v{i} [label="{_word_label(graph.rows[i], letters)}"];\n' for i in qc.indices]
+            + [f'    v{i} [label="{spell(words[i * n : i * n + n])}"];\n' for i in qc.indices]
             + ["  }\n"]
         )
     style = ("", ", style=dotted")  # by whether an edge joins two clusters
     edges = _triples(graph.edge_array)
-    for _ in range(0, len(graph.edge_array), 3 * _EDGE_BATCH):
+    for _ in range(0, len(graph.edge_array), 3 * _BATCH):
         yield "".join(
             f'  v{u} -> v{v} [label="{color}"{style[cluster[u] != cluster[v]]}];\n'
-            for u, color, v in islice(edges, _EDGE_BATCH)
+            for u, color, v in islice(edges, _BATCH)
             if cluster[u] is not None and cluster[v] is not None
         )
     yield "}\n"
 
 
+def _spelled(word: array) -> str:
+    return ("-" if max(word, default=0) > 9 else "").join(map(str, word))
+
+
+class Records(NamedTuple):
+    """`count` records laid end to end in `flat`, for `cli._json_chunks`: each an
+    array of `lengths` ints, or an array of int arrays of these lengths."""
+
+    flat: array
+    lengths: int | tuple[int, ...]
+    count: int
+
+
 def graph_json(graph: CrystalGraph, inner_only: bool = False) -> dict:
     """The graph fields plus the class partition, for `cli._print_json`.
 
-    The vertices are the graph's own tuple; the weights, the edges (read from
-    the graph's flat array) and the classes are iterators, which `json.dumps`
-    refuses, so the payload can be written only once.
+    The vertices and the edges are `Records` of the graph's flat arrays; the
+    weights and the classes are iterators, which `json.dumps` refuses, so the
+    payload can be written only once.
     """
     classes = inner_crystal(graph) if inner_only else graph.classes
+    count, n, letters = vertex_count(graph.shape, graph.bound), sum(graph.shape), graph.letters
+    words = (letters[i * n : i * n + n].tolist() for i in range(count))
     return {
         "shape": graph.shape,
         "bound": graph.bound,
-        "vertices": graph.rows,
-        "weights": map(weight, graph.rows),
-        "edges": _triples(graph.edge_array),
+        "vertices": Records(letters, graph.shape, count),
+        "weights": (tuple(map(w.count, range(1, max(w, default=0) + 1))) for w in words),
+        "edges": Records(graph.edge_array, 3, len(graph.edge_array) // 3),
         "classes": (
             {"representative": qc.representative.rows, "descent": qc.descent, "members": qc.indices}
             for qc in classes

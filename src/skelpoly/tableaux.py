@@ -157,9 +157,9 @@ def destandardize(t: Tableau) -> Tableau:
     return _relabel_bands(t, lambda i, k: i)
 
 
-def weight(t: Tableau | Rows) -> Composition:
-    """Multiplicity vector of the values 1..max entry of a tableau, or of a tableau's rows."""
-    word = sum(t.rows if isinstance(t, Tableau) else t, ())
+def weight(t: Tableau) -> Composition:
+    """Multiplicity vector of the values 1..max_entry."""
+    word = sum(t.rows, ())
     return tuple(map(word.count, range(1, max(word, default=0) + 1)))
 
 

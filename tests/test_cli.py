@@ -20,6 +20,7 @@ from skelpoly import (
     build_crystal,
     cli,
     compositions,
+    crystal,
     graph_json,
     inner_crystal,
     partitions,
@@ -609,6 +610,22 @@ def test_crystal_refuses_runaway_size_before_building(capsys, monkeypatch):
     )
 
 
+def test_crystal_json_refuses_runaway_weights_before_building(capsys, monkeypatch):
+    # each vertex writes a weight as long as its largest entry; 10**6 vertices pass
+    # the vertex limit, and their weights would fill terabytes
+    def must_not_build(shape, bound):
+        raise AssertionError("build_crystal called for refused weights")
+
+    monkeypatch.setattr(cli, "build_crystal", must_not_build)
+    for bound in (8000, 1_000_000):
+        with pytest.raises(SystemExit) as exc:
+            main(["crystal", "1", str(bound), "--format", "json", "--inner"])
+        assert exc.value.code == (
+            f"error: crystal 1 {bound} --format json has {bound * bound} weight entries"
+            f" at most (vertices x bound), above the limit of {cli.MAX_JSON_WEIGHTS}"
+        )
+
+
 def test_crystal_pool_sized_pair_runs(capsys):
     code, out = run_cli(capsys, "crystal", "4,2,2", "7")
     assert code == 0
@@ -666,7 +683,7 @@ _EXPECTED = _BENCHMARK_OUTPUT["digests"]
     "key",
     [
         f"crystal {pair}{flags}"
-        for pair in ("5,3 6", "5,1 8")
+        for pair in ("5,3 6", "5,1 8", "3,2,1,1 8", "4,2,2 7")
         for flags in ("", " --dot", " --format json", " --inner")
     ],
 )
@@ -821,11 +838,15 @@ def test_json_writer_matches_the_stdlib_layout(obj):
     "shape", [()] + [lam for n in range(1, 6) for lam in partitions(n)]
 )
 def test_crystal_json_matches_the_stdlib_layout(shape):
-    # the reference is built from the graph's tableaux, apart from the streamed payload
-    for bound in range(len(shape), 6):
-        graph = build_crystal(shape, bound)
+    # the reference is built from the graph's tableaux, apart from the streamed payload;
+    # batches of 3 split the vertices, weights and edges as the build and the writer read them
+    for bound, batch in product(range(len(shape), 6), (3, None)):
+        with mock.patch.multiple(cli, _BATCH=batch or cli._BATCH), \
+                mock.patch.multiple(crystal, _BATCH=batch or crystal._BATCH):
+            graph = build_crystal(shape, bound)
+            payloads = [_written(graph_json(graph, inner_only)) for inner_only in (False, True)]
         position = {t: i for i, t in enumerate(graph.vertices)}
-        for inner_only in (False, True):
+        for inner_only, written in zip((False, True), payloads):
             classes = inner_crystal(graph) if inner_only else graph.classes
             reference = {
                 "shape": list(shape),
@@ -842,7 +863,7 @@ def test_crystal_json_matches_the_stdlib_layout(shape):
                     for qc in classes
                 ],
             }
-            assert _written(graph_json(graph, inner_only)) == json.dumps(reference, indent=2)
+            assert written == json.dumps(reference, indent=2)
 
 
 @pytest.mark.parametrize(

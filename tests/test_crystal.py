@@ -1,4 +1,3 @@
-import gc
 import json
 import os
 import subprocess
@@ -15,7 +14,6 @@ from skelpoly import (
     descent_set,
     edge_count,
     evacuation,
-    fundamental_system,
     graph_json,
     inner_crystal,
     lowering_operator,
@@ -211,6 +209,7 @@ def test_quasi_crystal_classes_are_connected():
 
 def test_tableaux_of_a_graph_are_built_once():
     graph = build_crystal((2, 1), 3)
+    assert graph.rows is graph.rows
     assert graph.vertices is graph.vertices
     qc = graph.classes[0]
     assert qc.members is qc.members
@@ -244,6 +243,8 @@ def test_crystal_at_a_bound_past_one_byte_per_letter(lam):
     # about 45,000 vertices and 89,000 edges, each against the operator
     graph = build_crystal(lam, 300)
     vertices = graph.vertices
+    # in numeric order of the letters, not in the order of their little-endian bytes
+    assert vertices == tuple(semistandard_tableaux(lam, 300))
     assert all(lowering_operator(vertices[u], i) == vertices[v] for u, i, v in graph.edges)
     assert len(graph.edges) == edge_count(lam, 300)
 
@@ -252,6 +253,12 @@ def test_crystal_of_one_box_at_a_large_bound():
     # a vertex costs the letters of its row word, not the bound: one letter each here
     graph = build_crystal((1,), 20_000)
     assert graph.edges == tuple((x - 1, x, x) for x in range(1, 20_000))
+
+
+def test_crystal_of_a_long_row():
+    # one string through 991 vertices; a key costs the cuts of its multiset, not the
+    # letters of its word
+    assert build_crystal((990,), 2).edges == tuple((k, 1, k + 1) for k in range(990))
 
 
 def test_closed_forms_of_one_box_at_a_huge_bound():
@@ -328,7 +335,7 @@ def test_build_crystal_small_cases():
     assert build_crystal((2, 1), 1).classes == crystal_skeleton((2, 1), 1) == ()
 
 
-@pytest.mark.parametrize("bound", [0, 1, 3])
+@pytest.mark.parametrize("bound", [0, 1, 3, 12])
 def test_crystal_of_the_empty_shape(bound):
     graph = build_crystal((), bound)
     assert graph.vertices == (Tableau(()),)
@@ -337,7 +344,7 @@ def test_crystal_of_the_empty_shape(bound):
     assert (qc.representative, qc.members, qc.descent, qc.indices) == (
         Tableau(()), (Tableau(()),), (), (0,)
     )
-    assert inner_crystal(graph) == fundamental_system(graph, ()) == graph.classes
+    assert inner_crystal(graph) == graph.classes
     assert vertex_count((), bound) == 1
     assert _written(graph_json(graph)) == json.dumps(
         {
@@ -362,24 +369,6 @@ def test_quasi_crystal_decomposition_of_21():
     assert sorted(qc.representative.rows for qc in classes) == sorted(
         t.rows for t in standard_tableaux((2, 1))
     )
-
-
-def test_fundamental_system():
-    graph = build_crystal((3, 2), 3)
-    assert len(fundamental_system(graph, (2, 2, 1))) == 1
-    assert len(fundamental_system(graph, (5,))) == 0
-
-
-def test_fundamental_system_totals():
-    for lam in partitions(5):
-        graph = build_crystal(lam, 5)
-        classes = graph.classes
-        assert len(classes) == len(standard_tableaux(lam))
-        by_descent = {}
-        for qc in classes:
-            by_descent[qc.descent] = by_descent.get(qc.descent, 0) + 1
-        for alpha, count in by_descent.items():
-            assert len(fundamental_system(graph, alpha)) == count
 
 
 def test_quasi_crystal_generating_functions_are_fundamental():
@@ -532,19 +521,15 @@ def test_graph_json_round_trip_fields():
     assert len(payload["classes"]) == 2
 
 
-def test_exports_stream_from_the_graph_tuples():
-    # the JSON payload hands the writer the graph's own rows and an iterator
-    # over its flat edge array, and the DOT text comes as an iterator of
-    # blocks, so neither export copies the graph whole
+def test_exports_stream_from_the_graph_arrays():
+    # the JSON payload hands the writer the graph's own flat arrays of letters and
+    # edges, and the DOT text comes as an iterator of blocks, so neither export
+    # copies the graph whole or builds a tuple per vertex or edge
     graph = build_crystal((3, 2), 3)
     payload = graph_json(graph)
-    assert payload["vertices"] is graph.rows
-    edges = payload["edges"]
-    assert iter(edges) is edges
-    # the iterator holds the array itself, not a copy (CPython's referents)
-    held = {id(source) for inner in gc.get_referents(edges) if type(inner) is tuple
-            for it in gc.get_referents(inner) for source in gc.get_referents(it)}
-    assert id(graph.edge_array) in held
+    vertices, edges = payload["vertices"], payload["edges"]
+    assert vertices.flat is graph.letters and (vertices.lengths, vertices.count) == ((3, 2), 15)
+    assert edges.flat is graph.edge_array and (edges.lengths, edges.count) == (3, 18)
     assert iter(payload["weights"]) is payload["weights"]
     assert iter(payload["classes"]) is payload["classes"]
     written = _written(payload)
@@ -554,9 +539,23 @@ def test_exports_stream_from_the_graph_tuples():
     # the header, one block per quasi-crystal, one batch of edges and the closing brace
     assert len(blocks) == 1 + len(graph.classes) + 1 + 1
     assert all(block.endswith("\n") for block in blocks)
-    # neither export built the lazy tuple of edges
-    assert "edges" not in vars(graph)
+    # neither export built the lazy rows, tableaux or edges
+    assert not {"rows", "vertices", "edges"} & set(vars(graph))
+    assert not any("members" in vars(qc) for qc in graph.classes)
+    assert json.loads(written)["vertices"] == [t.to_json() for t in graph.vertices]
     assert json.loads(written)["edges"] == [list(edge) for edge in graph.edges]
+
+
+@pytest.mark.parametrize("bound", [3, 9, 12])
+def test_dot_labels_spell_the_row_words(bound):
+    # a label is the row word, its letters parted by "-" when one is above 9
+    graph = build_crystal((2, 1), bound)
+    dot = "".join(to_dot(graph))
+    for i, t in enumerate(graph.vertices):
+        word = row_word(t)
+        label = ("-" if max(word) > 9 else "").join(map(str, word))
+        assert f'    v{i} [label="{label}"];\n' in dot
+    assert dot.count("[label=") == len(graph.vertices) + len(graph.edges)
 
 
 def test_dot_text_does_not_depend_on_the_edge_batch(monkeypatch):
@@ -564,7 +563,7 @@ def test_dot_text_does_not_depend_on_the_edge_batch(monkeypatch):
     for inner_only in (False, True):
         whole = "".join(to_dot(graph, inner_only))
         with monkeypatch.context() as patch:
-            patch.setattr(crystal, "_EDGE_BATCH", 5)
+            patch.setattr(crystal, "_BATCH", 5)
             assert "".join(to_dot(graph, inner_only)) == whole
-    monkeypatch.setattr(crystal, "_EDGE_BATCH", 5)
+    monkeypatch.setattr(crystal, "_BATCH", 5)
     assert len(list(to_dot(graph))) == 1 + 5 + 4 + 1  # 18 edges in batches of 5
