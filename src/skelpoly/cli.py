@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
@@ -47,16 +47,16 @@ gc.freeze()  # keep the import-time objects out of every collection a command tr
 # hook-content formula.  `crystal 3,2 100` has 424,957,500 vertices, over a
 # thousand times the 365,904 of `crystal 4,4,2 9`.  DOT and JSON build the graph
 # and stream from its flat arrays of letters and edges, so they peak as the build
-# does: 0.09 GB for that crystal, in 4.4 s as DOT and 5.4 s as JSON (0.13 GB, 6.0 s
-# and 7.3 s with a tuple of rows per vertex; CPython 3.11, 2 cores).  The text builds
+# does: 0.09 GB for that crystal, in 3.1 s as DOT and 4.4 s as JSON (0.13 GB, 4.3 s
+# and 5.6 s with a tuple of rows per vertex; CPython 3.11, 2 cores).  The text builds
 # no graph and prints it in 0.05 s at 16 MB, but one limit still holds for every
 # format.  Library calls to `build_crystal` are not limited.
 MAX_CRYSTAL_VERTICES = 1_000_000
 
-# The most weight entries `crystal --format json` writes, counted before any work as
-# vertices x bound: a vertex's weight is as long as its largest entry, so the output
-# grows as bound squared.  `crystal 1 3162`, just under the limit, writes 5.0 million
-# entries, 45 MB in 1.2 s at a 119 MB peak (CPython 3.11, 2 cores).
+# The most weight entries `crystal --format json` writes, counted before any work: a
+# vertex's weight is as long as its largest entry, so the output grows as bound squared.
+# `crystal 1 4471`, just under the limit, writes 9,997,156 entries, 90 MB in 2.2 s at a
+# 198 MB peak (CPython 3.11, 2 cores).
 MAX_JSON_WEIGHTS = 10_000_000
 
 # The most tableaux `skeleton` and `tableaux` list, counted before any work: f^lambda,
@@ -125,8 +125,8 @@ def _json_chunks(obj, pad: str = "") -> Iterator[str]:
 
     An object is written an entry at a time, and an array a batch of items at
     a time, so either may be an iterator, read once.  Array items are written
-    by `_batch_text` when they are ints or arrays, else one by one here; the
-    items of `Records` by `_records_text`.
+    by `_batch_text` when they are ints or arrays, else one by one here, and
+    `Records` a batch at a time by `_records_text`.
     """
     inner = pad + "  "
     if isinstance(obj, dict):
@@ -141,22 +141,18 @@ def _json_chunks(obj, pad: str = "") -> Iterator[str]:
         yield json.dumps(obj)
     else:
         start = "[\n" + inner
-        texts = _records_text if isinstance(obj, Records) else _items_text
-        for text in texts(obj, inner):
+        records = isinstance(obj, Records)
+        items = _records_text(obj, inner) if records else iter(obj)
+        for item in items:
             yield start
-            yield text
+            if records:
+                yield item
+            elif type(item) in _BATCHED:
+                yield _batch_text([item, *islice(items, _BATCH - 1)], inner)
+            else:
+                yield "".join(_json_chunks(item, inner))
             start = ",\n" + inner
         yield "\n" + pad + "]" if start[0] == "," else "[]"
-
-
-def _items_text(items, pad: str) -> Iterator[str]:
-    """The text of each batch of array items at `pad`, or of each item that is not batched."""
-    items = iter(items)
-    for item in items:
-        if type(item) in _BATCHED:
-            yield _batch_text([item, *islice(items, _BATCH - 1)], pad)
-        else:
-            yield "".join(_json_chunks(item, pad))
 
 
 def _records_text(records: Records, pad: str) -> Iterator[str]:
@@ -407,8 +403,11 @@ def _cmd_crystal(args: argparse.Namespace) -> int:
         sys.stdout.writelines(to_dot(build_crystal(shape, args.bound), inner_only=args.inner))
         return 0
     if args.format == "json":
-        noun = "weight entries at most (vertices x bound)"
-        _refuse_over(vertices * args.bound, f"{subject} --format json", noun, MAX_JSON_WEIGHTS)
+        # over m < bound, the vertices with an entry above m, summed until past the limit
+        above = (vertices - vertex_count(shape, m) for m in range(args.bound if shape else 0))
+        entries = next((total for total in accumulate(above) if total > MAX_JSON_WEIGHTS), 0)
+        noun = "weight entries or more"
+        _refuse_over(entries, f"{subject} --format json", noun, MAX_JSON_WEIGHTS)
         _print_json(graph_json(build_crystal(shape, args.bound), inner_only=args.inner))
         return 0
     # the text needs no graph: its counts are closed forms, its classes the skeleton's

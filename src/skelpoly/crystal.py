@@ -32,7 +32,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, chain, combinations_with_replacement, islice, product, repeat
+from itertools import chain, combinations_with_replacement, islice, product, repeat
 from math import comb, factorial, perm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
@@ -295,23 +295,16 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
     keys: list[int] = []  # class by class
     for qc in skeleton:
         # The members are v o S for S the representative and 1 <= v(1) <= ... <=
-        # v(n) <= bound rising at each descent of S.  A cut at k in 0..n raises v
-        # past entry k and adds tail[k] to the key: one cut is at 0, one at each
-        # descent, and `free` more anywhere.  A key sums its free cuts or, with
-        # fewer entries than free cuts, w(e) * scale[e] over the entries, for
-        # w(e) = 1 + (the free cuts below e).
+        # v(n) <= bound rising at each descent of S: v(e) = w(e) + runs[e], for
+        # runs[e] the descents of S below entry e and w weakly increasing from 1
+        # to bound - (the descents).  Entry e adds v(e) * scale[e] to the key.
         scale = [0] * n  # the step of the cell holding each entry of S
         for q, entry in enumerate(chain.from_iterable(qc.representative.rows)):
             scale[entry - 1] = step[q]
-        tail = list(accumulate(reversed(scale), initial=0))[::-1]
-        base = sum(map(tail.__getitem__, accumulate(qc.descent, initial=0)))
-        free = bound - len(qc.descent)
-        if free <= n:
-            cuts = combinations_with_replacement(range(n + 1), free)
-            keys.extend(sum(map(tail.__getitem__, cut), base) for cut in cuts)
-        else:
-            lower = combinations_with_replacement(range(1, free + 2), n)
-            keys.extend(sum(map(mul, w, scale), base - tail[0]) for w in lower)
+        runs = (k for k, part in enumerate(qc.descent) for _ in range(part))
+        offset = sum(map(mul, runs, scale))
+        lower = combinations_with_replacement(range(1, bound - len(qc.descent) + 2), n)
+        keys.extend(sum(map(mul, w, scale), offset) for w in lower)
     index = dict(zip(sorted(keys), range(len(keys))))  # in lexicographic order
     letters, ordered = array(code), iter(index)
     for _ in range(0, len(index), _BATCH):  # not a bytes object per vertex held at once

@@ -617,13 +617,32 @@ def test_crystal_json_refuses_runaway_weights_before_building(capsys, monkeypatc
         raise AssertionError("build_crystal called for refused weights")
 
     monkeypatch.setattr(cli, "build_crystal", must_not_build)
-    for bound in (8000, 1_000_000):
+    for bound in (4472, 8000, 1_000_000):
+        # the vertices of shape (1,) are the letters 1..bound: m + 1 writes m + 1 entries,
+        # so the entries are counted as bound + (bound - 1) + ... until past the limit
+        counted = 0
+        for m in range(bound):
+            counted += bound - m
+            if counted > cli.MAX_JSON_WEIGHTS:
+                break
         with pytest.raises(SystemExit) as exc:
             main(["crystal", "1", str(bound), "--format", "json", "--inner"])
         assert exc.value.code == (
-            f"error: crystal 1 {bound} --format json has {bound * bound} weight entries"
-            f" at most (vertices x bound), above the limit of {cli.MAX_JSON_WEIGHTS}"
+            f"error: crystal 1 {bound} --format json has {counted} weight entries"
+            f" or more, above the limit of {cli.MAX_JSON_WEIGHTS}"
         )
+
+
+def test_crystal_json_counts_the_weight_entries_exactly(capsys, monkeypatch):
+    # crystal 1 4471 writes 1 + 2 + ... + 4471 = 9,997,156 entries, under the limit though
+    # its vertices x bound is twice it; so are crystal 2 300 and 1,1 300
+    def built(shape, bound):
+        raise RuntimeError("built")
+
+    monkeypatch.setattr(cli, "build_crystal", built)
+    for argv in (("1", "4471"), ("2", "300"), ("1,1", "300"), ("", "10000000")):
+        with pytest.raises(RuntimeError, match="built"):
+            main(["crystal", *argv, "--format", "json"])
 
 
 def test_crystal_pool_sized_pair_runs(capsys):

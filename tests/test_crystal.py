@@ -313,6 +313,17 @@ def test_skeleton_and_edge_count_match_the_built_crystal(lam):
         assert skeleton == tuple(
             (qc.representative, qc.descent, len(qc.indices)) for qc in graph.classes
         )
+        if bound <= 6:
+            # the build takes its classes from the skeleton: check them against
+            # standardization, which it does not use, and that they part the vertices
+            vertices = graph.vertices
+            assert all(
+                standardize(vertices[i]) == qc.representative
+                for qc in graph.classes
+                for i in qc.indices
+            )
+            members = sorted(i for qc in graph.classes for i in qc.indices)
+            assert members == list(range(len(vertices)))
         few_runs = [(t, row.descent_composition) for t, row in table
                     if len(row.descent_composition) <= bound]
         # among SYT of one shape, the reversed rows order as the row words do
