@@ -12,7 +12,7 @@ import gc
 import json
 import os
 import sys
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
@@ -55,8 +55,8 @@ MAX_CRYSTAL_VERTICES = 1_000_000
 
 # The most weight entries `crystal --format json` writes, counted before any work: a
 # vertex's weight is as long as its largest entry, so the output grows as bound squared.
-# `crystal 1 4471`, just under the limit, writes 9,997,156 entries, 90 MB in 2.2 s at a
-# 198 MB peak (CPython 3.11, 2 cores).
+# `crystal 1 4471`, just under the limit, writes 9,997,156 entries, 90 MB in 1.6 s at a
+# 68 MB peak (CPython 3.11, 2 cores).
 MAX_JSON_WEIGHTS = 10_000_000
 
 # The most tableaux `skeleton` and `tableaux` list, counted before any work: f^lambda,
@@ -195,13 +195,15 @@ def _array(texts: list[str], pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
 
 
-@cache
+# A document needs few templates, but the weights of a crystal with a long bound ask
+# for one of every length up to it: the caches keep the recent 64, not all of them.
+@lru_cache(maxsize=64)
 def _template(length: int, pad: str) -> str:
     """The int array of this length at `pad`, with "%d" for each int."""
     return _array(["%d"] * length, pad)
 
 
-@cache
+@lru_cache(maxsize=64)
 def _rows_template(lengths: tuple[int, ...], pad: str) -> str:
     """The array of int arrays of these lengths at `pad`, with "%d" for each int."""
     return _array([_template(length, pad + "  ") for length in lengths], pad)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cache, total_ordering
 from itertools import combinations
 from math import prod
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -29,11 +29,6 @@ def is_partition(lam: Iterable[int]) -> bool:
 def _require_partition(lam: Composition) -> None:
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
-
-
-def flatten(weak: Iterable[int]) -> Composition:
-    """Drop zero parts, preserving order: (2,0,3) -> (2,3)."""
-    return tuple(part for part in weak if part != 0)
 
 
 def trim(weak: tuple[int, ...]) -> tuple[int, ...]:
@@ -240,10 +235,6 @@ def set_to_comp(subset: IndexSet) -> Composition:
     return tuple(bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1))
 
 
-def maj_of_set(subset: IndexSet) -> int:
-    return sum(subset.members)
-
-
 def subsets(n: int) -> tuple[IndexSet, ...]:
     """All 2^(n-1) subsets of [n-1], sorted."""
     ground = range(1, n)
@@ -324,25 +315,3 @@ def lambda_bar(lam: Partition) -> Composition:
         parts.extend([1] * (c - 2))
     parts.append(trailing_ones + 1)
     return tuple(parts)
-
-
-class ShapeStats(NamedTuple):
-    m: int
-    conjugate: Partition
-    is_hook: bool
-    is_regular: bool
-    lambda_bar: Composition
-
-
-def shape_stats(lam: Partition) -> ShapeStats:
-    """Conjugate, maximal descent length, hook/rectangle flags, and lambda_bar."""
-    _require_partition(lam)
-    if not lam:
-        raise ValueError("empty partition")
-    return ShapeStats(
-        m=max_descent_length(lam),
-        conjugate=conjugate(lam),
-        is_hook=is_hook(lam),
-        is_regular=is_regular(lam),
-        lambda_bar=lambda_bar(lam),
-    )

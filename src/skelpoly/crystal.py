@@ -287,6 +287,7 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
 
     skeleton = crystal_skeleton(shape, bound)  # checks the shape
     n = sum(shape)
+    top = bound if n else 0  # the largest letter a vertex can hold: none in the empty shape
     # A vertex's key is its letters, rows top down, as one big-endian int of
     # `size` bytes per letter: keys order as the rows do, and raising the
     # letter at position q adds step[q].
@@ -303,7 +304,7 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
             scale[entry - 1] = step[q]
         runs = (k for k, part in enumerate(qc.descent) for _ in range(part))
         offset = sum(map(mul, runs, scale))
-        lower = combinations_with_replacement(range(1, bound - len(qc.descent) + 2), n)
+        lower = combinations_with_replacement(range(1, top - len(qc.descent) + 2), n)
         keys.extend(sum(map(mul, w, scale), offset) for w in lower)
     index = dict(zip(sorted(keys), range(len(keys))))  # in lexicographic order
     letters, ordered = array(code), iter(index)
@@ -325,8 +326,8 @@ def build_crystal(shape: Partition, bound: int) -> CrystalGraph:
     add = edges.append
     # Shared by all words, so the work per word grows with its letters, not with
     # the bound: each word resets the entries it touched.
-    opened = [0] * (bound + 1)  # unmatched letters x+1 seen so far, by color x
-    rightmost = [-1] * (bound + 1)  # the rightmost unmatched letter x so far
+    opened = [0] * (top + 1)  # unmatched letters x+1 seen so far, by color x
+    rightmost = [-1] * (top + 1)  # the rightmost unmatched letter x so far
     for key, u in index.items():
         word = reading[u * n : u * n + n]
         for p, x in enumerate(word):

@@ -22,7 +22,6 @@ from .compositions import (
     Composition,
     Partition,
     _require_partition,
-    compositions,
     depth as composition_depth,
     max_descent_length,
     partitions,
@@ -459,15 +458,3 @@ def quasi_kostka_coefficient(shape: Partition, alpha: Composition) -> int:
     if len(alpha) > poly.arity:
         return 0
     return poly.coefficient(alpha)
-
-
-def quasi_kostka_matrix(
-    n: int,
-) -> tuple[tuple[Partition, ...], tuple[Composition, ...], list[list[int]]]:
-    """Skeleton coefficients of all shapes of n against all compositions of n."""
-    shapes = partitions(n)
-    comps = compositions(n)
-    matrix = [
-        [quasi_kostka_coefficient(shape, alpha) for alpha in comps] for shape in shapes
-    ]
-    return shapes, comps, matrix

@@ -12,14 +12,14 @@ joining prefixes and tails of the one-line words, without a row per w.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from functools import cache
 from itertools import combinations, permutations as _permutations, product, starmap
 from operator import add, gt
 from typing import Iterable, Iterator, NamedTuple
 
-from .compositions import Composition, IndexSet, comp_to_set, compositions
+from .compositions import Composition, comp_to_set, compositions
 from .compositions import depth as composition_depth
 from .tableaux import Tableau
 
@@ -71,34 +71,6 @@ def rsk(word: Iterable[int]) -> tuple[Tableau, Tableau]:
             x, row[pos] = row[pos], x
             r += 1
     return Tableau.of(p_rows), Tableau.of(q_rows)
-
-
-def rsk_inverse(p: Tableau, q: Tableau) -> Word:
-    """Reverse bumping in decreasing recording-label order; inverts `rsk`."""
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if not q.is_standard():
-        raise ValueError("recording tableau must be standard")
-    if not p.is_semistandard():
-        raise ValueError("insertion tableau must be semistandard")
-    rows = [list(row) for row in p.rows]
-    row_of = {q.entry(r, c): r for r, c in q.cells()}
-    out: list[int] = []
-    for step in range(q.size, 0, -1):
-        r = row_of[step]
-        x = rows[r].pop()
-        for above in range(r - 1, -1, -1):
-            row = rows[above]
-            pos = bisect_left(row, x) - 1
-            x, row[pos] = row[pos], x
-        out.append(x)
-    return tuple(reversed(out))
-
-
-def descents(w: Word) -> IndexSet:
-    """Positions i with w(i) > w(i+1), as a subset of [n-1]."""
-    n = len(w)
-    return IndexSet(n, tuple(i for i in range(1, n) if w[i - 1] > w[i]))
 
 
 def word_descent_composition(w: Word) -> Composition:

@@ -12,7 +12,7 @@ walk of the Young lattice over their Yamanouchi words (the row of each of
 SYT, their destandardizations (the quasi-Yamanouchi tableaux), the descent
 filter and every count by descent or maj are read from that table, with no
 tableau parsed.  SSYT are filled row by row (`_fill`).  The minimal
-parsing, `destandardize`, `descent_set` and `tableau_stats` work on one
+parsing, `standardize`, `descent_set` and `tableau_stats` work on one
 tableau at a time and are the reference the table is tested against.
 """
 
@@ -22,7 +22,7 @@ import sys
 from functools import cache
 from itertools import accumulate, chain, repeat
 from math import factorial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .compositions import (
     Composition,
@@ -33,7 +33,6 @@ from .compositions import (
     depth as composition_depth,
     hook_product,
     is_partition,
-    lambda_bar,
     trim,
 )
 
@@ -138,23 +137,11 @@ def descent_composition(t: Tableau) -> Composition:
     return tuple(band.size for band in minimal_parsing(t))
 
 
-def _relabel_bands(t: Tableau, label: Callable[[int, int], int]) -> Tableau:
-    """`t` with the k-th cell in band order, which lies in the i-th band, labelled label(i, k)."""
-    cells = ((i, cell) for i, band in enumerate(minimal_parsing(t), start=1) for cell in band.cells)
-    new_label = {cell: label(i, k) for k, (i, cell) in enumerate(cells, start=1)}
-    return Tableau.of(
-        [new_label[(r, c)] for c in range(len(row))] for r, row in enumerate(t.rows)
-    )
-
-
 def standardize(t: Tableau) -> Tableau:
     """Relabel the cells 1..n in band order; the result is an SYT."""
-    return _relabel_bands(t, lambda i, k: k)
-
-
-def destandardize(t: Tableau) -> Tableau:
-    """Replace every entry of the i-th band by i; the result is quasi-Yamanouchi."""
-    return _relabel_bands(t, lambda i, k: i)
+    cells = (cell for band in minimal_parsing(t) for cell in band.cells)
+    label = {cell: k for k, cell in enumerate(cells, start=1)}
+    return Tableau.of([label[r, c] for c in range(len(row))] for r, row in enumerate(t.rows))
 
 
 def weight(t: Tableau) -> Composition:
@@ -383,11 +370,6 @@ def tableaux_from_table(
     ]
 
 
-def standard_tableaux(shape: Partition) -> tuple[Tableau, ...]:
-    """All SYT of `shape`, sorted by rows."""
-    return tuple(t for t, _ in tableaux_from_table(shape))
-
-
 def quasi_yamanouchi_tableaux(shape: Partition) -> tuple[Tableau, ...]:
     """All SSYT whose descent composition equals their weight, in row-reading lex order.
 
@@ -425,25 +407,3 @@ def kostka(shape: Partition, weight_vec: Composition) -> int:
                 grown[outer] = grown.get(outer, 0) + count
         counts = grown
     return counts.get(tuple(shape), 0)
-
-
-class SpecialTableaux(NamedTuple):
-    superstandard: Tableau
-    anti_supersemistandard: Tableau
-
-
-def special_tableaux(shape: Partition) -> SpecialTableaux:
-    """The distinguished quasi-Yamanouchi fillings of minimal and maximal depth.
-
-    The superstandard tableau fills row i with the value i and realizes the
-    descent composition `shape` itself; the anti-supersemistandard tableau is
-    the unique quasi-Yamanouchi filling with descent composition lambda_bar.
-    """
-    if not shape:
-        raise ValueError("empty partition")
-    superstandard = Tableau.of([i] * length for i, length in enumerate(shape, start=1))
-    target = lambda_bar(shape)
-    anti = [t for t, _ in tableaux_from_table(shape, quasi_yamanouchi=True, descent=target)]
-    if len(anti) != 1:
-        raise ValueError(f"expected a unique deepest filling for {shape}, got {len(anti)}")
-    return SpecialTableaux(superstandard=superstandard, anti_supersemistandard=anti[0])

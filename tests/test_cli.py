@@ -885,6 +885,15 @@ def test_crystal_json_matches_the_stdlib_layout(shape):
             assert written == json.dumps(reference, indent=2)
 
 
+def test_json_templates_stay_few_on_long_weights():
+    # the weights of (1,) at bound 1500 ask for a template of every length up to 1500
+    cli._template.cache_clear()
+    written = _written(graph_json(build_crystal((1,), 1500)))
+    info = cli._template.cache_info()
+    assert info.misses >= 1500 and info.currsize <= info.maxsize == 64
+    assert json.loads(written)["weights"][-1] == [0] * 1499 + [1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 
 import pytest
@@ -23,7 +24,6 @@ from skelpoly import (
     raising_operator,
     row_word,
     semistandard_tableaux,
-    standard_tableaux,
     standardize,
     tableau_stats,
     tableaux_from_table,
@@ -182,7 +182,7 @@ def test_crystal_counts_match_closed_forms(lam, bound):
         # F_alpha(1^b) = C(b - d + n - 1, n) with d = len(alpha) - 1 descents
         d = len(qc.descent) - 1
         assert len(qc.members) == comb(bound - d + n - 1, n)
-    few_descents = [t for t in standard_tableaux(lam) if len(descent_set(t)) <= bound - 1]
+    few_descents = [t for t, _ in tableaux_from_table(lam) if len(descent_set(t)) <= bound - 1]
     assert len(graph.classes) == len(few_descents)
 
 
@@ -369,6 +369,18 @@ def test_crystal_of_the_empty_shape(bound):
         indent=2,
     )
     assert "".join(to_dot(graph)).count('v0 [label=""]') == 1
+
+
+def test_the_empty_crystal_costs_the_same_at_any_bound():
+    # the empty shape holds no letter, so no part of its build is sized by the bound
+    tracemalloc.start()
+    try:
+        graph = build_crystal((), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21, peak
+    assert (len(graph.vertices), len(graph.edges), len(graph.classes)) == (1, 0, 1)
     with pytest.raises(ValueError):
         row_word(Tableau(()))
 
@@ -378,7 +390,7 @@ def test_quasi_crystal_decomposition_of_21():
     classes = graph.classes
     assert len(classes) == 2
     assert sorted(qc.representative.rows for qc in classes) == sorted(
-        t.rows for t in standard_tableaux((2, 1))
+        t.rows for t, _ in tableaux_from_table((2, 1))
     )
 
 
@@ -460,7 +472,7 @@ def test_evacuation_involution_and_descent_reversal():
 
 def test_evacuation_preserves_standardness():
     for lam in partitions(5):
-        originals = set(standard_tableaux(lam))
+        originals = {t for t, _ in tableaux_from_table(lam)}
         assert {evacuation(t) for t in originals} == originals
 
 
@@ -486,7 +498,7 @@ def test_evacuation_anti_isomorphism():
 def test_depth_equals_maj_of_evacuation():
     for n in range(1, 8):
         for lam in partitions(n):
-            for t in standard_tableaux(lam):
+            for t, _ in tableaux_from_table(lam):
                 assert tableau_stats(t).depth == tableau_stats(evacuation(t)).maj
 
 

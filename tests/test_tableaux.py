@@ -12,7 +12,6 @@ from skelpoly import (
     compositions,
     descent_composition,
     descent_set,
-    destandardize,
     dominance_leq,
     is_quasi_yamanouchi,
     kostka,
@@ -25,8 +24,6 @@ from skelpoly import (
     semistandard_tableaux,
     semistandard_with_weight,
     skeleton_poly,
-    special_tableaux,
-    standard_tableaux,
     standard_with_descent,
     standardize,
     tableau_stats,
@@ -37,6 +34,23 @@ from skelpoly import (
 from skelpoly.compositions import trim
 
 WORKED = Tableau.of([[1, 1, 2, 5], [3, 8], [8]])
+
+
+def syt(shape):
+    """The SYT of `shape`, sorted by rows."""
+    return [t for t, _ in tableaux_from_table(shape)]
+
+
+def deepest_fillings(shape):
+    """The quasi-Yamanouchi tableaux of `shape` with the deepest descent composition."""
+    deepest = tableaux_from_table(shape, quasi_yamanouchi=True, descent=lambda_bar(shape))
+    return [t for t, _ in deepest]
+
+
+def destandardize(t):
+    """Replace every entry of the i-th band by i: the per-tableau oracle of the QY listing."""
+    label = {cell: i for i, band in enumerate(minimal_parsing(t), start=1) for cell in band.cells}
+    return Tableau.of([label[r, c] for c in range(len(row))] for r, row in enumerate(t.rows))
 
 
 def test_tableau_predicates():
@@ -88,7 +102,7 @@ def test_minimal_parsing_rejects_bad_input():
 
 def test_descent_composition_examples():
     assert descent_composition(WORKED) == (3, 2, 2)
-    superstandard = special_tableaux((3, 2)).superstandard
+    superstandard = Tableau.of([[1, 1, 1], [2, 2]])
     assert descent_composition(superstandard) == (3, 2)
     syt = Tableau.of([[1, 3, 7], [2, 5, 8], [4, 6]])
     assert descent_composition(syt) == (1, 2, 2, 2, 1)
@@ -101,7 +115,7 @@ def test_standardize_worked_example():
 
 def test_standardize_fixes_standard_tableaux():
     for lam in partitions(5):
-        for t in standard_tableaux(lam):
+        for t in syt(lam):
             assert standardize(t) == t
 
 
@@ -120,11 +134,11 @@ def test_canonical_identification():
     for lam in partitions(5):
         qy = quasi_yamanouchi_tableaux(lam)
         assert sorted(standardize(t).rows for t in qy) == sorted(
-            t.rows for t in standard_tableaux(lam)
+            t.rows for t in syt(lam)
         )
         for t in qy:
             assert destandardize(standardize(t)) == t
-        for t in standard_tableaux(lam):
+        for t in syt(lam):
             assert standardize(destandardize(t)) == t
 
 
@@ -145,7 +159,7 @@ def test_descent_set_is_prefix_sums_of_descent_composition():
     # band-parsing route must agree on every standard tableau
     for n in range(1, 7):
         for lam in partitions(n):
-            for t in standard_tableaux(lam):
+            for t in syt(lam):
                 row_of = {t.entry(r, c): r for r, c in t.cells()}
                 physical = tuple(
                     i for i in range(1, n) if row_of[i + 1] > row_of[i]
@@ -175,7 +189,8 @@ def test_tableau_stats_descent_set_matches_standardization():
 def test_superstandard_is_quasi_yamanouchi():
     for n in range(1, 7):
         for lam in partitions(n):
-            t = special_tableaux(lam).superstandard
+            # row i filled with i
+            t = Tableau.of([i] * length for i, length in enumerate(lam, start=1))
             stats = tableau_stats(t)
             assert stats.is_quasi_yamanouchi
             assert stats.descent_composition == lam
@@ -202,7 +217,7 @@ def test_quasi_yamanouchi_of_32():
 
 def syt_by_descent(shape):
     """The oracle for f_{shape,alpha}: SYT of `shape` counted by descent composition."""
-    return Counter(descent_composition(t) for t in standard_tableaux(shape))
+    return Counter(descent_composition(t) for t in syt(shape))
 
 
 def test_quasi_kostka_of_332():
@@ -269,25 +284,23 @@ def test_descent_reversal_counts():
 
 
 def test_special_tableaux_examples():
-    got = special_tableaux((3, 3, 1))
-    assert got.anti_supersemistandard == Tableau.of([[1, 3, 4], [2, 4, 5], [3]])
-    column = special_tableaux((1, 1, 1))
-    assert column.superstandard == column.anti_supersemistandard
-    assert column.superstandard == Tableau.of([[1], [2], [3]])
+    # the anti-supersemistandard tableau: the one QY filling of descent lambda_bar
+    assert deepest_fillings((3, 3, 1)) == [Tableau.of([[1, 3, 4], [2, 4, 5], [3]])]
+    # for a column it is the superstandard tableau, row i filled with i
+    assert deepest_fillings((1, 1, 1)) == [Tableau.of([[1], [2], [3]])]
 
 
 def test_deepest_filling_unique():
-    # special_tableaux raises unless exactly one tableau realizes lambda_bar
     for n in range(1, 8):
         for lam in partitions(n):
-            got = special_tableaux(lam)
-            assert descent_composition(got.anti_supersemistandard) == lambda_bar(lam)
+            (got,) = deepest_fillings(lam)
+            assert descent_composition(got) == lambda_bar(lam)
 
 
 def test_enumeration_counts():
-    assert len(standard_tableaux((4,))) == 1
-    assert len(standard_tableaux((2, 2))) == 2
-    assert len(standard_tableaux((3, 2))) == 5
+    assert len(syt((4,))) == 1
+    assert len(syt((2, 2))) == 2
+    assert len(syt((3, 2))) == 5
     assert len(semistandard_tableaux((3, 2), 3)) == 15
     assert semistandard_tableaux((2, 1), 1) == []
     assert len(standard_with_descent((3, 3, 2), (1, 2, 2, 2, 1))) == 3
@@ -399,7 +412,7 @@ def test_yamanouchi_table_against_per_tableau_routes():
         n = sum(lam)
         table = yamanouchi_table(lam)
         fill = semistandard_with_weight(lam, (1,) * n)
-        assert list(standard_tableaux(lam)) == fill
+        assert syt(lam) == fill
         by_rows = {}
         for row in table:
             rows = [[] for _ in lam]
@@ -424,12 +437,12 @@ def test_yamanouchi_table_against_per_tableau_routes():
             assert destandardize(t) == q
             assert by_rows[t] is row
         assert list(quasi_yamanouchi_tableaux(lam)) == [q for q, _ in qy_pairs]
-    assert checked == sum(len(standard_tableaux(lam)) for lam in _table_oracle_shapes())
+    assert checked == sum(len(syt(lam)) for lam in _table_oracle_shapes())
 
 
 def test_yamanouchi_table_edge_shapes():
     assert yamanouchi_table(()) == (YamanouchiRow((), (), 0),)
-    assert standard_tableaux(()) == quasi_yamanouchi_tableaux(()) == (Tableau(()),)
+    assert tuple(syt(())) == quasi_yamanouchi_tableaux(()) == (Tableau(()),)
     assert yamanouchi_table((4,)) == (YamanouchiRow((0, 0, 0, 0), (4,), 0),)
     assert yamanouchi_table((1, 1, 1)) == (YamanouchiRow((0, 1, 2), (1, 1, 1), 3),)
     assert quasi_yamanouchi_tableaux((1, 1, 1)) == (Tableau.of([[1], [2], [3]]),)
@@ -443,9 +456,9 @@ def test_descent_filter_reads_the_table():
             listed = 0
             for alpha in compositions(n):
                 got = standard_with_descent(lam, alpha)
-                assert got == [t for t in standard_tableaux(lam) if descent_composition(t) == alpha]
+                assert got == [t for t in syt(lam) if descent_composition(t) == alpha]
                 listed += len(got)
-            assert listed == len(standard_tableaux(lam))
+            assert listed == len(syt(lam))
     assert standard_with_descent((3, 2), (2, 0, 3)) == []
 
 
@@ -470,7 +483,7 @@ def test_table_routes_make_no_parsing(monkeypatch):
     assert main(["skeleton", "4,3,1,1"]) == 0
     assert fake_degree(shape).coefficient(0) == 0
     assert standard_with_descent(shape, (4, 3, 1, 1)) != []
-    assert special_tableaux(shape).anti_supersemistandard
+    assert len(deepest_fillings(shape)) == 1
     assert calls == []
     descent_composition(Tableau.of([[1, 2], [3]]))
     assert len(calls) == 1  # the counter is live
