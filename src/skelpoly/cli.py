@@ -39,7 +39,7 @@ from .tableaux import (
     tableau_stats,
     tableaux_from_table,
 )
-from .verify import CHECK_NAMES, run_checks
+from .verify import CHECK_NAMES, UNBOUNDED_CHECKS, run_checks
 
 gc.freeze()  # keep the import-time objects out of every collection a command triggers
 
@@ -435,6 +435,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise SystemExit("error: --report-support applies only to skeleton-rs")
     if args.max_n is not None and args.max_n < 1:
         raise SystemExit("error: --max-n must be at least 1")
+    if args.max_n is not None and set(names) <= UNBOUNDED_CHECKS:
+        raise SystemExit(f"error: --max-n bounds none of: {' '.join(names)}")
     results = run_checks(names, max_n=args.max_n, report_support=args.report_support)
     failed = [r for r in results if not r.passed]
     if args.format == "json":

@@ -6,20 +6,22 @@ tableaux.  A `PermStats` row holds the descent compositions of w and of its
 inverse (its left descents), maj, depth, inversions, charge and whether w is
 an involution.  `perm_stats(w)` is the reference, one function per statistic
 on one word, and `perm_table(n)` sweeps S_n with it.  `rsk_tally(n)`, kept per
-process, counts S_n by the masks of Des(w) and Des(w^-1) and by inversions,
-joining prefixes and tails of the one-line words, without a row per w.
+process, counts S_n by the masks of Des(w) and Des(w^-1) and by inversions without
+a row per w: it joins the orderings of each set of values that fills the first
+ceil(n/2) positions to the orderings of the rest.  `mask_stats(n)` reads the
+composition, maj and depth of each descent mask off its bits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import cache
 from itertools import combinations, permutations as _permutations, product, starmap
-from operator import add, gt
-from typing import Iterable, Iterator, NamedTuple
+from operator import add, gt, sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .compositions import Composition, comp_to_set, compositions
+from .compositions import Composition
 from .compositions import depth as composition_depth
 from .tableaux import Tableau
 
@@ -41,6 +43,8 @@ def inverse(w: Word) -> Word:
 
 
 def all_permutations(n: int) -> Iterator[Word]:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return _permutations(range(1, n + 1))
 
 
@@ -138,94 +142,62 @@ def perm_stats(w: Word) -> PermStats:
     )
 
 
-def _involutions(n: int) -> Iterator[Word]:
-    """Every involution of S_n in one-line notation, each once.
+@cache
+def _involution_ends(n: int) -> Counter:
+    """The involutions w of S_n counted by (Des(w) mask, w(n)).
 
-    The least value not yet matched is either fixed or swapped with a greater
-    unmatched one.
+    w(n) = n extends an involution of S_(n-1) by no descent.  w(n) = k < n swaps k and n
+    around an involution u of the other n - 2 values, relabeled in order: the descents of u
+    past k - 1 move up one place and the one at k - 1 is lost, k is a descent, and so is
+    n - 1 when u ends at k or above.
     """
-    w = [0] * n
-
-    def match(i):
-        while i < n and w[i]:
-            i += 1
-        if i == n:
-            yield tuple(w)
-            return
-        for j in range(i, n):
-            if not w[j]:
-                w[i], w[j] = j + 1, i + 1
-                yield from match(i + 1)
-                w[i] = w[j] = 0
-
-    return match(0)
+    if n < 2:
+        return Counter({(0, n): 1})
+    ends = Counter()
+    for (des, _), c in _involution_ends(n - 1).items():
+        ends[des, n] += c
+    for (des, last), c in _involution_ends(n - 2).items():
+        for k in range(1, n):
+            kept = des & (1 << k - 1) - 1 | des >> k << k + 1  # u's descents, around k
+            ends[kept | 1 << k | (last >= k) << n - 1, k] += c
+    return ends
 
 
 @cache
 def mask_stats(n: int) -> tuple:
     """Descent mask D of S_n (bit d for d) -> (composition, maj = sum D, depth = n*|D| - sum D),
-    or None for a mask with bit 0 or bit n; charge is the depth of the left-descent mask."""
+    or None for a mask with bit 0; charge is the depth of the left-descent mask.  The
+    composition is the run lengths between the set bits of each even mask below 2^n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     stats_of = [None] * (1 << n)
-    for alpha in compositions(n):
-        ds = comp_to_set(alpha).members
-        stats_of[sum(1 << d for d in ds)] = alpha, sum(ds), n * len(ds) - sum(ds)
+    for mask in range(0, 1 << n, 2):
+        ds = [d for d in range(1, n) if mask >> d & 1]
+        cuts = [0, *ds, n] if n else [0]
+        stats_of[mask] = tuple(map(sub, cuts[1:], cuts)), sum(ds), n * len(ds) - sum(ds)
     return tuple(stats_of)
 
 
-def _halves(n: int):
-    """(m, prefixes, tail_table): the halves that each w of S_n joins, in lex order.
+def _orderings(k: int, shift: int) -> list[tuple[int, int, int, int]]:
+    """(descents, after, last, inversions) of each ordering of range(k), lexicographic: its
+    descent mask shifted by `shift`, the mask of each j placed after j + 1, its last entry."""
+    rows = []
+    for order in _permutations(range(k)):
+        where = sorted(range(k), key=order.__getitem__)
+        rows.append((sum(1 << shift + j for j in range(1, k) if order[j - 1] > order[j]),
+                     sum(1 << j for j in range(k - 1) if where[j + 1] < where[j]),
+                     order[-1] if k else 0, inversions(order)))
+    return rows
 
-    A prefix (rest, split, key, inversions) fills positions 1..m, m = ceil(n/2), and
-    leaves the values `rest`; `tail_table(rest)` lists the orderings of `rest` as
-    (key, inversions).  A key is D << n | L, D and L masking the descents and the left
-    descents (i with i+1 placed before i); the first `split` tails start below the
-    prefix's last value: a descent at m.
-    """
-    values = ((1 << (n + 1)) - 1) ^ 1  # bit v for each value v of [n]
-    m = (n + 1) // 2  # prefix length; the tail holds the other t positions
-    t = n - m
 
-    def prefixes(i, last, used, key, inv):
-        # every way to fill positions i..m after a prefix ending in `last`
-        if i > m:
-            rest = values ^ used
-            yield rest, (rest & ((1 << last) - 1)).bit_count() * block, key, inv
-            return
-        free = values & ~used
-        while free:
-            bit = free & -free
-            free ^= bit
-            v = bit.bit_length() - 1
-            placed = used | bit
-            yield from prefixes(
-                i + 1, v, placed,
-                key | (last > v) << (n + i - 1) | (placed >> (v + 1) & 1) << v,
-                inv + (used >> (v + 1)).bit_count(),
-            )
-
-    # the orderings of range(t), lexicographic: the descents they put at positions
-    # m+1..n-1 (shifted into D), their inversions, and each k that comes after k+1
-    patterns = []
-    for order in _permutations(range(t)):
-        steps = [m + j for j in range(1, t) if order[j - 1] > order[j]]
-        where = sorted(range(t), key=order.__getitem__)
-        patterns.append((sum(1 << d + n for d in steps), inversions(order),
-                         [k for k in range(t - 1) if where[k + 1] < where[k]]))
-    block = len(patterns) // max(t, 1)  # tails per first value
-
-    def tail_table(rest):
-        # every ordering of the values in `rest`, lexicographic, with its statistics;
-        # v in `rest` is a left descent when v+1 is placed, never when v is placed
-        r = [v for v in range(1, n + 1) if rest >> v & 1]
-        placed = values ^ rest
-        cross = sum((placed >> (v + 1)).bit_count() for v in r)
-        fixed_left = sum(1 << v for v in r if placed >> (v + 1) & 1)
-        return [
-            (des | fixed_left | sum(1 << r[k] for k in after if r[k + 1] == r[k] + 1), cross + inv)
-            for des, inv, after in patterns
-        ]
-
-    return m, prefixes(1, 0, 0, 0, 0), tail_table
+def _lefts(members: Sequence[int], placed: int) -> list[int]:
+    """The left descents that fall in an ordering of `members` (sorted) placed after the
+    values masked by `placed`, indexed by the `after` mask of its pattern: each v whose v+1
+    is placed, or is the next member and comes first."""
+    lefts = [sum(1 << v for v in members if placed >> v + 1 & 1)]
+    for v, next_v in zip(members, members[1:]):
+        lefts += [left | (next_v == v + 1) << v for left in lefts]
+    return lefts
 
 
 def perm_table(n: int) -> Iterator[tuple[Word, PermStats]]:
@@ -243,28 +215,40 @@ class RskTally(NamedTuple):
 
 @cache
 def rsk_tally(n: int) -> RskTally:
-    """The `RskTally` of S_n from the halves of `_halves(n)`, without a row per w.
+    """The `RskTally` of S_n, joined from the halves of the one-line words, without a row per w.
 
-    A prefix and a tail set disjoint bits, so the key of w is the sum of theirs, plus
-    the descent at m for the tails below the split: the prefix keys are listed by
-    (remaining set, split), and their sums with the tail keys of that table are
-    counted in C.  Each table is dropped once joined.
+    A prefix fills positions 1..m, m = ceil(n/2), with a set U of values, and a tail fills
+    the rest with the others; each half is an ordering of `_orderings`, its key (D << n | L,
+    D and L masking the descents and the left descents) read through the `_lefts` of its
+    set.  A prefix and a tail set disjoint bits, so the key of w is the sum of theirs, plus
+    the descent at m for the tails (in lex order, `block` per first value) that start below
+    the prefix's last value; the sums of each U's prefix and tail keys are counted in C.
+    Inversions add up as those of each half plus the pairs of U above the rest.
     """
-    m, prefixes, tail_table = _halves(n)
-    groups = defaultdict(lambda: defaultdict(list))  # remaining set -> split -> prefix keys
-    prefix_inversions = defaultdict(Counter)  # remaining set -> inversions -> prefixes
-    for rest, split, key, inv in prefixes:
-        groups[rest][split].append(key)
-        prefix_inversions[rest][inv] += 1
-    pairs, counts = Counter(), [0] * (n * (n - 1) // 2 + 1)
-    for rest, by_split in groups.items():
-        table = tail_table(rest)
-        for split, prefix_keys in by_split.items():
-            tails = [key | (i < split) << m + n for i, (key, _) in enumerate(table)]
-            pairs.update(starmap(add, product(prefix_keys, tails)))
-        for t_inv, c in Counter(inv for _, inv in table).items():
-            for inv, d in prefix_inversions[rest].items():
-                counts[inv + t_inv] += c * d
-    involutions = Counter(sum(1 << i for i in range(1, n) if w[i - 1] > w[i])
-                          for w in _involutions(n))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    m, t, values = (n + 1) // 2, n // 2, range(1, n + 1)
+    heads, tails = _orderings(m, n), _orderings(t, n + m)
+    by_last = [[(des, after) for des, after, last, _ in heads if last == j] for j in range(m)]
+    block = len(tails) // max(t, 1)
+    pairs, crossings = Counter({0: 1} if n == 0 else {}), Counter()  # S_0: no prefix to join
+    for chosen in combinations(values, m):
+        used = sum(1 << v for v in chosen)
+        rest_lefts = _lefts([v for v in values if not used >> v & 1], used)
+        above = [des | rest_lefts[after] for des, after, _, _ in tails]
+        below = [key | 1 << m + n for key in above]
+        head_lefts = _lefts(chosen, 0)
+        for j, (v, rows) in enumerate(zip(chosen, by_last)):
+            split = (v - 1 - j) * block  # v - 1 - j values of the rest lie below v
+            keys = [des | head_lefts[after] for des, after in rows]
+            pairs.update(starmap(add, product(keys, below[:split] + above[split:])))
+        # the inversions across the halves: each u of U above a value of the rest
+        crossings[sum(chosen) - m * (m + 1) // 2] += 1
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    by_inversions = (Counter(row[3] for row in half).items() for half in (heads, tails))
+    for (a, c), (b, d), (e, f) in product(crossings.items(), *by_inversions):
+        counts[a + b + e] += c * d * f
+    involutions = Counter()
+    for (des, _), c in _involution_ends(n).items():
+        involutions[des] += c
     return RskTally(pairs, counts, involutions)

@@ -8,7 +8,11 @@ keys (x-exponents, p, q): on the skeleton side each shape contributes its
 coefficients f_(shape, alpha), read through `_skeleton_terms`; the permutation
 side reads `rsk_tally(n)`, S_n counted by the descent masks of (Des(w),
 Des(w^-1)) and by inversions, built once per n and process, so no check visits
-a permutation unless it names a failing w or lists the support.  No polynomial
+a permutation unless it names a failing w or lists the support.  `counting`,
+`mahonian`, `charge-depth` and `bifactorial` read its int keys D << n | L by
+`key >> n` and `key & low` into lists or int-keyed Counters (`_margins` counts
+each mask as Des(w) and as Des(w^-1)), with no tuple per key; `mask_stats` gives
+a mask's composition, maj and depth.  No polynomial
 is added, multiplied or evaluated; `_witness` names the first key, in canonical
 term order, where the two tallies differ.  `skeleton-rs` keys both sides by the
 tally's own masks and spells out exponents only for the keys that differ.  Both
@@ -28,7 +32,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache, partial
 from itertools import accumulate, product
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .compositions import (
     Partition,
@@ -102,10 +106,13 @@ def _skeleton_terms(shape: Partition, n: int, graded: bool) -> list[tuple[tuple,
             for (exps, _, _), coeff in skeleton_poly(shape).terms.items()]
 
 
-def _pairs(n: int) -> Iterator[tuple[tuple, tuple, int]]:
-    """(`mask_stats` of Des(w), of Des(w^-1), number of such w) per key of `rsk_tally(n)`."""
-    stats, low = mask_stats(n), (1 << n) - 1
-    return ((stats[key >> n], stats[key & low], c) for key, c in rsk_tally(n).pairs.items())
+def _margins(n: int) -> tuple[list[int], list[int]]:
+    """The number of w in S_n with each mask as Des(w), and as Des(w^-1), from `rsk_tally(n)`."""
+    des, left, low = [0] * (1 << n), [0] * (1 << n), (1 << n) - 1
+    for key, count in rsk_tally(n).pairs.items():
+        des[key >> n] += count
+        left[key & low] += count
+    return des, left
 
 
 def check_skeleton_r(n: int, graded: bool = False) -> CheckResult:
@@ -208,10 +215,12 @@ def check_counting(n: int) -> CheckResult:
         for alpha, _, coeff in _skeleton_terms(shape, n, False):
             by_parts[len(trim(alpha))] += coeff
         ones.append(list(accumulate(by_parts)))
-    # (len Des(w^-1), len Des(w)) as compositions -> number of w; len Des(w) -> involutions
-    lengths, involution_lengths = Counter(), Counter()
-    for (alpha, _, _), (beta, _, _), count in _pairs(n):
-        lengths[len(beta), len(alpha)] += count
+    # lengths[i][j]: w whose Des(w^-1) has i - 1 elements and Des(w) j - 1; involutions by
+    # |Des(w)| + 1, the length of its composition
+    lengths, low = [[0] * (n + 2) for _ in range(n + 2)], (1 << n) - 1
+    involution_lengths = Counter()
+    for key, count in rsk_tally(n).pairs.items():
+        lengths[(key & low).bit_count() + 1][(key >> n).bit_count() + 1] += count
     for des, count in rsk_tally(n).involutions.items():
         involution_lengths[des.bit_count() + 1] += count
     witness = None
@@ -224,7 +233,7 @@ def check_counting(n: int) -> CheckResult:
     if witness is None:
         for a, b in product(range(1, n + 1), repeat=2):
             lhs = sum(at[a] * at[b] for at in ones)
-            rhs = sum(c for (la, lb), c in lengths.items() if la <= a and lb <= b)
+            rhs = sum(sum(row[:b + 1]) for row in lengths[:a + 1])
             if lhs != rhs:
                 witness = {"i": a, "j": b, "lhs": lhs, "rhs": rhs}
                 break
@@ -263,10 +272,11 @@ def check_mahonian(n: int) -> CheckResult:
     target = q_factorial(n)
     # each statistic lies in 0..comb(n, 2): count by degree in one list per statistic
     majs, depths, charges = ([0] * (comb(n, 2) + 1) for _ in range(3))
-    for (_, maj, dep), (_, _, ch), count in _pairs(n):
-        majs[maj] += count
-        depths[dep] += count
-        charges[ch] += count
+    for stat, as_des, as_left in zip(mask_stats(n), *_margins(n)):  # by mask: Des(w), Des(w^-1)
+        if stat:
+            majs[stat[1]] += as_des
+            depths[stat[2]] += as_des
+            charges[stat[2]] += as_left
     dists = {"maj": majs, "depth": depths, "charge": charges, "inversions": rsk_tally(n).inversions}
     witness = next(({"statistic": key, "degree": d, "count": dist[d], "expected": c}
                     for key, dist in dists.items()
@@ -343,18 +353,16 @@ def check_charge_depth(n: int) -> CheckResult:
     """charge(w) = n*|L| - sum(L) for L = Des(w^-1) is sum (i-1)*alpha_i of alpha = comp(L),
     and, as w -> w^-1 permutes S_n, L is distributed as Des(w), which catches a wrong L.  A
     failure names the first w whose charge differs, else the first set tallied differently."""
-    des, left = Counter(), Counter()  # `mask_stats` entry -> w with it as Des(w), as Des(w^-1)
-    for as_des, as_left, count in _pairs(n):
-        des[as_des] += count
-        left[as_left] += count
+    stats, (des, left) = mask_stats(n), _margins(n)  # mask -> w with it as Des(w), as Des(w^-1)
     witness = None
-    if des != left or any(charge != depth(beta) for beta, _, charge in left):
+    if des != left or any(c and stat[2] != depth(stat[0]) for stat, c in zip(stats, left)):
         witness = next(({"w": list(w), "charge": row.charge, "depth_of_inverse": d}
                         for w, row in perm_table(n)
                         if row.charge != (d := depth(row.inverse_descent_composition))), None)
     if witness is None and des != left:
-        key = min(key for key in des | left if des[key] != left[key])
-        witness = {"composition": list(key[0]), "as_des": des[key], "as_des_inverse": left[key]}
+        mask = min((mask for mask, c in enumerate(des) if c != left[mask]), key=stats.__getitem__)
+        witness = {"composition": list(stats[mask][0]),
+                   "as_des": des[mask], "as_des_inverse": left[mask]}
     return _finish("charge-depth", {"n": n}, witness)
 
 
@@ -406,14 +414,17 @@ def check_linear_independence(n: int) -> CheckResult:
 def check_bifactorial(n: int) -> CheckResult:
     """The two-variable factorial matches the (charge, depth) distribution."""
     bi = bifactorial(n)
+    # (charge, depth) = (p, q) packs as p * width + q, in the order of (p, q)
+    width, low, depths = comb(n, 2) + 1, (1 << n) - 1, [stat and stat[2] for stat in mask_stats(n)]
     observed: Counter = Counter()
-    for (_, _, dep), (_, _, charge), count in _pairs(n):
-        observed[charge, dep] += count
-    expected = Counter({(p, q): c for ((_, p, q), c) in bi.terms.items()})
+    for key, count in rsk_tally(n).pairs.items():
+        observed[depths[key & low] * width + depths[key >> n]] += count
+    expected = Counter({p * width + q: c for ((_, p, q), c) in bi.terms.items()})
     witness = None
     if observed != expected:
-        p, q = min(k for k in observed.keys() | expected.keys() if observed[k] != expected[k])
-        witness = {"p": p, "q": q, "observed": observed[p, q], "expected": expected[p, q]}
+        key = min(k for k in observed.keys() | expected.keys() if observed[k] != expected[k])
+        p, q = divmod(key, width)
+        witness = {"p": p, "q": q, "observed": observed[key], "expected": expected[key]}
     if witness is None:
         at_p1 = bi.specialize(p=1)
         target = q_factorial(n)
@@ -470,6 +481,8 @@ _CHECKS: dict[str, tuple[Callable[..., CheckResult], str, int | None, int | None
 }
 
 CHECK_NAMES = tuple(_CHECKS)
+# the checks that take no bound: `verify` refuses --max-n when it names only these
+UNBOUNDED_CHECKS = frozenset(name for name, row in _CHECKS.items() if row[1] == "single")
 
 
 def run_checks(

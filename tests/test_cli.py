@@ -971,6 +971,26 @@ def test_verify_report_support_with_skeleton_rs_selected(checks, monkeypatch):
     assert calls == [{"max_n": None, "report_support": True}]
 
 
+def test_verify_refuses_max_n_when_no_check_takes_a_bound(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("checks ran although the flag was refused")
+
+    monkeypatch.setattr(cli, "run_checks", must_not_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "s6-inversions", "--max-n", "3"])
+    assert exc.value.code == "error: --max-n bounds none of: s6-inversions"
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_max_n_with_a_bounded_check_beside_s6_inversions(capsys):
+    code, out = run_cli(capsys, "verify", "all", "--max-n", "2")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "31/31 checks passed"
+    code, out = run_cli(capsys, "verify", "s6-inversions", "bks", "--max-n", "2")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "4/4 checks passed"
+
+
 def test_verify_env_bound(capsys, monkeypatch):
     # only --max-n sets the bound; the environment does not
     monkeypatch.setenv("SKELETON_MAX_N", "3")

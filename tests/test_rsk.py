@@ -15,6 +15,7 @@ from skelpoly import (
     bifactorial,
     charge,
     comp_to_set,
+    compositions,
     depth,
     descent_composition,
     descent_set,
@@ -29,7 +30,7 @@ from skelpoly import (
     tableaux_from_table,
     word_descent_composition,
 )
-from skelpoly.rsk import _involutions, mask_stats, rsk_tally
+from skelpoly.rsk import _involution_ends, mask_stats, rsk_tally
 
 # RS images and descent compositions for all of S_4.
 S4_TABLE = {
@@ -408,6 +409,32 @@ def test_rsk_tally_at_n8_keys_and_mask_stats():
                 assert dep == depth(alpha)
 
 
+def _mask_stats_from_compositions(n):
+    """`mask_stats(n)` by the composition route: each composition of n, its descent set
+    as an IndexSet, and the maj and depth of that set."""
+    stats_of = [None] * (1 << n)
+    for alpha in compositions(n):
+        ds = comp_to_set(alpha).members
+        stats_of[sum(1 << d for d in ds)] = alpha, sum(ds), n * len(ds) - sum(ds)
+    return tuple(stats_of)
+
+
+def test_mask_stats_matches_the_composition_route():
+    for n in range(13):
+        stats = mask_stats(n)
+        assert stats == _mask_stats_from_compositions(n)
+        assert len(stats) == 1 << n
+        assert [mask for mask, stat in enumerate(stats) if stat is None] == list(
+            range(1, 1 << n, 2))
+    assert mask_stats(0) == (((), 0, 0),)
+
+
+@pytest.mark.parametrize("sweep", [all_permutations, perm_table, rsk_tally, mask_stats])
+def test_sweeps_refuse_a_negative_n(sweep):
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        sweep(-1)
+
+
 def test_perm_stats_rejects_non_permutations():
     for word in ((1, 1, 2), (0, 1), (2, 3), (1, 3)):
         with pytest.raises(ValueError):
@@ -431,6 +458,36 @@ def test_perm_table_past_n7_against_oracles(n):
     for k in range(2, n + 1):
         counts.append(counts[-1] + (k - 1) * counts[-2])
     assert involutions == counts[n]
+
+
+def _involutions(n):
+    """Every involution of S_n in one-line notation, each once: the least value not yet
+    matched is either fixed or swapped with a greater unmatched one."""
+    w = [0] * n
+
+    def match(i):
+        while i < n and w[i]:
+            i += 1
+        if i == n:
+            yield tuple(w)
+            return
+        for j in range(i, n):
+            if not w[j]:
+                w[i], w[j] = j + 1, i + 1
+                yield from match(i + 1)
+                w[i] = w[j] = 0
+
+    return match(0)
+
+
+def test_involution_ends_match_the_involution_words():
+    # the recurrence on w(n) against the words of each involution, past the sizes the
+    # tally is checked at
+    for n in range(12):
+        words = _involutions(n)
+        assert _involution_ends(n) == Counter(
+            (sum(1 << i for i in range(1, n) if w[i - 1] > w[i]), w[-1] if w else 0)
+            for w in words)
 
 
 def test_involutions_each_once_and_self_inverse():

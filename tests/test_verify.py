@@ -9,7 +9,7 @@ import pytest
 
 from skelpoly import MultiPoly, verify
 from skelpoly.cli import main
-from skelpoly.rsk import RskTally, mask_stats, rsk_tally
+from skelpoly.rsk import RskTally, left_descents, mask_stats, rsk_tally
 from skelpoly.verify import (
     CHECK_NAMES,
     CheckResult,
@@ -665,28 +665,72 @@ def test_charge_depth_catches_a_wrong_left_descent_mask(monkeypatch):
     # reference sweep hold no wrong charge: but the masks of Des(w^-1) no longer tally
     # as Des(w)
     module = sys.modules["skelpoly.rsk"]  # `skelpoly.rsk` is the function
-    halves = module._halves
+    lefts = module._lefts
 
-    def flipped(n):
-        m, prefixes, tail_table = halves(n)
+    def flipped(members, placed):
+        table = lefts(members, placed)
+        if members == [3, 4] and placed == 0b110:  # the tails of {3, 4} after {1, 2}
+            table[0] |= 1 << 3  # the pattern with no k after k+1: (3, 4)
+        return table
 
-        def table(rest):
-            tails = tail_table(rest)
-            if rest == 0b11000:
-                key, inv = tails[0]
-                tails[0] = key | 1 << 3, inv
-            return tails
-
-        return m, prefixes, table
-
-    monkeypatch.setattr(module, "_halves", flipped)
+    real = rsk_tally(4)  # kept before the patch, whichever test built it first
+    monkeypatch.setattr(module, "_lefts", flipped)
     tally = rsk_tally.__wrapped__(4)  # built afresh, past the cache
-    assert tally.pairs != rsk_tally(4).pairs
+    assert tally.pairs != real.pairs
     assert all(row.charge == depth(row.inverse_descent_composition) for _, row in perm_table(4))
     monkeypatch.setattr(verify, "rsk_tally", lambda n: tally)
     result = check_charge_depth(4)
     assert not result.passed
     assert result.witness == {"composition": [1, 2, 1], "as_des": 5, "as_des_inverse": 6}
+
+
+def _key(w):
+    """The `rsk_tally` key of w: its descent mask << n | its left-descent mask."""
+    n = len(w)
+    return sum(1 << i for i in range(1, n) if w[i - 1] > w[i]) << n | sum(
+        1 << i for i in left_descents(w))
+
+
+# (n, w whose count moves, w whose key it moves to) -> the witnesses of charge-depth,
+# mahonian, bifactorial and counting, pinned from the checks that read the tally as
+# tuples of `mask_stats` entries
+MOVED_COUNT_WITNESSES = {
+    (5, (2, 1, 3, 4, 5), (5, 4, 3, 1, 2)): (
+        {"composition": [1, 1, 1, 2], "as_des": 5, "as_des_inverse": 4},
+        {"statistic": "maj", "degree": 1, "count": 3, "expected": 4},
+        {"p": 4, "q": 4, "observed": 3, "expected": 4},
+        {"i": 2, "j": 2, "lhs": 21, "rhs": 20}),
+    (5, (2, 3, 4, 5, 1), (5, 1, 2, 3, 4)): (
+        {"composition": [1, 4], "as_des": 5, "as_des_inverse": 3},
+        {"statistic": "maj", "degree": 1, "count": 5, "expected": 4},
+        {"p": 1, "q": 4, "observed": 2, "expected": 1},
+        None),
+    (8, (2, 1, 3, 4, 5, 6, 7, 8), (8, 7, 6, 5, 4, 3, 1, 2)): (
+        {"composition": [1, 1, 1, 1, 1, 1, 2], "as_des": 8, "as_des_inverse": 7},
+        {"statistic": "maj", "degree": 1, "count": 6, "expected": 7},
+        {"p": 7, "q": 7, "observed": 61, "expected": 62},
+        {"i": 2, "j": 2, "lhs": 85, "rhs": 84}),
+    (8, (2, 3, 4, 5, 6, 7, 8, 1), (8, 1, 2, 3, 4, 5, 6, 7)): (
+        {"composition": [1, 7], "as_des": 8, "as_des_inverse": 6},
+        {"statistic": "maj", "degree": 1, "count": 8, "expected": 7},
+        {"p": 1, "q": 7, "observed": 2, "expected": 1},
+        None),
+}
+
+
+@pytest.mark.parametrize("case", MOVED_COUNT_WITNESSES)
+def test_a_moved_tally_count_keeps_the_witnesses(case, monkeypatch):
+    # one w of S_n counted under the key of another: the checks that read the tally by
+    # mask name the same witnesses as when they read it by composition
+    n, source, target = case
+    tally = rsk_tally(n)
+    pairs = Counter(tally.pairs)
+    pairs[_key(source)] -= 1
+    pairs[_key(target)] += 1
+    assert tally.pairs[_key(source)] and tally.pairs[_key(target)]
+    monkeypatch.setattr(verify, "rsk_tally", lambda m: tally._replace(pairs=+pairs))
+    checks = (check_charge_depth, check_mahonian, check_bifactorial, check_counting)
+    assert tuple(check(n).witness for check in checks) == MOVED_COUNT_WITNESSES[case]
 
 
 # Printed by the former row-sweeping check for the same change of w0 at each n.
