@@ -430,7 +430,7 @@ def _cmd_crystal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    names = args.checks or ["all"]
+    names = list(dict.fromkeys(args.checks or ["all"]))  # a check named twice runs once
     if args.report_support and not {"all", "skeleton-rs"} & set(names):
         raise SystemExit("error: --report-support applies only to skeleton-rs")
     if args.max_n is not None and args.max_n < 1:

@@ -66,14 +66,14 @@ def compositions(n: int) -> tuple[Composition, ...]:
 
 def partitions_within(total: int, length: int, largest: int) -> Iterator[Partition]:
     """The partitions of `total` with at most `length` parts, each at most `largest`,
-    in descending lexicographic order."""
+    in descending lexicographic order; each recursion takes a part with all its copies."""
     if total == 0:
         yield ()
         return
-    if length > 0:
-        for part in range(min(total, largest), 0, -1):
-            for rest in partitions_within(total - part, length - 1, part):
-                yield (part, *rest)
+    for part in range(min(total, largest), 0, -1):
+        for copies in range(min(total // part, length), 0, -1):
+            for rest in partitions_within(total - part * copies, length - copies, part - 1):
+                yield (part,) * copies + rest
 
 
 @cache

@@ -9,9 +9,10 @@ quasi-crystal; the common standardizations make up the crystal skeleton.
 
 The skeleton needs no graph: `crystal_skeleton` builds one class per SYT
 whose descent composition alpha has at most `bound` parts, with
-F_alpha(1^bound) members, and walks no other SYT.  `vertex_count` and
-`edge_count` count the graph by closed forms, so a caller can print or size
-a crystal without building it.
+F_alpha(1^bound) members, growing the SYT in a loop one run of alpha per
+pass, and walks no other SYT.  `vertex_count` and `edge_count` count the
+graph by closed forms, so a caller can print or size a crystal without
+building it.
 
 `build_crystal` builds each class of `crystal_skeleton` from its SYT S:
 its members are v o S for the weakly increasing v that rise at each descent
@@ -229,50 +230,46 @@ def crystal_skeleton(shape: Partition, bound: int) -> tuple[SkeletonClass, ...]:
     parts, with F_alpha(1^bound) = C(bound + n - len(alpha), n) members;
     sorted by the representative's row word, as `CrystalGraph.classes` are.
 
-    The SYT are built one run of alpha at a time.  A run is a horizontal strip
-    numbered left to right, which is bottom row first; the next run opens with
-    a descent exactly when its bottom row lies below the top row of the last
-    one.  So only the SYT with at most `bound` runs are walked, not all of
-    them, and neither the vertices nor the SYT table is built.
+    The SYT are grown in a loop, one run of alpha per pass.  A run is a
+    horizontal strip numbered left to right, which is bottom row first; the
+    next run opens with a descent exactly when its bottom row lies below the
+    top row of the last one.  So only the SYT with at most `bound` runs are
+    walked, and neither the vertices nor the SYT table is built.
     """
     _require_partition(shape)
     n = sum(shape)
-    rows: list[list[int]] = [[] for _ in shape]  # the SYT so far
-    runs: list[int] = []  # its descent composition so far
     found = []
-
-    def next_run(filled: int, last_top: int) -> None:
-        """Every way to finish the SYT, the last run having ended in row `last_top`."""
-        if filled == n:
-            rep = Tableau(tuple(map(tuple, rows)))
-            found.append(SkeletonClass(rep, tuple(runs), comb(bound + n - len(runs), n)))
-            return
-        if len(runs) == bound:  # the prune below leaves no cell here unless bound < len(shape)
-            return
-        ranges = []  # the cells the run may add to each row
-        for r, row in enumerate(rows):
-            # a horizontal strip stays under the row above as it was
-            end = min(shape[r], len(rows[r - 1]) if r else shape[0])
-            # a column with a cell left for each run left takes one in this run
-            low = r + bound - len(runs) - 1
-            need = max(min(shape[low] if low < len(shape) else 0, end) - len(row), 0)
-            ranges.append(range(need, end - len(row) + 1))
-        below = product(*ranges[last_top + 1 :])
-        if not any(added.start for added in ranges[last_top + 1 :]):
-            next(below)  # the run opens below `last_top`, so not with no cell there
-        for above, under in product(product(*ranges[: last_top + 1]), below):
-            counts = above + under
-            label = filled
-            for row, added in zip(reversed(rows), reversed(counts)):
-                row.extend(range(label + 1, label + added + 1))
-                label += added
-            runs.append(label - filled)
-            next_run(label, next(r for r, added in enumerate(counts) if added))
-            runs.pop()
-            for row, added in zip(rows, counts):
-                del row[len(row) - added :]
-
-    next_run(0, -1)
+    # each SYT so far as its rows, its descent composition and the top row of its last run
+    level: list[tuple[Rows, Composition, int]] = [(((),) * len(shape), (), -1)]
+    while level:
+        grown = []
+        for rows, runs, last_top in level:
+            filled = sum(runs)
+            if filled == n:
+                found.append(SkeletonClass(Tableau(rows), runs, comb(bound + n - len(runs), n)))
+                continue
+            if len(runs) == bound:  # the prune below leaves no cell here unless bound < len(shape)
+                continue
+            ranges = []  # the cells the run may add to each row
+            for r, row in enumerate(rows):
+                # a horizontal strip stays under the row above as it was
+                end = min(shape[r], len(rows[r - 1]) if r else shape[0])
+                # a column with a cell left for each run left takes one in this run
+                low = r + bound - len(runs) - 1
+                need = max(min(shape[low] if low < len(shape) else 0, end) - len(row), 0)
+                ranges.append(range(need, end - len(row) + 1))
+            below = product(*ranges[last_top + 1 :])
+            if not any(added.start for added in ranges[last_top + 1 :]):
+                next(below)  # the run opens below `last_top`, so not with no cell there
+            for above, under in product(product(*ranges[: last_top + 1]), below):
+                counts = above + under
+                label, bottom_up = filled, []
+                for row, added in zip(reversed(rows), reversed(counts)):
+                    bottom_up.append(row + tuple(range(label + 1, label + added + 1)))
+                    label += added
+                top = next(r for r, added in enumerate(counts) if added)
+                grown.append((tuple(reversed(bottom_up)), runs + (label - filled,), top))
+        level = grown
     found.sort(key=lambda qc: _word(qc.representative.rows))
     return tuple(found)
 

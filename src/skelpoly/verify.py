@@ -496,7 +496,7 @@ def run_checks(
     check's largest n, and otherwise queues the check's jobs; no job runs until
     every name has passed.  Each result's `elapsed` is the wall time of its job.
     """
-    selected = list(names)
+    selected = list(dict.fromkeys(names))  # a check named twice runs once
     if "all" in selected or not selected:
         selected = list(CHECK_NAMES)
     queued: list[tuple[Callable[..., CheckResult], Iterable[tuple]]] = []

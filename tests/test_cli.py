@@ -353,6 +353,43 @@ def test_syt_walk_longer_than_the_recursion_limit_is_refused():
         assert line.endswith(" cells that the recursion limit of 150 leaves")
 
 
+def test_a_column_taller_than_the_recursion_limit():
+    # the skeleton, the SSYT fill and the partition lists grow in loops: in a child
+    # whose recursion limit is 150, a column of 200 cells has one vertex, no edge and
+    # one SSYT
+    src = os.path.dirname(os.path.dirname(skelpoly.__file__))
+    statement = (
+        "import io, json, sys; sys.setrecursionlimit(150)\n"
+        "from contextlib import redirect_stdout\n"
+        "from skelpoly.cli import main\n"
+        "from skelpoly.compositions import partitions_within\n"
+        "from skelpoly.crystal import edge_count\n"
+        "column = ','.join(['1'] * 200)\n"
+        "def run(*argv):\n"
+        "    with redirect_stdout(io.StringIO()) as out:\n"
+        "        main(list(argv))\n"
+        "    return out.getvalue()\n"
+        "print(run('crystal', column, '200').splitlines()[0].split(': ')[1])\n"
+        "print(run('crystal', column, '200', '--dot').count(' [label='))\n"
+        "print(len(json.loads(run('crystal', column, '200', '--format', 'json'))['vertices']))\n"
+        "print(run('tableaux', column, '--ssyt', '200').splitlines()[-1])\n"
+        "print(run('tableaux', column, '--weight', column).splitlines()[-1])\n"
+        "print(list(partitions_within(400, 400, 1)) == [(1,) * 400])\n"
+        "print(edge_count((1,) * 200, 200))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", statement],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.splitlines() == [
+        "1 vertices, 0 edges, 1 quasi-crystals", "1", "1", "total: 1", "total: 1", "True", "0"
+    ]
+
+
 def test_tableaux_weight_refuses_runaway_listing(capsys, monkeypatch):
     def must_not_list(shape, weight_vec):
         raise AssertionError("SSYT listed for a refused weight")
@@ -989,6 +1026,15 @@ def test_verify_max_n_with_a_bounded_check_beside_s6_inversions(capsys):
     code, out = run_cli(capsys, "verify", "s6-inversions", "bks", "--max-n", "2")
     assert code == 0
     assert out.strip().splitlines()[-1] == "4/4 checks passed"
+
+
+def test_verify_runs_a_check_named_twice_once(capsys):
+    code, out = run_cli(capsys, "verify", "mahonian", "mahonian", "--max-n", "2")
+    assert code == 0
+    assert out == "PASS mahonian [n=1]\nPASS mahonian [n=2]\n2/2 checks passed\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "s6-inversions", "s6-inversions", "--max-n", "2"])
+    assert exc.value.code == "error: --max-n bounds none of: s6-inversions"
 
 
 def test_verify_env_bound(capsys, monkeypatch):

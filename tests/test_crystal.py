@@ -296,6 +296,18 @@ def test_built_crystal_of_a_row_longer_than_the_recursion_limit():
     assert done.stdout == f"{vertex_count((200,), 2)} {edge_count((200,), 2)}\n" == "201 200\n"
 
 
+def test_skeleton_of_a_column_taller_than_the_recursion_limit():
+    # the skeleton grows one run per pass and the partitions `edge_count` lists take a
+    # level per distinct part, so a column of 1,200 cells recurses nowhere;
+    # `edge_count` itself, whose Kostka numbers take seconds on 1,200 rows, is run on
+    # a shorter column under a low recursion limit in tests/test_cli.py
+    column = (1,) * 1200
+    (qc,) = crystal_skeleton(column, 1200)
+    assert qc.descent == column and qc.size == 1
+    assert qc.representative.rows == tuple((i,) for i in range(1, 1201))
+    assert list(crystal.partitions_within(1200, 1200, 1)) == [column]
+
+
 @pytest.mark.parametrize("lam", [lam for n in range(9) for lam in partitions(n)])
 def test_skeleton_and_edge_count_match_the_built_crystal(lam):
     # every bound from the number of rows to 8: the closed forms against the

@@ -273,6 +273,14 @@ def test_run_checks_job_list_is_pinned():
     assert [(r.name, r.params) for r in results] == expected
 
 
+def test_run_checks_runs_a_check_named_twice_once():
+    # in the order each name is first given
+    twice = run_checks(["bks", "mahonian", "bks", "mahonian"], max_n=2)
+    once = run_checks(["bks", "mahonian"], max_n=2)
+    assert [(r.name, r.params) for r in twice] == [(r.name, r.params) for r in once]
+    assert len(once) == 5
+
+
 def test_sweep_flags_match_the_checks_that_sweep(monkeypatch):
     sizes = {name: [] for name in CHECK_NAMES}
     current = []
