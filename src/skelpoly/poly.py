@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat
 from typing import Iterable, NamedTuple
 
 from .compositions import (
@@ -411,10 +411,16 @@ def qsym_fundamental(alpha: Composition, num_vars: int) -> MultiPoly:
 
 @cache
 def fake_degree(shape: Partition) -> UniPoly:
-    """Major-index generating function over the SYT of `shape`."""
+    """Major-index generating function over the SYT of `shape`.
+
+    Read off their descent tally: maj is the sum of the proper prefix sums of alpha.
+    """
     if not shape:
         raise ValueError("empty partition")
-    return UniPoly.from_terms(Counter(row.maj for row in yamanouchi_table(shape)))
+    majs: Counter[int] = Counter()
+    for alpha, count in Counter(row.descent_composition for row in yamanouchi_table(shape)).items():
+        majs[sum(accumulate(alpha[:-1]))] += count
+    return UniPoly.from_terms(majs)
 
 
 def q_factorial(n: int) -> UniPoly:

@@ -6,19 +6,20 @@ once.  The *minimal parsing* cuts the cells of an SSYT, traversed by value
 (ties by column), into maximal runs in which each cell sits strictly
 northeast of the previous one; the run sizes form the descent composition.
 
-The SYT of a shape are enumerated once, by `yamanouchi_table`: a depth-first
-walk of the Young lattice over their Yamanouchi words (the row of each of
-1..n), which carries the descent composition and maj along the prefix.  The
-SYT, their destandardizations (the quasi-Yamanouchi tableaux), the descent
-filter and every count by descent or maj are read from that table, with no
-tableau parsed.  SSYT are filled in a loop, row by row (`_fill`).  The minimal
+The SYT of a shape are listed by `yamanouchi_table`, a depth-first loop over
+the Young lattice by their Yamanouchi words (the row of each of 1..n) that
+carries the descent composition along the prefix.  The SYT, their
+destandardizations (the quasi-Yamanouchi tableaux), the descent filter and
+every count by descent or by maj (the sum of the proper prefix sums of the
+descent composition) are read from that table, with no tableau parsed.
+`crystal.crystal_skeleton` walks the SYT once more, pruned by its bound.
+SSYT are filled in a loop, row by row (`_fill`).  The minimal
 parsing, `standardize`, `descent_set` and `tableau_stats` work on one
 tableau at a time and are the reference the table is tested against.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import cache
 from itertools import accumulate, chain, repeat
 from math import factorial
@@ -173,8 +174,12 @@ class TableauStats(NamedTuple):
 
 def tableau_stats(t: Tableau) -> TableauStats:
     des = descent_composition(t)  # checks that t is semistandard
+    return _stats(weight(t), des)
+
+
+def _stats(w: Composition, des: Composition) -> TableauStats:
+    """The statistics of a tableau of weight `w` and descent composition `des`."""
     dset = tuple(accumulate(des[:-1]))
-    w = weight(t)
     return TableauStats(
         weight=w,
         descent_composition=des,
@@ -260,24 +265,15 @@ def standard_count(shape: Partition) -> int:
 
 
 class YamanouchiRow(NamedTuple):
-    """One SYT of a shape: its Yamanouchi word and the statistics read along it."""
+    """One SYT of a shape: its Yamanouchi word and the descent composition read along it."""
 
     word: tuple[int, ...]  # word[i - 1] is the row (counted from 0) that holds i
     descent_composition: Composition
-    maj: int
 
     def stats(self, quasi_yamanouchi: bool = False) -> TableauStats:
         """`tableau_stats` of this SYT, or with `quasi_yamanouchi` of its destandardization."""
         des = self.descent_composition
-        w = des if quasi_yamanouchi else (1,) * len(self.word)
-        return TableauStats(
-            weight=w,
-            descent_composition=des,
-            descent_set=tuple(accumulate(des[:-1])),
-            maj=self.maj,
-            depth=composition_depth(des),
-            is_quasi_yamanouchi=w == des,
-        )
+        return _stats(des if quasi_yamanouchi else (1,) * len(self.word), des)
 
 
 @cache
@@ -286,55 +282,51 @@ def yamanouchi_table(shape: Partition) -> tuple[YamanouchiRow, ...]:
 
     Step i adds a cell to a row r that is shorter than both shape[r] and row
     r-1.  i-1 is a descent exactly when r_i > r_(i-1) (i sits in a lower row),
-    so the walk carries maj and the runs between descents along the prefix:
-    the run lengths are the descent composition, the descent set is their
-    proper prefix sums, and the number of runs so far is the label of step i
-    in the quasi-Yamanouchi tableau.  Rows come in walk order (words in
-    lexicographic order).  The walk recurses once per cell, so a shape with more
-    cells than the recursion limit leaves it, past the frames in use, is refused.
-    It stays a recursion, as the hot loop of `skeleton` and `tableaux --qy`:
-    grown level by level, the words came 1.1 to 2.3 times slower on shapes of
-    10 and 11 cells (1.32 ms against 0.88 ms for (5, 3, 2), CPython 3.11).
+    so the walk carries the runs between descents along the prefix: the run
+    lengths are the descent composition, the descent set is their proper
+    prefix sums, and the number of runs so far is the label of step i in the
+    quasi-Yamanouchi tableau.  The walk is a depth-first loop over the step i
+    and the next row r to try at it: rows are tried in increasing order, so
+    rows come in walk order (words in lexicographic order), and a shape of
+    any size is walked without recursion.
     """
     _require_partition(shape)
     n = sum(shape)
-    frame, in_use = sys._getframe(), 0
-    while frame:
-        frame, in_use = frame.f_back, in_use + 1
-    # the walk takes n + 1 frames and a few more to build each row; every frame in
-    # use may count twice, once more for the C call that entered it
-    if n > (room := sys.getrecursionlimit() - 2 * in_use - 5):
-        raise ValueError(f"shape of {n} cells is above the limit of {room} cells"
-                         f" that the recursion limit of {sys.getrecursionlimit()} leaves")
-    lengths = [0] * len(shape)
+    height = len(shape)
+    lengths = [0] * height
     word = [0] * n
     runs: list[int] = []
     interned: dict[Composition, Composition] = {}
     table: list[YamanouchiRow] = []
-
-    def walk(i: int, prev: int, maj: int) -> None:
-        if i == n:
+    i = r = 0  # the step, and the first row to try at it
+    prev = -1  # the row of step i - 1
+    while True:
+        if i == n:  # every row is full, so no row takes a cell and the walk backs up
             des = tuple(runs)
-            table.append(YamanouchiRow(tuple(word), interned.setdefault(des, des), maj))
-            return
-        above = n  # no row above the first
-        for r, length in enumerate(lengths):
-            if length < shape[r] and length < above:
-                lengths[r] += 1
-                word[i] = r
-                if r > prev:  # i is a descent (i + 1 sits lower), or i = 0 opens the first run
-                    runs.append(1)
-                    walk(i + 1, r, maj + i)
-                    runs.pop()
-                else:
-                    runs[-1] += 1
-                    walk(i + 1, r, maj)
-                    runs[-1] -= 1
-                lengths[r] -= 1
-            above = length
-
-    walk(0, -1, 0)
-    return tuple(table)
+            table.append(YamanouchiRow(tuple(word), interned.setdefault(des, des)))
+        # a row that is as long as shape[r] or as the row above cannot take the cell
+        while r < height and (lengths[r] == shape[r] or r and lengths[r] == lengths[r - 1]):
+            r += 1
+        if r < height:
+            lengths[r] += 1
+            if r > prev:  # i is a descent (i + 1 sits lower), or i = 0 opens the first run
+                runs.append(1)
+            else:
+                runs[-1] += 1
+            word[i] = prev = r
+            i, r = i + 1, 0
+            continue
+        if not i:
+            return tuple(table)
+        # no row takes the cell: undo step i - 1 and try the rows after its own
+        i -= 1
+        r = word[i]
+        prev = word[i - 1] if i else -1
+        lengths[r] -= 1
+        runs[-1] -= 1
+        if not runs[-1]:
+            runs.pop()
+        r += 1
 
 
 def tableaux_from_table(
@@ -397,11 +389,12 @@ def kostka(shape: Partition, weight_vec: Composition) -> int:
     for part in weight_vec:
         grown: dict[tuple[int, ...], int] = {}
         for inner, count in counts.items():
-            outers = [((), part)]  # the rows grown so far, and the cells left to add
+            outers = [(inner, part)]  # the shape grown so far, and the cells left to add
             # row r grows at most to shape[r] and, to stay a strip, to inner[r - 1]
-            for row, cap in zip(inner, map(min, shape, shape[:1] + inner)):
-                outers = [(outer + (row + added,), left - added)
-                          for outer, left in outers for added in range(min(left, cap - row) + 1)]
+            for r, cap in enumerate(map(min, shape, shape[:1] + inner)):
+                if (most := cap - inner[r]) > 0:  # only a row with room grows and copies the shape
+                    outers = [(outer[:r] + (outer[r] + k,) + outer[r + 1 :], left - k)
+                              for outer, left in outers for k in range(min(left, most) + 1)]
             for outer in (outer for outer, left in outers if left == 0):
                 grown[outer] = grown.get(outer, 0) + count
         counts = grown

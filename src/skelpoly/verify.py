@@ -460,8 +460,8 @@ MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 # m = 1..n, `graded` at each m ungraded then graded, `per_shape` at each partition of
 # each m, `single` once with no argument and no bound.  The checks whose largest n is
 # `_SWEEP_MAX_N` read S_m for each m up to their bound.  At the other limits, and one
-# above, `verify hook-sum` takes 1.6 s at 72 MB and 2.7 s at 126 MB, `bks` 1.3 s at 63 MB
-# and 3.2 s at 204 MB, `schur-family` 3.3 s at 76 MB and 15 s at 241 MB, and
+# above, `verify hook-sum` takes 1.6 s at 72 MB and 2.7 s at 126 MB, `bks` 1.1 s at 60 MB
+# and 3.3 s at 189 MB, `schur-family` 3.3 s at 76 MB and 15 s at 241 MB, and
 # `linear-independence` 1.0-1.3 s at 75 MB and 4.2-4.4 s at 240 MB, most of it in
 # building the skeleton polynomials its minor reads (CPython 3.11, 2 cores).
 # `all` runs the checks in this order.

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from math import comb
+from time import process_time
 
 import pytest
 
@@ -298,14 +299,17 @@ def test_built_crystal_of_a_row_longer_than_the_recursion_limit():
 
 def test_skeleton_of_a_column_taller_than_the_recursion_limit():
     # the skeleton grows one run per pass and the partitions `edge_count` lists take a
-    # level per distinct part, so a column of 1,200 cells recurses nowhere;
-    # `edge_count` itself, whose Kostka numbers take seconds on 1,200 rows, is run on
-    # a shorter column under a low recursion limit in tests/test_cli.py
+    # level per distinct part, so a column of 1,200 cells recurses nowhere; its Kostka
+    # number grows only the one row with room at each value, so it is not cubic in
+    # the rows
     column = (1,) * 1200
     (qc,) = crystal_skeleton(column, 1200)
     assert qc.descent == column and qc.size == 1
     assert qc.representative.rows == tuple((i,) for i in range(1, 1201))
     assert list(crystal.partitions_within(1200, 1200, 1)) == [column]
+    start = process_time()
+    assert edge_count(column, 1200) == 0
+    assert process_time() - start < 3
 
 
 @pytest.mark.parametrize("lam", [lam for n in range(9) for lam in partitions(n)])

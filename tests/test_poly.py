@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import comb, factorial
 
@@ -317,16 +318,18 @@ def test_fake_degrees_for_four():
 
 
 def test_fake_degree_via_depth():
-    # maj over SYT and depth over SYT give the same polynomial
+    # the fold of the descent tally against maj and depth over the listed SYT, each
+    # read by parsing the tableau: maj and depth give the same polynomial
     from skelpoly import tableau_stats
 
-    for n in range(1, 7):
+    for n in range(1, 9):
         for lam in partitions(n):
-            by_depth = {}
+            by_maj, by_depth = Counter(), Counter()
             for t, _ in tableaux_from_table(lam):
-                d = tableau_stats(t).depth
-                by_depth[d] = by_depth.get(d, 0) + 1
-            assert fake_degree(lam) == UniPoly.from_terms(by_depth)
+                stats = tableau_stats(t)
+                by_maj[stats.maj] += 1
+                by_depth[stats.depth] += 1
+            assert fake_degree(lam) == UniPoly.from_terms(by_maj) == UniPoly.from_terms(by_depth)
 
 
 def test_fake_degree_endpoints():

@@ -425,7 +425,7 @@ def test_yamanouchi_table_against_per_tableau_routes():
         for t in fill:
             row = by_rows[t]
             assert row.descent_composition == descent_composition(t)
-            assert row.maj == sum(descent_set(t))
+            assert row.stats().maj == sum(descent_set(t))
             assert row.stats() == tableau_stats(t)
             assert row.stats(quasi_yamanouchi=True) == tableau_stats(destandardize(t))
             checked += 1
@@ -441,11 +441,15 @@ def test_yamanouchi_table_against_per_tableau_routes():
 
 
 def test_yamanouchi_table_edge_shapes():
-    assert yamanouchi_table(()) == (YamanouchiRow((), (), 0),)
+    assert yamanouchi_table(()) == (YamanouchiRow((), ()),)
     assert tuple(syt(())) == quasi_yamanouchi_tableaux(()) == (Tableau(()),)
-    assert yamanouchi_table((4,)) == (YamanouchiRow((0, 0, 0, 0), (4,), 0),)
-    assert yamanouchi_table((1, 1, 1)) == (YamanouchiRow((0, 1, 2), (1, 1, 1), 3),)
+    assert yamanouchi_table((4,)) == (YamanouchiRow((0, 0, 0, 0), (4,)),)
+    assert yamanouchi_table((1, 1, 1)) == (YamanouchiRow((0, 1, 2), (1, 1, 1)),)
     assert quasi_yamanouchi_tableaux((1, 1, 1)) == (Tableau.of([[1], [2], [3]]),)
+    # the walk is a loop, so a row and a column longer than the recursion limit are walked
+    assert yamanouchi_table((1200,)) == (YamanouchiRow((0,) * 1200, (1200,)),)
+    column = (1,) * 1200
+    assert yamanouchi_table(column) == (YamanouchiRow(tuple(range(1200)), column),)
     with pytest.raises(ValueError, match="not a partition"):
         yamanouchi_table((1, 2))
 
