@@ -91,11 +91,14 @@ def _require_partition(shape: Composition) -> Composition:
         hint = f" (each digit of {digits} is a part; write {digits}, for one part)"
         hint = hint if len(digits) == len(shape) > 1 else ""
         raise SystemExit(f"error: not a partition: {','.join(map(str, shape))}{hint}")
+    _refuse_over(sum(shape), f"shape {format_comp(shape)}", "cells", sys.maxsize)
     return shape
 
 
 def _refuse_over(count: int, subject: str, noun: str, limit: int = MAX_TABLEAUX) -> None:
     if count > limit:
+        if (digits := sys.get_int_max_str_digits()) and count.bit_length() > 3 * digits:
+            count = f"more than 10^{(count.bit_length() - 1) * 3010 // 10000}"  # 0.3010 < log10 2
         raise SystemExit(f"error: {subject} has {count} {noun}, above the limit of {limit}")
 
 

@@ -13,9 +13,10 @@ destandardizations (the quasi-Yamanouchi tableaux), the descent filter and
 every count by descent or by maj (the sum of the proper prefix sums of the
 descent composition) are read from that table, with no tableau parsed.
 `crystal.crystal_skeleton` walks the SYT once more, pruned by its bound.
-SSYT are filled in a loop, row by row (`_fill`).  The minimal
-parsing, `standardize`, `descent_set` and `tableau_stats` work on one
-tableau at a time and are the reference the table is tested against.
+SSYT with bounded entries are filled row by row (`_fill`); those of a weight,
+and their count `kostka`, grow by one horizontal strip per value (`_strips`).
+The minimal parsing, `standardize`, `descent_set` and `tableau_stats` work on
+one tableau at a time and are the reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate, chain, repeat
 from math import factorial
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .compositions import (
@@ -190,73 +192,41 @@ def _stats(w: Composition, des: Composition) -> TableauStats:
     )
 
 
-def _fill(shape: Partition, max_entry: int, counts: tuple[int, ...] | None) -> list[Rows]:
+def _fill(shape: Partition, max_entry: int) -> list[Rows]:
     """The rows of every SSYT of `shape` with entries at most `max_entry`, in lexicographic order.
 
     Row by row, top down: each row is a weakly increasing word whose entries
     sit strictly below those of the row above and leave room for the rows
-    under it, so every partial filling completes.  A row grows one column per
-    pass, each prefix extended in order by every value its cell admits, so
-    rows come out in lexicographic order with no recursion per cell.  With
-    `counts`, a value v fills at most counts[v - 1] cells, and is tried in a
-    row only while the values from v up have cells enough left for the rest
-    of that row.  The rows that fit under a row are found once per row above
-    and counts left.  Every partial filling of the first k rows is extended
-    before any of k + 1, in order, so the shape may have any number of rows.
+    under it, so every partial filling completes.  The rows under a row are
+    found once, a column per pass over their prefixes; all fillings of k rows
+    are extended, in order, before any of k + 1, so nothing recurses.
     """
     # caps[k][c]: the largest entry of cell (k, c), one less per cell under it
     caps = [
         [max_entry - sum(lower > c for lower in shape[k + 1 :]) for c in range(length)]
         for k, length in enumerate(shape)
     ]
-    under: dict[tuple, list[tuple[int, ...]]] = {}
-
-    def rows_under(
-        k: int, above: tuple[int, ...], left: tuple[int, ...] | None
-    ) -> list[tuple[int, ...]]:
-        """The rows k under `above`, each pass extending every prefix by one column."""
-        rows: list[tuple[int, ...]] = [()]
-        for c, cap in enumerate(caps[k]):
-            rows = [
-                row + (value,)
-                for row in rows
-                for value in range(max(row[-1] if row else 1, above[c] + 1), cap + 1)
-                if left is None or (
-                    (used := row.count(value)) < left[value - 1]
-                    and sum(left[value - 1 :]) - used >= shape[k] - c
-                )
-            ]
-        return rows
-
-    level: list[tuple[Rows, tuple[int, ...] | None]] = [((), counts)]  # rows so far, counts left
+    under: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
+    level: list[Rows] = [()]
     for k in range(len(shape)):
         grown = []
-        for rows, left in level:
+        for rows in level:
             above = rows[-1] if rows else (0,) * shape[0]
-            fits = under.get((k, above, left))
-            if fits is None:
-                fits = under[k, above, left] = rows_under(k, above, left)
-            for row in fits:
-                rest = left and tuple(n - row.count(v) for v, n in enumerate(left, start=1))
-                grown.append((rows + (row,), rest))
+            if (fits := under.get((k, above))) is None:  # the rows k under `above`
+                fits = [()]
+                for c, cap in enumerate(caps[k]):
+                    fits = [row + (value,) for row in fits
+                            for value in range(max(row[-1] if row else 1, above[c] + 1), cap + 1)]
+                under[k, above] = fits
+            grown.extend(rows + (row,) for row in fits)
         level = grown
-    return [rows for rows, _ in level]
+    return level
 
 
 def semistandard_tableaux(shape: Partition, max_entry: int) -> list[Tableau]:
     """All SSYT of `shape` with entries at most `max_entry`, in row-reading lex order."""
     _require_partition(shape)
-    return list(map(Tableau, _fill(shape, max_entry, None)))
-
-
-def semistandard_with_weight(shape: Partition, weight_vec: Composition) -> list[Tableau]:
-    """All SSYT of `shape` whose value multiplicities equal `weight_vec`."""
-    _require_partition(shape)
-    if any(part < 0 for part in weight_vec):
-        raise ValueError(f"weight parts must be nonnegative: {tuple(weight_vec)}")
-    if sum(weight_vec) != sum(shape):
-        return []
-    return list(map(Tableau, _fill(shape, len(weight_vec), tuple(weight_vec))))
+    return list(map(Tableau, _fill(shape, max_entry)))
 
 
 def standard_count(shape: Partition) -> int:
@@ -374,13 +344,28 @@ def standard_with_descent(shape: Partition, alpha: Composition) -> list[Tableau]
     return [t for t, _ in tableaux_from_table(shape, descent=alpha)]
 
 
+def _strips(shape: Partition, inner: tuple[int, ...], part: int) -> list[tuple[int, ...]]:
+    """The shapes inside `shape` grown from `inner` by a horizontal strip of `part` cells.
+
+    Row r grows at most to shape[r] and, to stay a strip, to inner[r - 1].  Each
+    row, top down, takes at least the cells that the rows under it cannot hold.
+    """
+    rooms = [cap - start for cap, start in zip(map(min, shape, shape[:1] + inner), inner)]
+    outers = [(inner, part)]  # the shape grown so far, and the cells left to add
+    for r, room in enumerate(rooms):
+        if room:  # only a row with room grows and copies the shape
+            under = sum(rooms[r + 1 :])  # the cells that the rows under r can take
+            outers = [(o[:r] + (o[r] + k,) + o[r + 1 :], left - k) for o, left in outers
+                      for k in range(max(left - under, 0), min(left, room) + 1)]
+    return [outer for outer, left in outers if not left]  # none left unless `part` cannot fit
+
+
 @cache
 def kostka(shape: Partition, weight_vec: Composition) -> int:
     """Number of SSYT of `shape` with the given weight, counted by horizontal strips.
 
-    The cells holding 1..v form a shape inside `shape`, grown from the one for
-    1..v-1 by a horizontal strip of weight_vec[v - 1] cells: the count of each
-    such shape is carried, one value at a time, to the shapes grown from it.
+    The cells of 1..v form a shape grown from that of 1..v-1 by a strip of
+    weight_vec[v - 1] cells (`_strips`); each count passes to the shapes grown from it.
     """
     _require_partition(shape)
     if any(part < 0 for part in weight_vec):
@@ -389,13 +374,25 @@ def kostka(shape: Partition, weight_vec: Composition) -> int:
     for part in weight_vec:
         grown: dict[tuple[int, ...], int] = {}
         for inner, count in counts.items():
-            outers = [(inner, part)]  # the shape grown so far, and the cells left to add
-            # row r grows at most to shape[r] and, to stay a strip, to inner[r - 1]
-            for r, cap in enumerate(map(min, shape, shape[:1] + inner)):
-                if (most := cap - inner[r]) > 0:  # only a row with room grows and copies the shape
-                    outers = [(outer[:r] + (outer[r] + k,) + outer[r + 1 :], left - k)
-                              for outer, left in outers for k in range(min(left, most) + 1)]
-            for outer in (outer for outer, left in outers if left == 0):
+            for outer in _strips(shape, inner, part):
                 grown[outer] = grown.get(outer, 0) + count
         counts = grown
     return counts.get(tuple(shape), 0)
+
+
+def semistandard_with_weight(shape: Partition, weight_vec: Composition) -> list[Tableau]:
+    """All SSYT of `shape` whose value multiplicities equal `weight_vec`, in row-reading lex order.
+
+    `kostka`'s walk, carrying each inner shape's partial tableaux: v fills the strip of step v.
+    """
+    if not kostka(shape, weight_vec):  # checks the shape and the weight
+        return []
+    level = {(0,) * len(shape): [((),) * len(shape)]}
+    for value, part in enumerate(weight_vec, start=1):
+        grown: dict[tuple[int, ...], list[Rows]] = {}
+        for inner, partials in level.items():
+            for outer in _strips(shape, inner, part):
+                cells = tuple((value,) * (o - i) for o, i in zip(outer, inner))
+                grown.setdefault(outer, []).extend(tuple(map(add, t, cells)) for t in partials)
+        level = grown
+    return list(map(Tableau, sorted(level[tuple(shape)])))

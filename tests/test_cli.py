@@ -462,6 +462,65 @@ def test_runaway_enumeration_refused_before_any_work(argv, message, monkeypatch)
     assert exc.value.code == f"error: {message}, above the limit of {cli.MAX_TABLEAUX}"
 
 
+_HUGE = "99999999999999999999,"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["skeleton", _HUGE],
+        ["tableaux", _HUGE, "--syt"],
+        ["tableaux", _HUGE, "--ssyt", "1"],
+        ["crystal", _HUGE, "1"],
+    ],
+)
+def test_a_shape_of_more_cells_than_sys_maxsize_is_refused(argv):
+    # factorial refuses more than sys.maxsize, and no tuple holds as many cells: the
+    # shape is refused before any count, in a child whose CPU time is read back
+    src = os.path.dirname(os.path.dirname(skelpoly.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, time\n"
+         "from skelpoly.cli import main\n"
+         "try:\n"
+         "    main(sys.argv[1:])\n"
+         "finally:\n"
+         "    print(time.process_time())\n", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1
+    assert done.stderr == (
+        f"error: shape {_HUGE} has {_HUGE[:-1]} cells, above the limit of {sys.maxsize}\n"
+    )
+    assert float(done.stdout) < 1
+
+
+@pytest.mark.parametrize(
+    "argv, subject, count",
+    [
+        (["skeleton", "--table", "3000"], "skeleton --table 3000", cli._table_count(3000)),
+        (["tableaux", "3", "--ssyt", "9" * 3300], f"tableaux 3 --ssyt {'9' * 3300}",
+         (10**3300 - 1) * 10**3300 * (10**3300 + 1) // 6),
+        (["skeleton", ",".join(["70"] * 70), "--eval-ones"], "shape " + ",".join(["70"] * 70),
+         _hook_count((70,) * 70)),
+    ],
+    ids=["table", "ssyt", "eval-ones"],
+)
+def test_a_count_too_long_for_str_is_refused_by_its_size(argv, subject, count):
+    # str() refuses an int of more than sys.get_int_max_str_digits() digits (4,300
+    # by default), so the refusal writes a power of ten just below the count
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert message.startswith(f"error: {subject} has more than 10^")
+    power, rest = message.removeprefix(f"error: {subject} has more than 10^").split(" ", 1)
+    assert 10 ** int(power) < count < 10 ** (int(power) + 2)
+    assert rest == f"{'SSYT' if '--ssyt' in argv else 'SYT'}, above the limit of {cli.MAX_TABLEAUX}"
+
+
 def test_enumeration_limits_match_hook_lengths():
     assert _hook_count((7, 6, 5, 4, 3)) == 87027466240
     table = sum(_hook_count(shape) for n in range(16) for shape in partitions(n))
@@ -731,14 +790,15 @@ _BENCHMARK_OUTPUT = json.loads(
 _EXPECTED = _BENCHMARK_OUTPUT["digests"]
 
 
-@pytest.mark.parametrize(
-    "key",
-    [
-        f"crystal {pair}{flags}"
-        for pair in ("5,3 6", "5,1 8", "3,2,1,1 8", "4,2,2 7")
-        for flags in ("", " --dot", " --format json", " --inner")
-    ],
-)
+_CRYSTAL_OPS = [
+    f"crystal {pair}{flags}"
+    for pair in ("5,3 6", "5,1 8", "3,2,1,1 8", "4,2,2 7")
+    for flags in ("", " --dot", " --format json", " --inner")
+]
+_S8_CHECKS = ["mahonian", "charge-depth", "bifactorial"]
+
+
+@pytest.mark.parametrize("key", _CRYSTAL_OPS)
 def test_crystal_exports_match_the_benchmark_digests(capsys, key):
     assert main(key.split()) == 0
     out = capsys.readouterr().out
@@ -761,12 +821,24 @@ def test_verify_in_a_shuffled_check_order_prints_the_benchmark_blocks(capsys, se
     assert list(lines) == ["189/189 checks passed\n"]
 
 
-@pytest.mark.parametrize("check", ["mahonian", "charge-depth", "bifactorial"])
+@pytest.mark.parametrize("check", _S8_CHECKS)
 def test_s8_sweeps_match_the_benchmark_digests(capsys, check):
     # the benchmark's `perms` ops: each S_n read from its tally, up to S_8
     key = f"verify {check} --max-n 8"
     assert main(key.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _EXPECTED[key]
+
+
+_PINNED_ABOVE = {*_CRYSTAL_OPS, *(f"verify {check} --max-n 8" for check in _S8_CHECKS)}
+
+
+@pytest.mark.parametrize("key", [key for key in _EXPECTED if key not in _PINNED_ABOVE])
+def test_every_other_benchmark_op_matches_its_digest(capsys, key):
+    # the benchmark's `shapes` ops, and any op added to its digests later: with the
+    # two tests above, every digest in perfbench/expected.json is pinned
+    assert main(key.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXPECTED[key]
 
 
 BAD_SHAPE_ERRORS = {

@@ -1,6 +1,6 @@
 import pickle
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 from time import process_time
 
 import pytest
@@ -338,8 +338,9 @@ def test_semistandard_fill_of_a_tall_rectangle_is_quick():
 
 
 def test_weighted_fill_of_a_long_row_is_quick():
-    # a value is tried only while the values from it up can fill the rest of the
-    # row, so 21 distinct values make no dead-end prefixes: 20 tableaux, not 2^20
+    # each value adds one cell to a shape (v - 1, 0) or (v - 2, 1), so after v values
+    # there are at most v partial tableaux: 21 distinct values list 20 tableaux with
+    # no search over 2^20 prefixes
     start = process_time()
     listing = semistandard_with_weight((20, 1), (1,) * 21)
     assert process_time() - start < 1
@@ -347,15 +348,36 @@ def test_weighted_fill_of_a_long_row_is_quick():
     assert all(t.is_semistandard() and t.rows[1] != (1,) for t in listing)
 
 
+def test_one_long_row_is_counted_and_listed_in_one_strip():
+    # a strip of one row is built at the one size that fills it, whatever its length
+    start = process_time()
+    assert kostka((10**18,), (10**18,)) == 1
+    assert process_time() - start < 1
+    start = process_time()
+    (only,) = semistandard_with_weight((200_000,), (200_000,))
+    assert process_time() - start < 1
+    assert only.rows == ((1,) * 200_000,)
+
+
 def test_kostka_counts_match_the_listing():
-    # the strip count against the SSYT fill, for every composition of n <= 7 and
-    # every weight made from one by putting a zero before, between or after its parts
+    # Gessel: K(lam, w) counts the SYT of lam whose descent set lies in the partial
+    # sums of w, read off the descent compositions of the Yamanouchi table; the
+    # listing grows the same strips as the count, so it is checked against both.
+    # Every composition of n <= 7, and every weight made from one by putting a zero
+    # before, between or after its parts.
     for n in range(8):
+        descent_sets = {
+            lam: Counter(frozenset(accumulate(row.descent_composition[:-1]))
+                         for row in yamanouchi_table(lam))
+            for lam in partitions(n)
+        }
         for alpha in compositions(n):
             weights = [alpha] + [alpha[:i] + (0,) + alpha[i:] for i in range(len(alpha) + 1)]
-            for lam in partitions(n):
+            for lam, tally in descent_sets.items():
                 for w in weights:
-                    assert kostka(lam, w) == len(semistandard_with_weight(lam, w))
+                    cuts = set(accumulate(w))
+                    gessel = sum(count for des, count in tally.items() if des <= cuts)
+                    assert kostka(lam, w) == gessel == len(semistandard_with_weight(lam, w))
 
 
 def test_kostka_of_a_weight_with_many_parts():
