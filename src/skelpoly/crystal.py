@@ -9,10 +9,10 @@ quasi-crystal; the common standardizations make up the crystal skeleton.
 
 The skeleton needs no graph: `crystal_skeleton` builds one class per SYT
 whose descent composition alpha has at most `bound` parts, with
-F_alpha(1^bound) members, growing the SYT in a loop one run of alpha per
-pass, and walks no other SYT.  `vertex_count` and `edge_count` count the
-graph by closed forms, so a caller can print or size a crystal without
-building it.
+F_alpha(1^bound) members, read off the SYT table cut at the bound
+(`tableaux.yamanouchi_table`), which walks no other SYT.  `vertex_count`
+and `edge_count` count the graph by closed forms, so a caller can print or
+size a crystal without building it.
 
 `build_crystal` builds each class of `crystal_skeleton` from its SYT S:
 its members are v o S for the weakly increasing v that rise at each descent
@@ -33,7 +33,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, islice, product, repeat
+from itertools import chain, combinations_with_replacement, islice, repeat
 from math import comb, factorial, perm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
@@ -42,14 +42,13 @@ from .compositions import (
     Composition,
     Partition,
     _Immutable,
-    _require_partition,
     format_comp,
     hook_product,
     partitions_within,
     trim,
 )
 from .rsk import rsk
-from .tableaux import Rows, Tableau, kostka
+from .tableaux import Rows, Tableau, kostka, tableaux_from_table
 
 if TYPE_CHECKING:
     from array import array
@@ -68,10 +67,6 @@ def row_word(t: Tableau) -> tuple[int, ...]:
 def _word(rows: Rows) -> tuple[int, ...]:
     """`row_word` of the rows, and () for the empty tableau, the one vertex of the empty crystal."""
     return sum(reversed(rows), ())
-
-
-def _word_cells(t: Tableau) -> list[tuple[int, int]]:
-    return [(r, c) for r in range(len(t.rows) - 1, -1, -1) for c in range(len(t.rows[r]))]
 
 
 def _unmatched(word: tuple[int, ...], color: int) -> tuple[list[int], list[int]]:
@@ -99,7 +94,8 @@ def _operate(t: Tableau, color: int, raising: bool) -> Tableau | None:
     low, high = _unmatched(row_word(t), color)
     if not (high if raising else low):
         return None
-    r, c = _word_cells(t)[high[0] if raising else low[-1]]
+    cells = [(r, c) for r in reversed(range(len(t.rows))) for c in range(len(t.rows[r]))]
+    r, c = cells[high[0] if raising else low[-1]]  # `cells` runs in row-word order
     rows = [list(row) for row in t.rows]
     rows[r][c] = color if raising else color + 1
     return Tableau.of(rows)
@@ -229,49 +225,17 @@ def crystal_skeleton(shape: Partition, bound: int) -> tuple[SkeletonClass, ...]:
     One class per SYT whose descent composition alpha has at most `bound`
     parts, with F_alpha(1^bound) = C(bound + n - len(alpha), n) members;
     sorted by the representative's row word, as `CrystalGraph.classes` are.
-
-    The SYT are grown in a loop, one run of alpha per pass.  A run is a
-    horizontal strip numbered left to right, which is bottom row first; the
-    next run opens with a descent exactly when its bottom row lies below the
-    top row of the last one.  So only the SYT with at most `bound` runs are
-    walked, and neither the vertices nor the SYT table is built.
+    The SYT are read from `yamanouchi_table(shape, bound)`, which walks only
+    those with at most `bound` runs; no vertex is built.
     """
-    _require_partition(shape)
+    pairs = tableaux_from_table(shape, bound=bound)  # checks the shape
     n = sum(shape)
-    found = []
-    # each SYT so far as its rows, its descent composition and the top row of its last run
-    level: list[tuple[Rows, Composition, int]] = [(((),) * len(shape), (), -1)]
-    while level:
-        grown = []
-        for rows, runs, last_top in level:
-            filled = sum(runs)
-            if filled == n:
-                found.append(SkeletonClass(Tableau(rows), runs, comb(bound + n - len(runs), n)))
-                continue
-            if len(runs) == bound:  # the prune below leaves no cell here unless bound < len(shape)
-                continue
-            ranges = []  # the cells the run may add to each row
-            for r, row in enumerate(rows):
-                # a horizontal strip stays under the row above as it was
-                end = min(shape[r], len(rows[r - 1]) if r else shape[0])
-                # a column with a cell left for each run left takes one in this run
-                low = r + bound - len(runs) - 1
-                need = max(min(shape[low] if low < len(shape) else 0, end) - len(row), 0)
-                ranges.append(range(need, end - len(row) + 1))
-            below = product(*ranges[last_top + 1 :])
-            if not any(added.start for added in ranges[last_top + 1 :]):
-                next(below)  # the run opens below `last_top`, so not with no cell there
-            for above, under in product(product(*ranges[: last_top + 1]), below):
-                counts = above + under
-                label, bottom_up = filled, []
-                for row, added in zip(reversed(rows), reversed(counts)):
-                    bottom_up.append(row + tuple(range(label + 1, label + added + 1)))
-                    label += added
-                top = next(r for r, added in enumerate(counts) if added)
-                grown.append((tuple(reversed(bottom_up)), runs + (label - filled,), top))
-        level = grown
-    found.sort(key=lambda qc: _word(qc.representative.rows))
-    return tuple(found)
+    classes = [
+        SkeletonClass(t, row.descent_composition, comb(bound + n - len(row.descent_composition), n))
+        for t, row in pairs
+    ]
+    classes.sort(key=lambda qc: _word(qc.representative.rows))
+    return tuple(classes)
 
 
 def build_crystal(shape: Partition, bound: int) -> CrystalGraph:

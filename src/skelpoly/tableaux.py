@@ -12,7 +12,8 @@ carries the descent composition along the prefix.  The SYT, their
 destandardizations (the quasi-Yamanouchi tableaux), the descent filter and
 every count by descent or by maj (the sum of the proper prefix sums of the
 descent composition) are read from that table, with no tableau parsed.
-`crystal.crystal_skeleton` walks the SYT once more, pruned by its bound.
+With a bound, the same walk lists only the SYT of at most that many runs,
+which `crystal.crystal_skeleton` reads.
 SSYT with bounded entries are filled row by row (`_fill`); those of a weight,
 and their count `kostka`, grow by one horizontal strip per value (`_strips`).
 The minimal parsing, `standardize`, `descent_set` and `tableau_stats` work on
@@ -32,6 +33,7 @@ from .compositions import (
     Partition,
     _Frozen,
     _require_partition,
+    conjugate,
     depth as composition_depth,
     hook_product,
     is_partition,
@@ -247,7 +249,7 @@ class YamanouchiRow(NamedTuple):
 
 
 @cache
-def yamanouchi_table(shape: Partition) -> tuple[YamanouchiRow, ...]:
+def yamanouchi_table(shape: Partition, bound: int | None = None) -> tuple[YamanouchiRow, ...]:
     """Every SYT of `shape` as its row sequence r_1..r_n, from one walk of the Young lattice.
 
     Step i adds a cell to a row r that is shorter than both shape[r] and row
@@ -259,10 +261,18 @@ def yamanouchi_table(shape: Partition) -> tuple[YamanouchiRow, ...]:
     and the next row r to try at it: rows are tried in increasing order, so
     rows come in walk order (words in lexicographic order), and a shape of
     any size is walked without recursion.
+
+    With `bound`, only the SYT with at most `bound` runs, in the same order: a
+    run opens only where the runs left can fill every column (`_first_opening`).
+    Each run but the first opens below row 0, so a bound above the cells under
+    row 0 cuts nothing and reads the unbounded table.
     """
     _require_partition(shape)
+    if bound is not None and bound > sum(shape[1:]):
+        return yamanouchi_table(shape)
     n = sum(shape)
     height = len(shape)
+    columns = conjugate(shape) if bound is not None else ()
     lengths = [0] * height
     word = [0] * n
     runs: list[int] = []
@@ -278,11 +288,15 @@ def yamanouchi_table(shape: Partition) -> tuple[YamanouchiRow, ...]:
         while r < height and (lengths[r] == shape[r] or r and lengths[r] == lengths[r - 1]):
             r += 1
         if r < height:
-            lengths[r] += 1
-            if r > prev:  # i is a descent (i + 1 sits lower), or i = 0 opens the first run
-                runs.append(1)
-            else:
+            if r <= prev:
                 runs[-1] += 1
+            elif bound is not None and r < (first := _first_opening(shape, columns, lengths,
+                                                                    bound - len(runs))):
+                r = first  # a run opening above `first` leaves too few runs for the cells
+                continue
+            else:  # i is a descent (i + 1 sits lower), or i = 0 opens the first run
+                runs.append(1)
+            lengths[r] += 1
             word[i] = prev = r
             i, r = i + 1, 0
             continue
@@ -299,15 +313,31 @@ def yamanouchi_table(shape: Partition) -> tuple[YamanouchiRow, ...]:
         r += 1
 
 
+def _first_opening(shape: Partition, columns: Partition, lengths: list[int], left: int) -> int:
+    """The first row where a run may open with `left` runs to go, this one included, or
+    len(lengths): the cells of column lengths[q] from row q down are empty, and a run puts
+    at most one cell in a column, none below the row it opens at."""
+    first = 0
+    for q, end in enumerate(lengths):
+        if end < shape[q] and columns[end] - q >= left:
+            if columns[end] - q > left:
+                return len(lengths)
+            first = q
+    return first
+
+
 def tableaux_from_table(
-    shape: Partition, quasi_yamanouchi: bool = False, descent: Composition | None = None
+    shape: Partition, quasi_yamanouchi: bool = False, descent: Composition | None = None,
+    bound: int | None = None,
 ) -> list[tuple[Tableau, YamanouchiRow]]:
     """The SYT of `shape`, or their destandardizations, with their rows, sorted by rows.
 
-    With `descent`, only the tableaux of that descent composition.  The cell of
-    i holds i in the SYT and the label of step i in the quasi-Yamanouchi tableau.
+    With `descent`, only the tableaux of that descent composition; with
+    `bound`, only those of at most `bound` runs.  The cell of i holds i in the
+    SYT and the label of step i in the quasi-Yamanouchi tableau.
     """
-    table = yamanouchi_table(shape)
+    # (shape,) and (shape, None) would be two keys of the cache, and two walks
+    table = yamanouchi_table(shape) if bound is None else yamanouchi_table(shape, bound)
     if descent is not None:
         descent = tuple(descent)
         table = [row for row in table if row.descent_composition == descent]
@@ -383,16 +413,21 @@ def kostka(shape: Partition, weight_vec: Composition) -> int:
 def semistandard_with_weight(shape: Partition, weight_vec: Composition) -> list[Tableau]:
     """All SSYT of `shape` whose value multiplicities equal `weight_vec`, in row-reading lex order.
 
-    `kostka`'s walk, carrying each inner shape's partial tableaux: v fills the strip of step v.
+    `kostka`'s walk finds the strip of each value, v filling the strip of step v; the
+    partial tableaux are then carried back from `shape`, so only strips that reach it are filled.
     """
     if not kostka(shape, weight_vec):  # checks the shape and the weight
         return []
-    level = {(0,) * len(shape): [((),) * len(shape)]}
-    for value, part in enumerate(weight_vec, start=1):
+    steps, reached = [], [(0,) * len(shape)]  # the strips of each value, as (inner, outer)
+    for part in weight_vec:
+        steps.append([(inner, outer) for inner in reached for outer in _strips(shape, inner, part)])
+        reached = dict.fromkeys(outer for _, outer in steps[-1])
+    level = {tuple(shape): [((),) * len(shape)]}  # the cells of the values past the step
+    for value in range(len(steps), 0, -1):
         grown: dict[tuple[int, ...], list[Rows]] = {}
-        for inner, partials in level.items():
-            for outer in _strips(shape, inner, part):
+        for inner, outer in steps[value - 1]:
+            if outer in level:  # the strip grows into `shape`
                 cells = tuple((value,) * (o - i) for o, i in zip(outer, inner))
-                grown.setdefault(outer, []).extend(tuple(map(add, t, cells)) for t in partials)
+                grown.setdefault(inner, []).extend(tuple(map(add, cells, t)) for t in level[outer])
         level = grown
-    return list(map(Tableau, sorted(level[tuple(shape)])))
+    return list(map(Tableau, sorted(level[(0,) * len(shape)])))

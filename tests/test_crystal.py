@@ -31,6 +31,7 @@ from skelpoly import (
     to_dot,
     vertex_count,
     weight,
+    yamanouchi_table,
 )
 from skelpoly import crystal
 from skelpoly.cli import _json_chunks
@@ -257,8 +258,7 @@ def test_crystal_of_one_box_at_a_large_bound():
 
 
 def test_crystal_of_a_long_row():
-    # one string through 991 vertices; a key costs the cuts of its multiset, not the
-    # letters of its word
+    # one class of 991 vertices, joined by color 1 into one string in lexicographic order
     assert build_crystal((990,), 2).edges == tuple((k, 1, k + 1) for k in range(990))
 
 
@@ -269,8 +269,8 @@ def test_closed_forms_of_one_box_at_a_huge_bound():
 
 
 def test_skeleton_of_a_long_column_and_a_long_row():
-    # the walk recurses once per run, not once per cell: 40 runs of one cell,
-    # then one run of 1,000 cells, both far inside the recursion limit
+    # the one SYT of a column of 40 cells has 40 runs of one cell, that of a row of
+    # 1,000 cells one run of 1,000; the class sizes are C(bound + n - runs, n)
     column = Tableau.of([i] for i in range(1, 41))
     assert crystal_skeleton((1,) * 40, 40) == ((column, (1,) * 40, 1),)
     assert crystal_skeleton((1000,), 2) == ((Tableau.of([range(1, 1001)]), (1000,), 1001),)
@@ -298,12 +298,16 @@ def test_built_crystal_of_a_row_longer_than_the_recursion_limit():
 
 
 def test_skeleton_of_a_column_taller_than_the_recursion_limit():
-    # the skeleton grows one run per pass and the partitions `edge_count` lists take a
-    # level per distinct part, so a column of 1,200 cells recurses nowhere; its Kostka
-    # number grows only the one row with room at each value, so it is not cubic in
-    # the rows
+    # the SYT walk is a loop and the partitions `edge_count` lists take a level per
+    # distinct part, so a column of 1,200 cells recurses nowhere.  The skeleton reads
+    # the column's one SYT off a fresh walk of one step per cell, in well under half a
+    # second; the Kostka number grows only the one row with room at each value, so it
+    # is not cubic in the rows
     column = (1,) * 1200
+    yamanouchi_table.cache_clear()
+    start = process_time()
     (qc,) = crystal_skeleton(column, 1200)
+    assert process_time() - start < 0.5
     assert qc.descent == column and qc.size == 1
     assert qc.representative.rows == tuple((i,) for i in range(1, 1201))
     assert list(crystal.partitions_within(1200, 1200, 1)) == [column]
@@ -315,7 +319,8 @@ def test_skeleton_of_a_column_taller_than_the_recursion_limit():
 @pytest.mark.parametrize("lam", [lam for n in range(9) for lam in partitions(n)])
 def test_skeleton_and_edge_count_match_the_built_crystal(lam):
     # every bound from the number of rows to 8: the closed forms against the
-    # built graph, and the skeleton's walk against the SYT table
+    # built graph, and the skeleton, read off the walk cut at its bound, against
+    # the unbounded SYT table filtered by run count
     n = sum(lam)
     table = tableaux_from_table(lam)
     for bound in range(len(lam), 9):
@@ -347,6 +352,24 @@ def test_skeleton_and_edge_count_match_the_built_crystal(lam):
             (qc.representative, qc.descent) for qc in skeleton
         ]
         assert all(qc.size == comb(bound + n - len(qc.descent), n) for qc in skeleton)
+
+
+def test_skeleton_of_nine_cells_against_the_table():
+    # the shapes of 9 cells, whose crystals the test above does not build, at every
+    # bound from 0 to 10: the skeleton against the unbounded SYT table filtered by
+    # run count, and its class sizes against the closed form
+    for lam in partitions(9):
+        table = tableaux_from_table(lam)
+        for bound in range(11):
+            few_runs = [(t, row.descent_composition) for t, row in table
+                        if len(row.descent_composition) <= bound]
+            skeleton = crystal_skeleton(lam, bound)
+            assert sorted(few_runs, key=lambda pair: pair[0].rows[::-1]) == [
+                (qc.representative, qc.descent) for qc in skeleton
+            ]
+            assert [qc.size for qc in skeleton] == [
+                comb(bound + 9 - len(qc.descent), 9) for qc in skeleton
+            ]
 
 
 def test_build_crystal_small_cases():

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -52,3 +53,22 @@ def test_every_export_has_a_caller_in_the_package_or_the_acceptance_suite():
         used = set().union(*(uses for defined, uses in statements if not defined & unused))
         unused = exports - used - pinned
     assert sorted(unused) == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject declares no dependencies: every absolute import of the package
+    # names a standard-library module
+    outside = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside.update(
+                (path.name, name) for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            )
+    assert sorted(outside) == []

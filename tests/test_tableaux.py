@@ -348,6 +348,16 @@ def test_weighted_fill_of_a_long_row_is_quick():
     assert all(t.is_semistandard() and t.rows[1] != (1,) for t in listing)
 
 
+def test_weighted_listing_carries_no_dead_partial_tableaux():
+    # (20, 20) at weight 1^20 then 20 has one SSYT: the last strip of 20 cells fits
+    # only on the inner shape (20, 0), so the ones fill the first row, and no other
+    # filling of up to 20 cells inside (20, 20) is carried
+    start = process_time()
+    (only,) = semistandard_with_weight((20, 20), (1,) * 20 + (20,))
+    assert process_time() - start < 0.1
+    assert only.rows == (tuple(range(1, 21)), (21,) * 20)
+
+
 def test_one_long_row_is_counted_and_listed_in_one_strip():
     # a strip of one row is built at the one size that fills it, whatever its length
     start = process_time()
@@ -460,6 +470,24 @@ def test_yamanouchi_table_against_per_tableau_routes():
             assert by_rows[t] is row
         assert list(quasi_yamanouchi_tableaux(lam)) == [q for q, _ in qy_pairs]
     assert checked == sum(len(syt(lam)) for lam in _table_oracle_shapes())
+
+
+def test_bounded_table_is_the_table_cut_at_the_bound():
+    # the walk's prune against the unbounded walk filtered by run count, for
+    # |shape| <= 10 at every bound from 0 to one past the most runs; a bound at or
+    # past the most runs shares the unbounded table
+    for n in range(11):
+        for lam in partitions(n):
+            table = yamanouchi_table(lam)
+            most = max_descent_length(lam) if lam else 0
+            for bound in range(most + 2):
+                cut = yamanouchi_table(lam, bound)
+                assert cut == tuple(
+                    row for row in table if len(row.descent_composition) <= bound
+                ), (lam, bound)
+                if lam and bound >= most:
+                    assert cut is table
+    assert yamanouchi_table((2, 1), -1) == ()
 
 
 def test_yamanouchi_table_edge_shapes():
