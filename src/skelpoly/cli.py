@@ -2,19 +2,22 @@
 
 Subcommands: skeleton, tableaux, rsk, crystal, verify.  Output is fully
 deterministic (no timestamps unless --timing is requested), so identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  `parse_args` reads the command
+line from the `_COMMANDS` table as argparse did, without importing argparse:
+its import and six parsers took 4-5 ms of every run (CPython 3.11, 2 cores).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
+import re
 import sys
 from functools import lru_cache
 from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Iterator
 
 from .compositions import Composition, format_comp, is_partition, is_strong, partitions
@@ -82,7 +85,7 @@ def parse_parts(text: str) -> Composition:
             return tuple(int(ch) for ch in text)
         return (int(text),)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse parts from {text!r}")
+        raise ValueError(f"cannot parse parts from {text!r}") from None
 
 
 def _require_partition(shape: Composition) -> Composition:
@@ -212,8 +215,10 @@ def _rows_template(lengths: tuple[int, ...], pad: str) -> str:
     return _array([_template(length, pad + "  ") for length in lengths], pad)
 
 
-def _cmd_skeleton(args: argparse.Namespace) -> int:
+def _cmd_skeleton(args: SimpleNamespace) -> int:
     if args.table is not None:
+        if args.shape is not None:
+            raise SystemExit("error: give a shape or --table, not both")
         for flag, given in (("--i", args.i is not None), ("--deep", args.deep),
                             ("--eval-ones", args.eval_ones)):
             if given:
@@ -304,7 +309,7 @@ def _skeleton_table(max_size: int, fmt: str) -> int:
     return 0
 
 
-def _cmd_tableaux(args: argparse.Namespace) -> int:
+def _cmd_tableaux(args: SimpleNamespace) -> int:
     shape = _require_partition(args.shape)
     if args.des is not None and (args.qy or not args.syt):
         raise SystemExit("error: --des applies only to --syt")
@@ -361,7 +366,7 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rsk(args: argparse.Namespace) -> int:
+def _cmd_rsk(args: SimpleNamespace) -> int:
     word = args.word
     if not word:
         raise SystemExit("error: empty word")
@@ -397,7 +402,7 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_crystal(args: argparse.Namespace) -> int:
+def _cmd_crystal(args: SimpleNamespace) -> int:
     shape = _require_partition(args.shape)
     if args.bound < len(shape):
         raise SystemExit(f"error: bound {args.bound} is below the number of rows {len(shape)}")
@@ -432,7 +437,7 @@ def _cmd_crystal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     names = list(dict.fromkeys(args.checks or ["all"]))  # a check named twice runs once
     if args.report_support and not {"all", "skeleton-rs"} & set(names):
         raise SystemExit("error: --report-support applies only to skeleton-rs")
@@ -465,69 +470,158 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="skelpoly",
-        description="Exact computations with tableaux, crystals, RSK, and skeleton polynomials.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's help, handler, positionals and flags.  A positional is (dest, count,
+# type, help), with count 1, "?" or "*".  A flag maps to (dest, kind, help): a type reads
+# the value after it, a tuple lists the values it takes (the first is the default), and
+# another kind is the constant it stores (True defaults to False, and None is -h).
+_COMMANDS = {
+    "skeleton": ("skeleton polynomial of a shape", _cmd_skeleton,
+                 [("shape", "?", parse_parts, "partition, e.g. 3,2 or 32")], {
+        "--i": ("i", int, "restrict to descent length i"),
+        "--deep": ("deep", True, "grade terms by depth in q"),
+        "--eval-ones": ("eval_ones", True, "evaluate at all ones"),
+        "--table": ("table", int, "emit the table of all shapes of size at most N"),
+        "--format": ("format", ("text", "json", "csv", "latex"), None)}),
+    "tableaux": ("enumerate tableaux of a shape", _cmd_tableaux,
+                 [("shape", 1, parse_parts, None)], {
+        "--qy": ("qy", True, "quasi-Yamanouchi tableaux"),
+        "--syt": ("syt", True, "standard tableaux"),
+        "--ssyt": ("ssyt", int, "semistandard tableaux with entries at most N"),
+        "--weight": ("weight", parse_parts, "semistandard with this weight"),
+        "--des": ("des", parse_parts, "with --syt: fix the descent composition"),
+        "--format": ("format", ("text", "json"), None)}),
+    "rsk": ("row insertion of a word or permutation", _cmd_rsk,
+            [("word", 1, parse_parts, "e.g. 57841362 or 10,3,4,11")],
+            {"--format": ("format", ("text", "json"), None)}),
+    "crystal": ("bounded crystal graph of a shape", _cmd_crystal,
+                [("shape", 1, parse_parts, None), ("bound", 1, int, None)], {
+        "--inner": ("inner", True, "restrict exports to the inner crystal"),
+        "--dot": ("format", "dot", "shorthand for --format dot"),  # before --format's default
+        "--format": ("format", ("text", "json", "dot"), None)}),
+    "verify": ("run identity checks", _cmd_verify,
+               [("checks", "*", str, f"any of: all, {', '.join(CHECK_NAMES)}")], {
+        "--max-n": ("max_n", int, "override the per-check bound"),
+        "--report-support": ("report_support", True,
+                             "attach monomial-support data to skeleton-rs results"),
+        "--timing": ("timing", True, "include wall times (output is no longer reproducible)"),
+        "--format": ("format", ("text", "json"), None)}),
+}
+_TOP = ("Exact computations with tableaux, crystals, RSK, and skeleton polynomials.", None,
+        [("command", 1, tuple(_COMMANDS), None)], {})
 
-    p_skeleton = sub.add_parser("skeleton", help="skeleton polynomial of a shape")
-    p_skeleton.add_argument("shape", nargs="?", type=parse_parts,
-                            help="partition, e.g. 3,2 or 32")
-    p_skeleton.add_argument("--i", type=int, default=None, help="restrict to descent length i")
-    p_skeleton.add_argument("--deep", action="store_true", help="grade terms by depth in q")
-    p_skeleton.add_argument("--eval-ones", action="store_true", help="evaluate at all ones")
-    p_skeleton.add_argument("--table", type=int, default=None, metavar="N",
-                            help="emit the table of all shapes of size at most N")
-    p_skeleton.add_argument("--format", choices=("text", "json", "csv", "latex"), default="text")
-    p_skeleton.set_defaults(func=_cmd_skeleton)
 
-    p_tableaux = sub.add_parser("tableaux", help="enumerate tableaux of a shape")
-    p_tableaux.add_argument("shape", type=parse_parts)
-    p_tableaux.add_argument("--qy", action="store_true", help="quasi-Yamanouchi tableaux")
-    p_tableaux.add_argument("--syt", action="store_true", help="standard tableaux")
-    p_tableaux.add_argument("--ssyt", type=int, default=None, metavar="N",
-                            help="semistandard tableaux with entries at most N")
-    p_tableaux.add_argument("--weight", type=parse_parts, default=None,
-                            help="semistandard with this weight")
-    p_tableaux.add_argument("--des", type=parse_parts, default=None,
-                            help="with --syt: fix the descent composition")
-    p_tableaux.add_argument("--format", choices=("text", "json"), default="text")
-    p_tableaux.set_defaults(func=_cmd_tableaux)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command of `argv`, its handler as `func` and its arguments, as argparse read them.
 
-    p_rsk = sub.add_parser("rsk", help="row insertion of a word or permutation")
-    p_rsk.add_argument("word", type=parse_parts, help="e.g. 57841362 or 10,3,4,11")
-    p_rsk.add_argument("--format", choices=("text", "json"), default="text")
-    p_rsk.set_defaults(func=_cmd_rsk)
+    A flag takes its value as `--flag value` or `--flag=value` and may be cut to any
+    prefix that no other flag of its command shares; a repeated flag's last value wins.
+    A negative number is a value, and so is every token after `--`.  `-h` prints the
+    help and exits 0; any other misuse prints the usage and an `error:` line to stderr
+    and exits 2.  Unlike argparse, the checks of `verify` may come on both sides of flags.
+    """
+    extras: list[str] = []  # unknown flags, and values past the last positional
+    args = _read(None, argv, extras)
+    if extras:
+        _exit(args.command, f"unrecognized arguments: {' '.join(map(repr, extras))}")
+    return args
 
-    p_crystal = sub.add_parser("crystal", help="bounded crystal graph of a shape")
-    p_crystal.add_argument("shape", type=parse_parts)
-    p_crystal.add_argument("bound", type=int)
-    p_crystal.add_argument("--inner", action="store_true",
-                           help="restrict exports to the inner crystal")
-    p_crystal.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p_crystal.add_argument("--dot", dest="format", action="store_const", const="dot",
-                           help="shorthand for --format dot")
-    p_crystal.set_defaults(func=_cmd_crystal)
 
-    p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("checks", nargs="*", metavar="CHECK",
-                          help=f"any of: all, {', '.join(CHECK_NAMES)}")
-    p_verify.add_argument("--max-n", type=int, default=None,
-                          help="override the per-check bound")
-    p_verify.add_argument("--report-support", action="store_true",
-                          help="attach monomial-support data to skeleton-rs results")
-    p_verify.add_argument("--timing", action="store_true",
-                          help="include wall times (output is no longer reproducible)")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(func=_cmd_verify)
+def _read(command: str | None, tokens: list[str], extras: list[str]) -> SimpleNamespace:
+    """The arguments of `command`; at None, of the top level, up to and with the command."""
+    _, func, positionals, flags = _COMMANDS[command] if command else _TOP
+    values = {dest: [] if count == "*" else None for dest, count, _, _ in positionals} | {
+        dest: kind[0] if isinstance(kind, tuple) else None if callable(kind) else False
+        for dest, kind, _ in flags.values()}
+    flags = {"-h": (None,) * 3, "--help": (None,) * 3, **flags}
+    # as argparse, sort out every token before taking any, so an ambiguous flag fails first;
+    # a command's first "--" is marked "--", and every token after it is a value
+    ends = tokens.index("--") if command and "--" in tokens else len(tokens)
+    found = [_classify(token, flags, command) for token in tokens[:ends]] + ["--"]
+    pairs = zip(tokens, found + [None] * (len(tokens) - ends))
+    took = False  # the token before was a positional's value
+    for token, flag in pairs:
+        if flag == "--":  # a positional takes it, with the value before or after it
+            if not (positionals or took):
+                extras.append(token)
+            continue
+        took = flag is None and bool(positionals)
+        if took:  # the next positional's value
+            (dest, count, kind, _), name, text = positionals[0], positionals[0][0], token
+            positionals = positionals if count == "*" else positionals[1:]
+        elif flag is None or flag[0] is None:
+            extras.append(token)
+            continue
+        else:
+            (name, text), count = flag, 1
+            dest, kind, _ = flags[name]
+            if not (callable(kind) or isinstance(kind, tuple)):  # -h, or a flag storing `kind`
+                if text is not None:
+                    _exit(command, f"argument {name}: ignored explicit argument {text!r}")
+                if kind is None:
+                    _exit(command)
+                values[dest] = kind
+                continue
+            if text is None:
+                text, ahead = next(pairs, (None, "--"))
+                if ahead is not None:
+                    _exit(command, f"argument {name}: expected one argument")
+        if isinstance(kind, tuple) and text not in kind:
+            _exit(command, f"argument {name}: invalid choice {text!r} (choose from {kind})")
+        try:
+            value = text if isinstance(kind, tuple) else kind(text)
+        except ValueError as exc:
+            _exit(command, f"argument {name}: {exc}")
+        if command is None:
+            return _read(value, [token for token, _ in pairs], extras)
+        values[dest] = [*values[dest], value] if count == "*" else value
+    if missing := [dest for dest, count, _, _ in positionals if count == 1]:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **values, func=func)
 
-    return parser
+
+def _classify(token: str, flags: dict, command: str | None) -> tuple | None:
+    """None for a value, else (flag, the value joined to it or None), flag None if unknown."""
+    if not token.startswith("-") or token in ("-", "--"):
+        return None
+    name, eq, value = token.partition("=")
+    if name not in flags and token[1] != "-" and token[:2] in flags:  # -h, its value joined
+        name, eq, value = token[:2], "=", token[2:]
+    if name == "-h" and value.strip("h") == "" != value:  # -hh... is -h -h ...
+        eq = ""
+    found = [flag for flag in flags if flag == name]
+    if not found and token[1] == "-":  # a long flag may be cut to a prefix
+        found = [flag for flag in flags if flag.startswith(name)]
+    if len(found) > 1:
+        _exit(command, f"ambiguous option {token!r} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
+
+
+def _exit(command: str | None, error: str | None = None) -> None:
+    """Print the help of `command` (None: skelpoly) and exit 0, or its usage and `error`, 2."""
+    about, _, positionals, flags = _COMMANDS[command] if command else _TOP
+    prog = f"skelpoly {command}" if command else "skelpoly"
+    rows = [(flag + (f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else
+                     " N" if kind is int else " PARTS" * callable(kind)), text)
+            for flag, (_, kind, text) in flags.items()]
+    usage = " ".join([f"usage: {prog} [-h]", *(f"[{label}]" for label, _ in rows), *(
+        dest if count == 1 else f"[{dest}{' ...' * (count == '*')}]"
+        for dest, count, _, _ in positionals)])
+    if error is not None:
+        sys.stderr.write(f"{usage}\n{prog}: error: {error}\n")
+        raise SystemExit(2)
+    rows[:0] = [(dest, text) for dest, _, _, text in positionals] + [
+        (name, entry[0]) for name, entry in _COMMANDS.items() if not command] + [
+        ("-h, --help", "show this help message and exit")]
+    width = max(len(label) for label, text in rows if text)
+    lines = [f"  {label:<{width}}  {text or ''}".rstrip() for label, text in rows]
+    print(usage, "", about, "", *lines, sep="\n")
+    raise SystemExit(0)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ValueError as exc:

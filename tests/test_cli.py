@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import skelpoly
 from skelpoly import (
@@ -44,6 +47,8 @@ def test_parse_parts():
     assert parse_parts("10,3,4,11") == (10, 3, 4, 11)
     assert parse_parts("7") == (7,)
     assert parse_parts("") == ()
+    with pytest.raises(ValueError, match="cannot parse parts from '1,x'"):
+        parse_parts("1,x")
 
 
 def test_format_comp():
@@ -229,11 +234,14 @@ def test_tableaux_descent_filter(capsys):
     assert "total: 3" in out
 
 
-@pytest.mark.parametrize("flag", [["--eval-ones"], ["--i", "2"], ["--deep"]])
+@pytest.mark.parametrize("flag", [["--eval-ones"], ["--i", "2"], ["--deep"], ["3,2"]])
 def test_skeleton_table_rejects_single_shape_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["skeleton", "--table", "3", *flag])
-    assert exc.value.code == f"error: {flag[0]} applies to one shape, not to --table"
+    if flag == ["3,2"]:  # a shape is refused too, not dropped
+        assert exc.value.code == "error: give a shape or --table, not both"
+    else:
+        assert exc.value.code == f"error: {flag[0]} applies to one shape, not to --table"
     assert capsys.readouterr().out == ""
 
 
@@ -1273,3 +1281,276 @@ def test_benchmark_trace_mode_runs():
             record = json.load(info)
         assert proc.wait(timeout=120) == 0, argv
         assert record["error"] is None, argv
+
+
+# Reading the command line.  `build_parser` is the argparse parser `cli.parse_args`
+# replaced, kept here as its oracle.
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="skelpoly",
+        description="Exact computations with tableaux, crystals, RSK, and skeleton polynomials.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_skeleton = sub.add_parser("skeleton", help="skeleton polynomial of a shape")
+    p_skeleton.add_argument("shape", nargs="?", type=parse_parts,
+                            help="partition, e.g. 3,2 or 32")
+    p_skeleton.add_argument("--i", type=int, default=None, help="restrict to descent length i")
+    p_skeleton.add_argument("--deep", action="store_true", help="grade terms by depth in q")
+    p_skeleton.add_argument("--eval-ones", action="store_true", help="evaluate at all ones")
+    p_skeleton.add_argument("--table", type=int, default=None, metavar="N",
+                            help="emit the table of all shapes of size at most N")
+    p_skeleton.add_argument("--format", choices=("text", "json", "csv", "latex"), default="text")
+    p_skeleton.set_defaults(func=cli._cmd_skeleton)
+
+    p_tableaux = sub.add_parser("tableaux", help="enumerate tableaux of a shape")
+    p_tableaux.add_argument("shape", type=parse_parts)
+    p_tableaux.add_argument("--qy", action="store_true", help="quasi-Yamanouchi tableaux")
+    p_tableaux.add_argument("--syt", action="store_true", help="standard tableaux")
+    p_tableaux.add_argument("--ssyt", type=int, default=None, metavar="N",
+                            help="semistandard tableaux with entries at most N")
+    p_tableaux.add_argument("--weight", type=parse_parts, default=None,
+                            help="semistandard with this weight")
+    p_tableaux.add_argument("--des", type=parse_parts, default=None,
+                            help="with --syt: fix the descent composition")
+    p_tableaux.add_argument("--format", choices=("text", "json"), default="text")
+    p_tableaux.set_defaults(func=cli._cmd_tableaux)
+
+    p_rsk = sub.add_parser("rsk", help="row insertion of a word or permutation")
+    p_rsk.add_argument("word", type=parse_parts, help="e.g. 57841362 or 10,3,4,11")
+    p_rsk.add_argument("--format", choices=("text", "json"), default="text")
+    p_rsk.set_defaults(func=cli._cmd_rsk)
+
+    p_crystal = sub.add_parser("crystal", help="bounded crystal graph of a shape")
+    p_crystal.add_argument("shape", type=parse_parts)
+    p_crystal.add_argument("bound", type=int)
+    p_crystal.add_argument("--inner", action="store_true",
+                           help="restrict exports to the inner crystal")
+    p_crystal.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    p_crystal.add_argument("--dot", dest="format", action="store_const", const="dot",
+                           help="shorthand for --format dot")
+    p_crystal.set_defaults(func=cli._cmd_crystal)
+
+    p_verify = sub.add_parser("verify", help="run identity checks")
+    p_verify.add_argument("checks", nargs="*", metavar="CHECK",
+                          help=f"any of: all, {', '.join(verify.CHECK_NAMES)}")
+    p_verify.add_argument("--max-n", type=int, default=None,
+                          help="override the per-check bound")
+    p_verify.add_argument("--report-support", action="store_true",
+                          help="attach monomial-support data to skeleton-rs results")
+    p_verify.add_argument("--timing", action="store_true",
+                          help="include wall times (output is no longer reproducible)")
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    p_verify.set_defaults(func=cli._cmd_verify)
+
+    return parser
+
+
+_ORACLE = build_parser()
+(_COMMAND_ACTION,) = _ORACLE._subparsers._group_actions  # the command and its subparsers
+
+
+def _parse(parse, argv):
+    """(the attributes, None) when `parse` accepts `argv`, else (None, its exit code),
+    with what it printed to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            read = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            read = None, exc.code
+    return read, out.getvalue(), err.getvalue()
+
+
+def _verify_intermixed(argv):
+    """argparse's reading of `verify` with checks on both sides of its flags: the
+    checks after a `--` join those read among the flags before it."""
+    dashes = argv.index("--") if "--" in argv else len(argv)
+    args = _COMMAND_ACTION.choices["verify"].parse_intermixed_args(argv[1:dashes])
+    args.checks += argv[dashes + 1 :]
+    args.command = "verify"
+    return args
+
+
+def _differs_as_allowed(argv, expected, read):
+    """Where `parse_args` may read `argv` otherwise than argparse did (README,
+    "Command line"): the checks of `verify` may come after its flags, and a value
+    that argparse read as [] from a lone `--` is refused."""
+    if argv[0] == "verify" and expected[1] == 2 and read[0] is not None:
+        return read == _parse(_verify_intermixed, argv)[0]
+    return read[1] == 2 and expected[0] is not None and expected[0].get("bound") == []
+
+
+# A value for each flag, and the positionals each command needs.
+_FLAG_VALUES = {
+    "skeleton": {"--i": "2", "--deep": None, "--eval-ones": None, "--table": "3",
+                 "--format": "csv"},
+    "tableaux": {"--qy": None, "--syt": None, "--ssyt": "3", "--weight": "2,1,1",
+                 "--des": "1,3", "--format": "json"},
+    "rsk": {"--format": "json"},
+    "crystal": {"--inner": None, "--format": "json", "--dot": None},
+    "verify": {"--max-n": "3", "--report-support": None, "--timing": None, "--format": "json"},
+}
+_POSITIONALS = {"skeleton": ["3,2"], "tableaux": ["3,1"], "rsk": ["312"],
+                "crystal": ["3,2", "3"], "verify": ["bks", "mahonian"]}
+
+
+def _corpus():
+    """Every flag of every command as `--flag value` and `--flag=value`, cut to each
+    prefix, with negative, repeated and missing values, both orders of --dot and
+    --format, `--`, the help flags, and misuses of each kind."""
+    for command, flags in _FLAG_VALUES.items():
+        given = _POSITIONALS[command]
+        yield [command, *given]
+        yield [command, "-h"]
+        yield [command, *given, "--help"]
+        yield [command, "--", *given]
+        yield [command, *given[:-1]]  # a positional missing
+        yield [command, *given, "extra"]
+        yield [command, *given, "--nope"]
+        yield [command, *given, "--format", "yaml"]
+        yield [command, *given, "--format=dot", "--format", "text"]  # the last one wins
+        yield [command, *given, "--=x"]  # a prefix of every flag
+        for flag, value in flags.items():
+            for cut in range(3, len(flag) + 1):  # the flag and each abbreviation of it
+                name = flag[:cut]
+                unique = [f for f in [*flags, "--help"] if f.startswith(name)] == [flag]
+                if value is None:
+                    yield [command, *given, name]
+                    yield [command, name, *given]
+                    yield [command, *given, f"{name}=x"]
+                elif unique or name == flag:
+                    yield [command, *given, name, value]
+                    yield [command, *given, f"{name}={value}"]
+                    yield [command, name, value, *given]
+                    yield [command, *given, name]  # the value missing
+                    yield [command, *given, name, "--format"]
+                else:
+                    yield [command, *given, name, value]  # ambiguous
+            if value is not None:
+                yield [command, *given, flag, value, flag, value + "1"]  # repeated
+                yield [command, *given, f"{flag}="]  # an empty value
+                yield [command, *given, flag, "x"]
+    for flag in ("--i", "--table"):
+        yield ["skeleton", flag, "-1"]
+        yield ["skeleton", f"{flag}=-3"]
+        yield ["skeleton", flag, "9" * 5000]  # past the int digit limit
+        yield ["skeleton", flag, "-.5"]
+        yield ["skeleton", flag, "-1x"]
+        yield ["skeleton", flag, "３"]
+    yield from (["crystal", "3,2", "-1"], ["crystal", "-1", "3,2"], ["crystal", "3,2", "²"])
+    yield from (["tableaux", "3,2", "--ssyt", "-2"], ["verify", "--max-n", "-5"])
+    yield from (["crystal", "3,2", "3", "--dot", "--format", "json"],
+                ["crystal", "3,2", "3", "--format", "json", "--dot"],
+                ["crystal", "3,2", "3", "--format=text", "--do"],
+                ["crystal", "--dot", "3,2", "3", "--form=json"])
+    yield from (["tableaux", "3,2", "--s", "3"], ["tableaux", "3,2", "--syt", "--des", "--qy"])
+    yield from (["tableaux", "3,2", "--help", "--s"], ["skeleton", "--table", "-1 "])
+    yield from (["skeleton", "3,2", "--deep", "--"], ["skeleton", "--deep", "3,2", "--"],
+                ["skeleton", "--table", "3", "--"], ["crystal", "3,2", "--", "4", "--"])
+    yield from ([], ["-h"], ["--help"], ["--he"], ["-hh"], ["-hx"], ["-h="], ["--help=x"],
+                ["--", "skeleton", "3,2"], ["skel", "3,2"], ["-1"], [""], ["--nope", "verify"],
+                ["-h", "-=0"], ["rsk", "312", "-=x", "--help"])
+    yield from (["skeleton", "-hh"], ["skeleton", "-h=h"], ["skeleton", "-hx"],
+                ["skeleton", "3,2", "-1", "--help"], ["skeleton", "-", "x"])
+    yield from (["verify", "mahonian", "--max-n", "2", "bks"],
+                ["verify", "bks", "--timing", "--", "--max-n"],
+                ["crystal", "4", "--", "--"])
+
+
+def test_parse_args_reads_the_corpus_as_argparse_did():
+    outcomes, differences = set(), []
+    for argv in _corpus():
+        expected, _, _ = _parse(_ORACLE.parse_args, argv)
+        read, _, err = _parse(cli.parse_args, argv)
+        outcomes.add("accepted" if expected[0] else expected[1])
+        if read != expected and not _differs_as_allowed(argv, expected, read):
+            differences.append((argv, expected, read))
+        if read[1] == 2:
+            assert [line for line in err.splitlines() if "error:" in line] != [], argv
+    assert differences == []
+    assert outcomes == {"accepted", 0, 2}
+
+
+def test_parse_args_allows_checks_after_the_flags_of_verify():
+    # argparse refuses a check after a flag's value ("unrecognized arguments: bks")
+    argv = ["verify", "mahonian", "--max-n", "2", "bks"]
+    assert _parse(_ORACLE.parse_args, argv)[0] == (None, 2)
+    args = cli.parse_args(argv)
+    assert (args.checks, args.max_n, args.func) == (["mahonian", "bks"], 2, cli._cmd_verify)
+
+
+def test_a_lone_dash_dash_is_no_bound():
+    # argparse read `crystal 4 -- --` with bound [], and the command raised a TypeError
+    read, _, err = _parse(cli.parse_args, ["crystal", "4", "--", "--"])
+    assert read == (None, 2)
+    assert err.splitlines()[-1].startswith("skelpoly crystal: error: argument bound: ")
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_lists_every_command_and_flag_with_its_help(command):
+    argv = [command, "--help"] if command else ["-h"]
+    read, out, err = _parse(cli.parse_args, argv)
+    assert (read, err) == ((None, 0), "")
+    assert out.startswith(f"usage: skelpoly{f' {command}' if command else ''} ")
+    if command is None:
+        shown = [(action.dest, action.help) for action in _COMMAND_ACTION._choices_actions]
+    else:
+        actions = _COMMAND_ACTION.choices[command]._actions
+        shown = [(action.option_strings[-1] if action.option_strings else action.dest,
+                  action.help) for action in actions if action.dest != "help"]
+    for name, text in shown:
+        row = next(line for line in out.splitlines() if line.startswith(f"  {name}"))
+        assert text is None or row.endswith(text)
+
+
+_TOKENS = sorted(
+    {flag[:cut] for flags in _FLAG_VALUES.values() for flag in [*flags, "--help"]
+     for cut in range(2, len(flag) + 1)}
+    | {"-h", "-hh", "-hx", "--", "-", "---", "--nope", "-x"}
+)
+_VALUE = st.sampled_from(["0", "-1", "-3", "", "３", "²", "-３", "9" * 5000, "-" + "9" * 5000,
+                          "-1 ", "3,2", "32", "1,x", "3,", "text", "json", "bks"]) | st.text(
+    max_size=3)
+_TOKEN = _VALUE | st.sampled_from(_TOKENS) | st.builds(
+    "{}={}".format, st.sampled_from(_TOKENS), _VALUE)
+_ARGV = st.builds(lambda head, rest: [head, *rest],
+                  st.sampled_from([*cli._COMMANDS, "-h", "--he", "--", "skel", ""]),
+                  st.lists(_TOKEN, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+@example(["skeleton", "9223372036854775807,"])  # parsed, not run: the count would not end
+@example(["crystal", "3,2", "--table", "9" * 5000])
+@example(["tableaux", "3,2", "-h", "--s"])  # argparse refuses an ambiguous flag before all else
+def test_parse_args_on_drawn_argv(argv):
+    # parse only: parses, prints the help, or exits 2 with one error line; as argparse
+    read, out, err = _parse(cli.parse_args, argv)
+    if read[1] == 2:
+        assert out == "" and len([line for line in err.splitlines() if "error:" in line]) == 1
+    elif read[1] == 0:
+        assert out.startswith("usage: ") and err == ""
+    else:
+        assert read[0]["func"] is cli._COMMANDS[read[0]["command"]][1]
+    expected, _, _ = _parse(_ORACLE.parse_args, argv)
+    assert read == expected or _differs_as_allowed(argv, expected, read)
+
+
+def test_parsing_loads_neither_argparse_nor_gettext_nor_locale():
+    # each command runs in a fresh interpreter: these imports cost every run milliseconds
+    src = os.path.dirname(os.path.dirname(skelpoly.__file__))
+    script = (
+        "import sys, skelpoly.cli; skelpoly.cli.main(['skeleton', '3,2']);"
+        " print('loaded:', *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out == "x^32 + x^23 + x^221 + x^131 + x^122\nloaded:\n"
