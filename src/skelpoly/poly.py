@@ -6,9 +6,10 @@ are exact Python integers.  `UniPoly` is a dense single-variable polynomial.
 On top of these sit the skeleton polynomials (descent generating functions
 of quasi-Yamanouchi tableaux), bounded Schur polynomials, quasi-symmetric
 truncations, fake degree polynomials, and the (p,q)-bifactorial.  The
-identity checks of `verify` compare tallies of term keys and build no
-`MultiPoly`; the arithmetic here (sums, products, embeddings) serves the
-constructions above and the tests' oracles.
+skeleton polynomials, quasi-Kostka numbers and fake degrees are read, uncached,
+off the shape's cached `tableaux.descent_tally`, as are the identity checks of
+`verify`, which build no skeleton `MultiPoly`; the arithmetic here (sums,
+products, embeddings) serves the constructions above and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -21,18 +22,13 @@ from typing import Iterable, NamedTuple
 from .compositions import (
     Composition,
     Partition,
-    _require_partition,
     depth as composition_depth,
     max_descent_length,
     partitions,
     refinements,
     trim,
 )
-from .tableaux import (
-    semistandard_tableaux,
-    weight,
-    yamanouchi_table,
-)
+from .tableaux import descent_tally, semistandard_tableaux, weight
 
 TermKey = tuple[tuple[int, ...], int, int]  # (x-exponents, p-exponent, q-exponent)
 
@@ -340,7 +336,6 @@ def _padded(alpha: Composition, arity: int) -> tuple[int, ...]:
     return tuple(alpha) + (0,) * (arity - len(alpha))
 
 
-@cache
 def skeleton_poly(shape: Partition) -> MultiPoly:
     """Descent generating function of the quasi-Yamanouchi tableaux of `shape`.
 
@@ -348,12 +343,8 @@ def skeleton_poly(shape: Partition) -> MultiPoly:
     maximal descent length; the coefficient of x^alpha counts the SYT of the
     shape with descent composition alpha.
     """
-    _require_partition(shape)
-    if not shape:
-        return MultiPoly.one(0)
-    arity = max_descent_length(shape)
-    counts = Counter(row.descent_composition for row in yamanouchi_table(shape))
-    return MultiPoly(arity, {(_padded(alpha, arity), 0, 0): c for alpha, c in counts.items()})
+    arity = max_descent_length(shape) if shape else 0  # checks the shape
+    return MultiPoly(arity, {(_padded(a, arity), 0, 0): c for a, c in descent_tally(shape).items()})
 
 
 def skeleton_poly_i(shape: Partition, length: int) -> MultiPoly:
@@ -364,20 +355,15 @@ def skeleton_poly_i(shape: Partition, length: int) -> MultiPoly:
     arity = max(length, 0)
     if not shape or length < len(shape) or length > max_descent_length(shape):
         return MultiPoly.zero(arity)
-    terms = {}
-    for (exps, p, q), coeff in skeleton_poly(shape).terms.items():
-        if len(trim(exps)) == length:
-            terms[(exps[:length], p, q)] = coeff
-    return MultiPoly(arity, terms)
+    terms = descent_tally(shape).items()
+    return MultiPoly(arity, {(a, 0, 0): c for a, c in terms if len(a) == length})
 
 
 def deep_skeleton(shape: Partition) -> MultiPoly:
     """Skeleton polynomial with each term graded in q by the depth of its exponent."""
-    plain = skeleton_poly(shape)
-    return MultiPoly(
-        plain.arity,
-        {(exps, 0, composition_depth(exps)): coeff for (exps, _, _), coeff in plain.terms.items()},
-    )
+    arity = max_descent_length(shape) if shape else 0  # checks the shape
+    return MultiPoly(arity, {(_padded(a, arity), 0, composition_depth(a)): c
+                             for a, c in descent_tally(shape).items()})
 
 
 def schur_poly(shape: Partition, num_vars: int) -> MultiPoly:
@@ -409,7 +395,6 @@ def qsym_fundamental(alpha: Composition, num_vars: int) -> MultiPoly:
     )
 
 
-@cache
 def fake_degree(shape: Partition) -> UniPoly:
     """Major-index generating function over the SYT of `shape`.
 
@@ -418,7 +403,7 @@ def fake_degree(shape: Partition) -> UniPoly:
     if not shape:
         raise ValueError("empty partition")
     majs: Counter[int] = Counter()
-    for alpha, count in Counter(row.descent_composition for row in yamanouchi_table(shape)).items():
+    for alpha, count in descent_tally(shape).items():
         majs[sum(accumulate(alpha[:-1]))] += count
     return UniPoly.from_terms(majs)
 
@@ -459,8 +444,8 @@ def bifactorial_q_slice(g: MultiPoly, k: int) -> UniPoly:
 
 
 def quasi_kostka_coefficient(shape: Partition, alpha: Composition) -> int:
-    """Coefficient of x^alpha in the skeleton polynomial of `shape`."""
-    poly = skeleton_poly(shape)
-    if len(alpha) > poly.arity:
+    """Coefficient of x^alpha in the skeleton polynomial of `shape`: 0 when alpha has
+    more parts than its variables, or a zero part before its last nonzero one."""
+    if len(alpha) > (max_descent_length(shape) if shape else 0):  # checks the shape
         return 0
-    return poly.coefficient(alpha)
+    return descent_tally(shape)[trim(tuple(alpha))]

@@ -10,10 +10,10 @@ The SYT of a shape are listed by `yamanouchi_table`, a depth-first loop over
 the Young lattice by their Yamanouchi words (the row of each of 1..n) that
 carries the descent composition along the prefix.  The SYT, their
 destandardizations (the quasi-Yamanouchi tableaux), the descent filter and
-every count by descent or by maj (the sum of the proper prefix sums of the
-descent composition) are read from that table, with no tableau parsed.
-With a bound, the same walk lists only the SYT of at most that many runs,
-which `crystal.crystal_skeleton` reads.
+`descent_tally`, the count f_(shape, alpha) by descent composition, are read
+from that table with no tableau parsed; every tally is kept, but only the
+last table walked.  With a bound, the same walk lists only the SYT of at
+most that many runs, which `crystal.crystal_skeleton` reads.
 SSYT with bounded entries are filled row by row (`_fill`); those of a weight,
 and their count `kostka`, grow by one horizontal strip per value (`_strips`).
 The minimal parsing, `standardize`, `descent_set` and `tableau_stats` work on
@@ -22,7 +22,8 @@ one tableau at a time and are the reference the table is tested against.
 
 from __future__ import annotations
 
-from functools import cache
+from collections import Counter
+from functools import cache, lru_cache
 from itertools import accumulate, chain, repeat
 from math import factorial
 from operator import add
@@ -248,7 +249,9 @@ class YamanouchiRow(NamedTuple):
         return _stats(des if quasi_yamanouchi else (1,) * len(self.word), des)
 
 
-@cache
+# One table is kept: in `skeleton --table` a shape's listing and its descent tally
+# follow each other, and no command reads an earlier shape's table again.
+@lru_cache(maxsize=1)
 def yamanouchi_table(shape: Partition, bound: int | None = None) -> tuple[YamanouchiRow, ...]:
     """Every SYT of `shape` as its row sequence r_1..r_n, from one walk of the Young lattice.
 
@@ -324,6 +327,14 @@ def _first_opening(shape: Partition, columns: Partition, lengths: list[int], lef
                 return len(lengths)
             first = q
     return first
+
+
+@cache
+def descent_tally(shape: Partition) -> Counter[Composition]:
+    """f_(shape, alpha), the number of SYT of `shape` with descent composition alpha, per alpha.
+
+    The `Counter` is the cached one, shared by every caller: read it, do not change it."""
+    return Counter(row.descent_composition for row in yamanouchi_table(shape))
 
 
 def tableaux_from_table(

@@ -5,7 +5,7 @@ canonical order when failing.  Checks are deterministic and side-effect free.
 `run_checks` times each job into its `elapsed`; a direct `check_*` call reports
 0.0.  A polynomial identity is checked as two tallies, each a `Counter` of term
 keys (x-exponents, p, q): on the skeleton side each shape contributes its
-coefficients f_(shape, alpha), read through `_skeleton_terms`; the permutation
+coefficients f_(shape, alpha), read off its `descent_tally`; the permutation
 side reads `rsk_tally(n)`, S_n counted by the descent masks of (Des(w),
 Des(w^-1)) and by inversions, built once per n and process, so no check visits
 a permutation unless it names a failing w or lists the support.  `counting`,
@@ -45,7 +45,6 @@ from .compositions import (
     lambda_bar,
     partitions,
     raising_covers,
-    trim,
 )
 from .poly import (
     _padded,
@@ -56,11 +55,10 @@ from .poly import (
     internal_zeros,
     q_factorial,
     quasi_kostka_coefficient,
-    skeleton_poly,
 )
 from .rsk import all_permutations, left_descents, mask_stats, perm_table, rsk_tally
 from .rsk import word_descent_composition
-from .tableaux import kostka
+from .tableaux import descent_tally, kostka
 
 
 class CheckResult(NamedTuple):
@@ -101,9 +99,9 @@ def _witness(lhs: Counter, rhs: Counter, term: Callable = lambda key: key) -> di
 
 
 def _skeleton_terms(shape: Partition, n: int, graded: bool) -> list[tuple[tuple, int, int]]:
-    """(alpha padded to n, depth(alpha) when graded else 0, f_(shape, alpha)) per skeleton term."""
-    return [(_padded(exps, n), depth(exps) if graded else 0, coeff)
-            for (exps, _, _), coeff in skeleton_poly(shape).terms.items()]
+    """(alpha padded to n, depth(alpha) when graded else 0, f_(shape, alpha)) per alpha."""
+    return [(_padded(alpha, n), depth(alpha) if graded else 0, coeff)
+            for alpha, coeff in descent_tally(shape).items()]
 
 
 def _margins(n: int) -> tuple[list[int], list[int]]:
@@ -139,8 +137,8 @@ def check_skeleton_rs(n: int, graded: bool = False, report_support: bool = False
     mask_of = {stat[0]: mask for mask, stat in enumerate(stats) if stat}
     lhs: Counter = Counter()
     for shape in partitions(n):
-        terms = [(mask_of[trim(exps)], depth(exps) if graded else 0, coeff)
-                 for (exps, _, _), coeff in skeleton_poly(shape).terms.items()]
+        terms = [(mask_of[alpha], depth(alpha) if graded else 0, coeff)
+                 for alpha, coeff in descent_tally(shape).items()]
         for alpha, p, c in terms:
             for beta, q, d in terms:
                 lhs[beta << n | alpha, p, q] += c * d
@@ -212,8 +210,8 @@ def check_counting(n: int) -> CheckResult:
     ones = []
     for shape in partitions(n):
         by_parts = [0] * (n + 1)
-        for alpha, _, coeff in _skeleton_terms(shape, n, False):
-            by_parts[len(trim(alpha))] += coeff
+        for alpha, coeff in descent_tally(shape).items():
+            by_parts[len(alpha)] += coeff
         ones.append(list(accumulate(by_parts)))
     # lengths[i][j]: w whose Des(w^-1) has i - 1 elements and Des(w) j - 1; involutions by
     # |Des(w)| + 1, the length of its composition
@@ -321,8 +319,8 @@ def check_schur_family(shape: Partition) -> CheckResult:
     Also reports whether the support induces a connected subgraph of the
     dominance Hasse diagram; disconnectedness is asserted for rectangles.
     """
-    poly = skeleton_poly(shape)
-    support = sorted(poly.support())
+    tally = descent_tally(shape)
+    support = sorted(tally)
     lbar = lambda_bar(shape)
     witness = None
     for alpha in support:
@@ -330,9 +328,9 @@ def check_schur_family(shape: Partition) -> CheckResult:
             witness = {"alpha": list(alpha), "detail": "outside interval"}
             break
     if witness is None:
-        if poly.coefficient(shape) != 1:
+        if tally[shape] != 1:
             witness = {"detail": "top endpoint coefficient", "alpha": list(shape)}
-        elif poly.coefficient(lbar) != 1:
+        elif tally[lbar] != 1:
             witness = {"detail": "bottom endpoint coefficient", "alpha": list(lbar)}
     support_set = set(support)
     # the raising moves from each alpha are its Hasse edges down in dominance order
@@ -373,7 +371,7 @@ def check_s6_inversion_count() -> CheckResult:
     from_q_factorial = q_factorial(6).coefficient(4)
     deep_targets = {(2, 4), (3, 2, 1)}
     expected_shapes = ((5, 1), (4, 2), (4, 1, 1), (3, 2, 1))
-    f = {shape: sum(skeleton_poly(shape).terms.values()) for shape in partitions(6)}
+    f = {shape: sum(descent_tally(shape).values()) for shape in partitions(6)}
     admitting: dict[tuple[int, ...], int] = {}
     weighted = 0
     for shape in partitions(6):
@@ -450,7 +448,7 @@ def _is_prime(n: int) -> bool:
 # job runs; direct `check_*` calls are not limited.  Each check reads `rsk_tally(m)` for
 # m up to its bound, each built once and kept: at `--max-n 10` (10! = 3,628,800) `verify
 # counting` takes 1.0-1.6 s at a 36 MB peak, `mahonian` 0.9-1.0 s at 31 MB, `skeleton-rs`
-# 3.0-5.3 s at 86 MB (its paired skeleton side) and `skeleton-rsk` 2.4-3.2 s at 47 MB; the
+# 3.0 s at 82 MB (its paired skeleton side) and `skeleton-rsk` 2.4-3.2 s at 47 MB; the
 # S_10 tally has 169,438 keys, and the kept tallies add about 8 MB (CPython 3.11, 2 cores).
 _SWEEP_MAX_N = 10
 MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
@@ -460,10 +458,10 @@ MAX_PERMUTATIONS = factorial(_SWEEP_MAX_N)
 # m = 1..n, `graded` at each m ungraded then graded, `per_shape` at each partition of
 # each m, `single` once with no argument and no bound.  The checks whose largest n is
 # `_SWEEP_MAX_N` read S_m for each m up to their bound.  At the other limits, and one
-# above, `verify hook-sum` takes 1.6 s at 72 MB and 2.7 s at 126 MB, `bks` 1.1 s at 60 MB
-# and 3.3 s at 189 MB, `schur-family` 3.3 s at 76 MB and 15 s at 241 MB, and
-# `linear-independence` 1.0-1.3 s at 75 MB and 4.2-4.4 s at 240 MB, most of it in
-# building the skeleton polynomials its minor reads (CPython 3.11, 2 cores).
+# above, `verify hook-sum` takes 0.8-1.0 s at 49 MB and 1.7 s at 86 MB, `bks` 0.6-0.9 s
+# at 25 MB and 2.7 s at 44 MB, `schur-family` 2.3-2.8 s at 26 MB and 8.9 s at 45 MB, and
+# `linear-independence` 0.6-0.9 s at 24 MB and 2.7 s at 44 MB, most of it in walking the
+# SYT behind the descent tallies its minor reads (CPython 3.11, 2 cores).
 # `all` runs the checks in this order.
 _CHECKS: dict[str, tuple[Callable[..., CheckResult], str, int | None, int | None]] = {
     "skeleton-r": (check_skeleton_r, "graded", 6, _SWEEP_MAX_N),

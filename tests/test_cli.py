@@ -448,7 +448,8 @@ def _hook_count(shape):
         (["skeleton", "7,6,5,4,3", "--i", "9", "--format", "csv"], "shape 76543 has 87027466240 SYT"),
         (["skeleton", "7,6,5,4,3", "--deep", "--eval-ones"], "shape 76543 has 87027466240 SYT"),
         (["tableaux", "6,5,4", "--ssyt", "12"], "tableaux 654 --ssyt 12 has 1265384120 SSYT"),
-        (["skeleton", "--table", "15", "--format", "csv"], "skeleton --table 15 has 13497600 SYT"),
+        (["skeleton", "--table", "15", "--format", "csv"],
+         "skeleton --table 15 has 757584 SYT or more"),
     ],
 )
 def test_runaway_enumeration_refused_before_any_work(argv, message, monkeypatch):
@@ -484,9 +485,29 @@ _HUGE = "99999999999999999999,"
 )
 def test_a_shape_of_more_cells_than_sys_maxsize_is_refused(argv):
     # factorial refuses more than sys.maxsize, and no tuple holds as many cells: the
-    # shape is refused before any count, in a child whose CPU time is read back
+    # shape is refused before any count
+    done = _run_timed(argv)
+    assert done.returncode == 1
+    assert done.stderr == (
+        f"error: shape {_HUGE} has {_HUGE[:-1]} cells, above the limit of {sys.maxsize}\n"
+    )
+    assert float(done.stdout) < 1
+
+
+@pytest.mark.parametrize("size", ["3000000", _HUGE[:-1]])
+def test_a_table_of_any_size_is_refused_at_once(size):
+    # the SYT are summed by size only until past the limit, at 13 cells
+    done = _run_timed(["skeleton", "--table", size], timeout=10)
+    assert done.returncode == 1
+    assert done.stderr == (f"error: skeleton --table {size} has 757584 SYT or more,"
+                           f" above the limit of {cli.MAX_TABLEAUX}\n")
+    assert float(done.stdout) < 1
+
+
+def _run_timed(argv, timeout=60):
+    """`main(argv)` run in a child, whose CPU time is printed on its stdout."""
     src = os.path.dirname(os.path.dirname(skelpoly.__file__))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c",
          "import sys, time\n"
          "from skelpoly.cli import main\n"
@@ -496,26 +517,20 @@ def test_a_shape_of_more_cells_than_sys_maxsize_is_refused(argv):
          "    print(time.process_time())\n", *argv],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.returncode == 1
-    assert done.stderr == (
-        f"error: shape {_HUGE} has {_HUGE[:-1]} cells, above the limit of {sys.maxsize}\n"
-    )
-    assert float(done.stdout) < 1
 
 
 @pytest.mark.parametrize(
     "argv, subject, count",
     [
-        (["skeleton", "--table", "3000"], "skeleton --table 3000", cli._table_count(3000)),
         (["tableaux", "3", "--ssyt", "9" * 3300], f"tableaux 3 --ssyt {'9' * 3300}",
          (10**3300 - 1) * 10**3300 * (10**3300 + 1) // 6),
         (["skeleton", ",".join(["70"] * 70), "--eval-ones"], "shape " + ",".join(["70"] * 70),
          _hook_count((70,) * 70)),
     ],
-    ids=["table", "ssyt", "eval-ones"],
+    ids=["ssyt", "eval-ones"],
 )
 def test_a_count_too_long_for_str_is_refused_by_its_size(argv, subject, count):
     # str() refuses an int of more than sys.get_int_max_str_digits() digits (4,300

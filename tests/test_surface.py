@@ -72,3 +72,14 @@ def test_the_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             )
     assert sorted(outside) == []
+
+
+def test_only_the_tableaux_module_reads_the_syt_table():
+    # every count by descent composition goes through `tableaux.descent_tally`, so a
+    # new route to f_(shape, alpha) changes that one function's body
+    readers = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if path.name not in ("__init__.py", "tableaux.py")
+        and "yamanouchi_table" in _referenced(_parse(path))
+    )
+    assert readers == []

@@ -12,7 +12,9 @@ from skelpoly import (
     compositions,
     descent_composition,
     descent_set,
+    descent_tally,
     dominance_leq,
+    fake_degree,
     is_quasi_yamanouchi,
     kostka,
     lambda_bar,
@@ -475,12 +477,14 @@ def test_yamanouchi_table_against_per_tableau_routes():
 def test_bounded_table_is_the_table_cut_at_the_bound():
     # the walk's prune against the unbounded walk filtered by run count, for
     # |shape| <= 10 at every bound from 0 to one past the most runs; a bound at or
-    # past the most runs shares the unbounded table
+    # past the most runs shares the unbounded table, kept as the last one walked
     for n in range(11):
         for lam in partitions(n):
             table = yamanouchi_table(lam)
             most = max_descent_length(lam) if lam else 0
             for bound in range(most + 2):
+                if lam and bound >= most:
+                    table = yamanouchi_table(lam)
                 cut = yamanouchi_table(lam, bound)
                 assert cut == tuple(
                     row for row in table if len(row.descent_composition) <= bound
@@ -504,6 +508,37 @@ def test_yamanouchi_table_edge_shapes():
         yamanouchi_table((1, 2))
 
 
+def test_descent_tally_against_the_strip_walk():
+    # the SYT of a shape are its SSYT of weight 1^n, listed by horizontal strips, with
+    # no code shared with the Yamanouchi walk; each is parsed here one at a time
+    for n in range(1, 9):
+        for lam in partitions(n):
+            listing = semistandard_with_weight(lam, (1,) * n)
+            assert descent_tally(lam) == Counter(map(descent_composition, listing)), lam
+            majs = Counter(sum(descent_set(t)) for t in listing)
+            assert fake_degree(lam).coeffs == tuple(majs[d] for d in range(max(majs) + 1)), lam
+
+
+def test_one_table_is_kept_and_one_tally_per_shape():
+    # the skeleton polynomial and the fake degree share one tally, walked once, and
+    # only the last table walked stays; `skeleton --table` walks each shape once
+    from skelpoly.cli import main
+
+    shapes = [lam for n in range(1, 9) for lam in partitions(n)]
+    yamanouchi_table.cache_clear()
+    descent_tally.cache_clear()
+    for lam in shapes:
+        skeleton_poly(lam)
+        fake_degree(lam)
+    assert yamanouchi_table.cache_info().currsize <= 1
+    assert yamanouchi_table.cache_info().misses == len(shapes)
+    assert descent_tally.cache_info().misses == len(shapes)
+    yamanouchi_table.cache_clear()
+    descent_tally.cache_clear()
+    assert main(["skeleton", "--table", "8"]) == 0
+    assert yamanouchi_table.cache_info().misses == 67 == len(shapes) + 1
+
+
 def test_descent_filter_reads_the_table():
     for n in range(1, 8):
         for lam in partitions(n):
@@ -518,7 +553,6 @@ def test_descent_filter_reads_the_table():
 
 def test_table_routes_make_no_parsing(monkeypatch):
     import skelpoly.tableaux as tableaux_module
-    from skelpoly import fake_degree
     from skelpoly.cli import main
 
     calls = []
@@ -530,8 +564,7 @@ def test_table_routes_make_no_parsing(monkeypatch):
     monkeypatch.setattr(tableaux_module, "minimal_parsing", counted)
     shape = (4, 3, 1, 1)
     yamanouchi_table.cache_clear()
-    skeleton_poly.cache_clear()
-    fake_degree.cache_clear()
+    descent_tally.cache_clear()
     assert main(["tableaux", "4,3,1,1", "--qy"]) == 0
     assert main(["tableaux", "4,3,1,1", "--syt", "--format", "json"]) == 0
     assert main(["skeleton", "4,3,1,1"]) == 0

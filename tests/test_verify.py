@@ -32,6 +32,7 @@ from skelpoly import (
     compositions,
     deep_skeleton,
     depth,
+    descent_tally,
     is_regular,
     partitions,
     perm_table,
@@ -391,14 +392,14 @@ def test_hook_sum_names_the_hook_when_only_a_length_bucket_differs(monkeypatch):
     # x^(1,3) moved from the two-row hook to the three-row one: the full sums agree,
     # so the witness is the first hook, by rows, whose terms are not its length bucket
     def moved(shape):
-        poly = skeleton_poly(shape)
+        tally = descent_tally(shape)
         if shape == (3, 1):
-            return MultiPoly(poly.arity, {k: c for k, c in poly.terms.items() if k[0] != (1, 3)})
+            return Counter({alpha: c for alpha, c in tally.items() if alpha != (1, 3)})
         if shape == (2, 1, 1):
-            return MultiPoly(poly.arity, {**poly.terms, ((1, 3, 0), 0, 0): 1})
-        return poly
+            return tally + Counter({(1, 3): 1})
+        return tally
 
-    monkeypatch.setattr(verify, "skeleton_poly", moved)
+    monkeypatch.setattr(verify, "descent_tally", moved)
     result = check_hook_sum(4)
     assert not result.passed
     assert result.witness == {"hook": [3, 1], "detail": "length-restricted sum differs"}
@@ -576,15 +577,12 @@ def test_changed_permutation_row_fails_each_sweeping_check(check, graded, field,
     assert result.witness == PINNED_WITNESSES[check, graded, field]
 
 
-def _with_one_coefficient_raised(skeleton, shape, alpha):
-    """`skeleton` with the coefficient of x^alpha in the polynomial of `shape` raised by 1."""
+def _with_one_coefficient_raised(tally, shape, alpha):
+    """`tally` with f_(shape, alpha), the coefficient of x^alpha in the skeleton polynomial
+    of `shape`, raised by 1."""
 
     def changed(lam):
-        poly = skeleton(lam)
-        if lam == shape:
-            key = (alpha + (0,) * (poly.arity - len(alpha)), 0, 0)
-            poly = MultiPoly(poly.arity, {**poly.terms, key: poly.terms.get(key, 0) + 1})
-        return poly
+        return tally(lam) + Counter({alpha: 1}) if lam == shape else tally(lam)
 
     return changed
 
@@ -610,8 +608,8 @@ SKELETON_MUTANT_WITNESSES = {
 
 @pytest.mark.parametrize("check, graded", SKELETON_MUTANT_WITNESSES)
 def test_changed_skeleton_coefficient_fails_each_skeleton_check(check, graded, monkeypatch):
-    changed = _with_one_coefficient_raised(verify.skeleton_poly, (2, 1, 1), (1, 2, 1))
-    monkeypatch.setattr(verify, "skeleton_poly", changed)
+    changed = _with_one_coefficient_raised(verify.descent_tally, (2, 1, 1), (1, 2, 1))
+    monkeypatch.setattr(verify, "descent_tally", changed)
     checks = {**SWEEP_CHECKS, "hook-sum": lambda n, _: check_hook_sum(n)}
     result = checks[check](4, graded)
     assert not result.passed
